@@ -8,8 +8,9 @@ here to ordinary matrix algebra plus entrywise conjugation.  The defect
     sum_{j=0}^m (-1)^(m-j) C(m,j) S*^j C S^j C
 
 collapses to the plain left-inverse defect of the pair ``(C S C, S*)``
-because ``C^2 = I``; this module evaluates it both ways and keeps the
-direct antilinear evaluation as a cross-check.
+because ``C^2 = I``; ``mc_isometry_defect`` evaluates that collapsed
+form.  The direct antilinear evaluation is kept here as the oracle that
+the C-isometry rigidity suite and the tests compare it against.
 """
 
 from __future__ import annotations
@@ -128,22 +129,16 @@ def mc_isometry_defect(
 ) -> np.ndarray:
     """C-twisted isometry defect ``sum_j (-1)^(m-j) C(m,j) S*^j (CSC)^j``.
 
-    Evaluated through the linear matrix ``CSC`` so the exact-binomial
-    defect machinery is reused; the result is cross-checked against the
-    direct antilinear evaluation.
+    Evaluated through the linear matrix ``CSC`` so the plain defect
+    evaluator is reused.  The conjugation must be valid, as
+    ``make_conjugation`` and ``entrywise_conjugation`` guarantee; the
+    direct antilinear evaluation is not run here but in
+    ``suites.run_c_isometry_rigidity`` and the tests.
     """
     s = as_matrix(s, square=True, name="S")
     if m < 1:
         raise ArgumentError(f"m must be >= 1, got {m}")
-    collapsed = minv.defect(conjugate_operator(c, s), adjoint(s), m)
-    direct = _mc_defect_antilinear(s, c, m)
-    scale = max(1.0, frobenius(collapsed), frobenius(direct))
-    if frobenius(collapsed - direct) > 1e-10 * scale:
-        raise IdentityCheckError(
-            "collapsed and antilinear defect evaluations disagree; "
-            "the conjugation input is likely invalid"
-        )
-    return collapsed
+    return minv.defect(conjugate_operator(c, s), adjoint(s), m)
 
 
 def is_1c_isometric(

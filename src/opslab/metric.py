@@ -8,7 +8,8 @@ Around that core this module provides:
 
 * a power-boundedness certificate based on the exact finite-dimensional
   criterion (spectral radius at most 1, unimodular eigenvalues
-  semisimple), with the empirical sup of power norms as a witness only;
+  semisimple), with the empirical sup of power norms as a witness that
+  is computed only when read;
 * Douglas factorization ``A = B C`` with the minimal-norm factor and its
   optimality value ``inf {lam : A A* <= lam B B*}``;
 * the splitting of a power-bounded matrix into its asymptotically
@@ -24,12 +25,14 @@ Around that core this module provides:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import minv
 from .errors import ArgumentError, AssumptionError, IdentityCheckError
+from .gen import haar_unitary
 from .matcore import (
     DEFAULT_TOL,
     ToleranceConfig,
@@ -82,16 +85,30 @@ class PowerBoundReport:
 
     ``bounded`` is decided by the criterion fields (spectral radius within
     tolerance of the unit disc and every unimodular eigenvalue
-    semisimple); ``m1_estimate`` is the observed sup of ``||S^n||`` over
-    the requested horizon and only witnesses the verdict.  ``witness``
-    holds ``(eigenvalue, reason)`` when unbounded.
+    semisimple).  ``witness`` holds ``(eigenvalue, reason)`` when
+    unbounded.  ``m1_estimate`` is the observed sup of ``||S^n||`` for
+    ``n <= horizon``; it only witnesses the verdict, so it is computed on
+    first read and cached.  It is ``inf`` when a power of S overflows.
     """
 
     bounded: bool
-    m1_estimate: float
     spectral_radius: float
     unimodular_semisimple: bool
+    s: np.ndarray = field(repr=False, compare=False)
+    horizon: int
     witness: tuple[complex, str] | None = None
+
+    @cached_property
+    def m1_estimate(self) -> float:
+        m1 = 0.0
+        power = np.eye(self.s.shape[0], dtype=complex)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(self.horizon):
+                power = power @ self.s
+                if not np.isfinite(power).all():
+                    return np.inf
+                m1 = max(m1, operator_norm(power))
+        return m1
 
     @property
     def criterion(self) -> dict:
@@ -101,9 +118,10 @@ class PowerBoundReport:
         }
 
     def to_json_dict(self) -> dict:
+        m1 = self.m1_estimate
         out = {
             "bounded": self.bounded,
-            "m1_estimate": self.m1_estimate,
+            "m1_estimate": m1 if np.isfinite(m1) else None,
             "criterion": self.criterion,
         }
         if self.witness is not None:
@@ -122,8 +140,9 @@ def certify_power_bounded(
     algebraic multiplicity).  The semisimplicity test clusters unimodular
     eigenvalues within ``1e-6 * max(1, ||S||)`` and compares the numerical
     rank of ``S - lambda I`` against the cluster size with a matched
-    cutoff; the sup of power norms over ``n <= horizon`` is reported as a
-    witness, never used for the decision.
+    cutoff.  The decision reads the spectrum alone; the sup of power norms
+    over ``n <= horizon`` is computed only when the report's
+    ``m1_estimate`` is read, and never enters the decision.
     """
     s = as_matrix(s, square=True, name="S")
     if horizon < 1:
@@ -131,21 +150,17 @@ def certify_power_bounded(
     n = s.shape[0]
     eigs = np.linalg.eigvals(s)
     rho = float(np.max(np.abs(eigs)))
-
-    m1 = 0.0
-    power = np.eye(n, dtype=complex)
-    for _ in range(horizon):
-        power = power @ s
-        m1 = max(m1, operator_norm(power))
+    s = s.copy()  # the report computes its witness from S later
 
     band = tol.rel_tol * max(1.0, rho)
     if rho > 1.0 + band:
         lam = eigs[int(np.argmax(np.abs(eigs)))]
         return PowerBoundReport(
             bounded=False,
-            m1_estimate=m1,
             spectral_radius=rho,
             unimodular_semisimple=True,
+            s=s,
+            horizon=horizon,
             witness=(complex(lam), "spectral radius exceeds 1"),
         )
 
@@ -177,9 +192,10 @@ def certify_power_bounded(
 
     return PowerBoundReport(
         bounded=semisimple,
-        m1_estimate=m1,
         spectral_radius=rho,
         unimodular_semisimple=semisimple,
+        s=s,
+        horizon=horizon,
         witness=witness,
     )
 
@@ -633,13 +649,6 @@ def _deterministic_isometries(a: np.ndarray, tol: ToleranceConfig) -> list[np.nd
     return probes
 
 
-def _haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
-    z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    d = np.diag(r)
-    return q * (d / np.abs(d))
-
-
 def pf_property_check(
     a: np.ndarray,
     sample_count: int = 20,
@@ -673,7 +682,7 @@ def pf_property_check(
 
     rng = np.random.default_rng(seed)
     probes = _deterministic_isometries(a, tol)
-    probes.extend(_haar_unitary(a.shape[0], rng) for _ in range(sample_count))
+    probes.extend(haar_unitary(a.shape[0], rng) for _ in range(sample_count))
 
     counterexample = None
     for v in probes:

@@ -9,6 +9,7 @@ acceptance tests call them directly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import comb
 
 import numpy as np
 
@@ -55,7 +56,7 @@ class SuiteResult:
 
 
 def run_defect_agreement(seed: int = 0, count: int = 200, dim_max: int = 6) -> SuiteResult:
-    """Exact-binomial defect versus iterated map application, 1e-12 relative."""
+    """Iterated defect evaluator versus the exact-binomial sum, 1e-12 relative."""
     result = SuiteResult("defect-agreement")
     for i in range(count):
         rng = gen.derive_rng(seed, i)
@@ -63,10 +64,12 @@ def run_defect_agreement(seed: int = 0, count: int = 200, dim_max: int = 6) -> S
         m = int(rng.integers(1, 6))
         s = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(n)
         t = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(n)
-        direct = minv.defect(s, t, m)
-        iterated = np.eye(n, dtype=complex)
-        for _ in range(m):
-            iterated = t @ iterated @ s - iterated
+        iterated = minv.defect(s, t, m)
+        direct = sum(
+            ((-1) ** (m - j)) * comb(m, j)
+            * (np.linalg.matrix_power(t, j) @ np.linalg.matrix_power(s, j))
+            for j in range(m + 1)
+        )
         scale = max(1.0, np.abs(direct).max(), np.abs(iterated).max())
         rel = np.abs(direct - iterated).max() / scale
         result.record("max_relative_gap", rel)
@@ -279,7 +282,8 @@ def run_c_isometry_rigidity(
         tag = f"instance {i} (n={n})"
         is_1c = conj_mod.is_1c_isometric(s, c, decision_tol)
         for m in range(1, 5):
-            residual = frobenius(conj_mod.mc_isometry_defect(s, c, m))
+            collapsed = conj_mod.mc_isometry_defect(s, c, m)
+            residual = frobenius(collapsed)
             is_mc = residual <= 1e-8
             if is_mc and not is_1c:
                 result.violations.append(
@@ -289,6 +293,14 @@ def run_c_isometry_rigidity(
                 result.violations.append(
                     f"{tag}: orthogonal positive failed ({m},C) (residual {residual:.3e})"
                 )
+        # Oracle for the collapsed evaluation, on the last (m = 4) defect.
+        direct = conj_mod._mc_defect_antilinear(s, c, 4)
+        gap = frobenius(collapsed - direct) / max(1.0, residual, frobenius(direct))
+        result.record("antilinear_relative_gap", gap)
+        if gap > 1e-10:
+            result.violations.append(
+                f"{tag}: collapsed and antilinear (4,C) defects differ (relative {gap:.3e})"
+            )
         result.instances += 1
 
     for t in (0.5, 1.0, 2.0):

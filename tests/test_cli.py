@@ -55,6 +55,27 @@ def test_check_power_bounded_jordan_fails_with_witness(tmp_path, capsys):
     assert "semisimple" in payload["artifacts"]["report"]["witness"]["reason"]
 
 
+def test_check_power_bounded_overflowing_witness(tmp_path, capsys):
+    big = write_matrix(tmp_path / "big.json", np.diag([1e6, 0.5]))
+    code, out, _ = run(capsys, "check", "power-bounded", "--s", big)
+    assert code == 1
+    assert "verdict power-bounded: FAIL" in out
+    assert "spectral radius exceeds 1" in out
+
+    code, out, _ = run(capsys, "check", "power-bounded", "--s", big, "--json")
+    assert code == 1
+    payload = json.loads(out, parse_constant=lambda c: pytest.fail(f"non-strict JSON {c}"))
+    assert payload["artifacts"]["report"]["m1_estimate"] is None
+    assert payload["artifacts"]["report"]["witness"]["reason"] == "spectral radius exceeds 1"
+
+
+def test_check_power_bounded_rejects_zero_horizon(tmp_path, capsys):
+    eye = write_matrix(tmp_path / "eye.json", np.eye(2))
+    code, _, err = run(capsys, "check", "power-bounded", "--s", eye, "--horizon", "0")
+    assert code == 2
+    assert "horizon" in err
+
+
 def test_check_left_m_inverse(tmp_path, capsys):
     rng = np.random.default_rng(0)
     z = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -15,6 +17,7 @@ from opslab import (
     frame_bounds,
     invariant_metric,
     is_left_m_inverse,
+    metric,
     operator_norm,
     pf_property_check,
     similar_to_unitary,
@@ -67,6 +70,31 @@ def test_certify_expanding_matrix():
     report = certify_power_bounded(np.diag([1.5, 0.5]))
     assert not report.bounded
     assert report.witness[1] == "spectral radius exceeds 1"
+
+
+def test_certify_witness_overflow_reports_infinity():
+    # Powers of a spectral radius 1e6 overflow within the 64-step horizon.
+    report = certify_power_bounded(np.diag([1e6, 0.5]))
+    assert not report.bounded
+    assert report.witness[1] == "spectral radius exceeds 1"
+    assert report.m1_estimate == np.inf
+    payload = report.to_json_dict()
+    assert payload["m1_estimate"] is None
+    json.dumps(payload, allow_nan=False)
+
+
+def test_certify_decision_skips_power_norm_witness(monkeypatch):
+    calls = []
+
+    def counting_norm(m):
+        calls.append(1)
+        return operator_norm(m)
+
+    monkeypatch.setattr(metric, "operator_norm", counting_norm)
+    report = certify_power_bounded(haar_unitary(8, derive_rng(4)))
+    assert report.bounded
+    assert len(calls) <= 1
+    assert report.m1_estimate == pytest.approx(1.0, abs=1e-10)
 
 
 def test_certify_generated_corpus():

@@ -1,3 +1,5 @@
+from math import comb
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -73,10 +75,12 @@ def test_defect_matches_iterated_application():
         m = int(rng.integers(1, 6))
         s = random_complex(rng, n)
         t = random_complex(rng, n)
-        direct = defect(s, t, m)
-        iterated = np.eye(n, dtype=complex)
-        for _ in range(m):
-            iterated = t @ iterated @ s - iterated
+        iterated = defect(s, t, m)
+        direct = sum(
+            ((-1) ** (m - j)) * comb(m, j)
+            * (np.linalg.matrix_power(t, j) @ np.linalg.matrix_power(s, j))
+            for j in range(m + 1)
+        )
         scale = max(1.0, np.abs(direct).max())
         assert np.abs(direct - iterated).max() <= 1e-12 * scale
 
