@@ -27,7 +27,6 @@ from .errors import (
 )
 from .matcore import (
     DEFAULT_TOL,
-    SpectralSplit,
     ToleranceConfig,
     adjoint,
     as_matrix,
@@ -43,7 +42,6 @@ from .matcore import (
     range_basis,
     save_matrix,
     spectral_radius,
-    spectral_split,
 )
 from .metric import (
     C01Decomposition,
@@ -57,18 +55,15 @@ from .metric import (
     douglas_factor,
     douglas_mu,
     extract_isometry,
-    frame_bounds,
     invariant_metric,
     pf_property_check,
     similar_to_unitary,
     similarity_certificate,
     verify_prop_isometric,
-    wold_decompose,
 )
 from .minv import (
     LeftInvPair,
     LinearMatrixMap,
-    a_m_isometry_defect,
     ascent,
     defect,
     elementary_operator,
@@ -76,7 +71,6 @@ from .minv import (
     is_left_m_inverse,
     kernel_included,
     minimal_defect_order,
-    power_defect,
     z_inverse,
     z_norm_bound,
 )

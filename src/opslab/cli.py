@@ -55,7 +55,7 @@ SUITES = {
 @dataclass
 class Report:
     command: str
-    tolerances: dict
+    tolerances: dict | None  # None for commands that take no tolerance flags
     seed: int | None = None
     verdicts: dict = field(default_factory=dict)
     artifacts: dict = field(default_factory=dict)
@@ -84,9 +84,8 @@ class Report:
             print(json.dumps(self.to_json_dict(), indent=2, sort_keys=True))
             return
         print(f"command: {self.command}")
-        print(
-            "tolerances: abs={abs_tol:g} rel={rel_tol:g}".format(**self.tolerances)
-        )
+        if self.tolerances is not None:
+            print("tolerances: abs={abs_tol:g} rel={rel_tol:g}".format(**self.tolerances))
         if self.seed is not None:
             print(f"seed: {self.seed}")
         for name, entry in self.verdicts.items():
@@ -157,7 +156,8 @@ def _cmd_check(args, tol: ToleranceConfig) -> Report:
         s = load_matrix(args.s, "S")
         pb = metric.certify_power_bounded(s, horizon=args.horizon, tol=tol)
         report.add_verdict("power-bounded", pb.bounded)
-        report.artifacts["report"] = pb.to_json_dict()
+        if args.json:  # the text report does not print the power-norm witness
+            report.artifacts["report"] = pb.to_json_dict()
         if pb.witness is not None:
             lam, reason = pb.witness
             report.artifacts["witness"] = f"{reason} (eigenvalue {lam:.6g})"
@@ -269,10 +269,8 @@ def _generate_one(args, seed: int) -> tuple[dict, dict]:
     )
 
 
-def _cmd_generate(args, tol: ToleranceConfig) -> Report:
-    report = Report(
-        command=f"generate {args.generator}", tolerances=_tol_dict(tol), seed=args.seed
-    )
+def _cmd_generate(args) -> Report:
+    report = Report(command=f"generate {args.generator}", tolerances=None, seed=args.seed)
     if args.count < 1:
         raise ArgumentError("--count must be >= 1")
     if args.count == 1:
@@ -303,8 +301,8 @@ def _cmd_generate(args, tol: ToleranceConfig) -> Report:
     return report
 
 
-def _cmd_suite(args, tol: ToleranceConfig) -> Report:
-    report = Report(command=f"suite {args.name}", tolerances=_tol_dict(tol), seed=args.seed)
+def _cmd_suite(args) -> Report:
+    report = Report(command=f"suite {args.name}", tolerances=None, seed=args.seed)
     for runner in SUITES[args.name]:
         kwargs = {}
         if runner is not suites.run_jordan_strictness:
@@ -330,10 +328,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--abs-tol", type=float, default=1e-10)
-        p.add_argument("--rel-tol", type=float, default=1e-8)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--json", action="store_true", help="machine-readable report")
+
+    def tolerances(p):  # suites pin their own tolerances; generators use none
+        p.add_argument("--abs-tol", type=float, default=1e-10)
+        p.add_argument("--rel-tol", type=float, default=1e-8)
 
     p_check = sub.add_parser("check", help="run a verdict-style check")
     p_check.add_argument("kind", choices=CHECK_KINDS)
@@ -344,6 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--horizon", type=int, default=64)
     p_check.add_argument("--samples", type=int, default=20)
     common(p_check)
+    tolerances(p_check)
 
     p_solve = sub.add_parser("solve", help="solve for a certificate")
     p_solve.add_argument("kind", choices=SOLVE_KINDS)
@@ -354,6 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--b")
     p_solve.add_argument("--m", type=int, default=1)
     common(p_solve)
+    tolerances(p_solve)
 
     p_gen = sub.add_parser("generate", help="write a seeded instance")
     p_gen.add_argument("generator", choices=GENERATORS)
@@ -379,23 +381,20 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        tol = ToleranceConfig(abs_tol=args.abs_tol, rel_tol=args.rel_tol)
-    except ArgumentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        if args.command == "check":
-            if not args.s:
-                raise ArgumentError("check requires --s")
-            report = _cmd_check(args, tol)
-        elif args.command == "solve":
-            if args.kind != "douglas" and not args.s:
-                raise ArgumentError("solve requires --s")
-            report = _cmd_solve(args, tol)
-        elif args.command == "generate":
-            report = _cmd_generate(args, tol)
+        if args.command == "generate":
+            report = _cmd_generate(args)
+        elif args.command == "suite":
+            report = _cmd_suite(args)
         else:
-            report = _cmd_suite(args, tol)
+            tol = ToleranceConfig(abs_tol=args.abs_tol, rel_tol=args.rel_tol)
+            if args.command == "check":
+                if not args.s:
+                    raise ArgumentError("check requires --s")
+                report = _cmd_check(args, tol)
+            else:
+                if args.kind != "douglas" and not args.s:
+                    raise ArgumentError("solve requires --s")
+                report = _cmd_solve(args, tol)
     except (ArgumentError, MatrixFormatError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

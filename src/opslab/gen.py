@@ -14,7 +14,7 @@ import numpy as np
 
 from .conj import Conjugation, entrywise_conjugation, hyperbolic_orthogonal_example, make_conjugation
 from .errors import ArgumentError
-from .matcore import adjoint, as_matrix
+from .matcore import adjoint
 from .minv import LeftInvPair
 
 __all__ = [
@@ -27,7 +27,6 @@ __all__ = [
     "gen_power_bounded",
     "gen_conjugation",
     "gen_1c_isometry",
-    "search_strict_mc_instances",
 ]
 
 # Condition-number clip for random similarities; see module docstring.
@@ -53,14 +52,12 @@ def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-def random_positive_definite(
-    n: int, rng: np.random.Generator, cond_clip: float = COND_CLIP
-) -> np.ndarray:
+def random_positive_definite(n: int, rng: np.random.Generator) -> np.ndarray:
     """Gram matrix of a Gaussian sample plus 0.1 I, condition clipped."""
     g = rng.standard_normal((n, n))
     p = g @ g.T + 0.1 * np.eye(n)
     w, v = np.linalg.eigh(p)
-    w = np.clip(w, w.max() / cond_clip, None)
+    w = np.clip(w, w.max() / COND_CLIP, None)
     return ((v * w) @ v.T).astype(complex)
 
 
@@ -186,35 +183,3 @@ def gen_1c_isometry(
     q = q * np.sign(np.diag(r))
     return q.astype(complex), c
 
-
-def search_strict_mc_instances(
-    n: int, seed: int, count: int = 50, m_max: int = 4
-) -> list[tuple[np.ndarray, Conjugation, int]]:
-    """Exploration hook: scan for non-power-bounded strict (m,C) instances.
-
-    Looks for S that is (m,C)-isometric for some 2 <= m <= m_max but not
-    (1,C)-isometric, among Jordan-type candidates conjugated against
-    random conjugations.  No such instance is guaranteed to exist at small
-    dimension; the hook documents the search space and returns whatever
-    it finds (typically an empty list).
-    """
-    from .conj import is_1c_isometric, mc_isometry_defect
-    from .matcore import DEFAULT_TOL, frobenius
-
-    found = []
-    for i in range(count):
-        rng = derive_rng(seed, i)
-        c = gen_conjugation(n, int(rng.integers(0, 2**32)))
-        lam = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
-        base = gen_jordan(n, lam)
-        q = haar_unitary(n, rng)
-        s = q @ base @ adjoint(q)
-        s = as_matrix(s, square=True)
-        if is_1c_isometric(s, c):
-            continue
-        for m in range(2, m_max + 1):
-            res = frobenius(mc_isometry_defect(s, c, m))
-            if res <= DEFAULT_TOL.zero_threshold(frobenius(s) ** m):
-                found.append((s, c, m))
-                break
-    return found

@@ -4,8 +4,8 @@ Every operator handled by this library is a dense square complex matrix
 stored as a ``numpy.ndarray`` with dtype ``complex128``.  This module
 supplies the numerical primitives the rest of the package is built on:
 adjoints, the spectral norm, spectral radius, positive-semidefinite square
-roots, Moore-Penrose pseudoinverses, eigenvalue-ordered Schur splittings,
-and the tolerance model governing every approximate comparison.
+roots, Moore-Penrose pseudoinverses, numerical ranks and bases, and the
+tolerance model governing every approximate comparison.
 
 Tolerance model
 ---------------
@@ -23,10 +23,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ArgumentError, AssumptionError, MatrixFormatError
 
@@ -43,8 +41,6 @@ __all__ = [
     "numerical_rank",
     "null_space",
     "range_basis",
-    "SpectralSplit",
-    "spectral_split",
     "matrix_to_json_dict",
     "matrix_from_json_dict",
     "save_matrix",
@@ -78,10 +74,6 @@ class ToleranceConfig:
     def scale_of(self, *mats: np.ndarray) -> float:
         """Largest Frobenius norm among the given matrices (at least 0)."""
         return max((frobenius(m) for m in mats), default=0.0)
-
-    def is_zero(self, m: np.ndarray, *inputs: np.ndarray) -> bool:
-        """Whether ``m`` is numerically zero at the scale of ``inputs``."""
-        return frobenius(m) <= self.zero_threshold(self.scale_of(*inputs))
 
 
 DEFAULT_TOL = ToleranceConfig()
@@ -215,48 +207,6 @@ def range_basis(
     c = _svd_cutoff(s, tol, cutoff)
     rank = int(np.sum(s > c))
     return u[:, :rank]
-
-
-class SpectralSplit(NamedTuple):
-    """Unitary Schur basis splitting the spectrum at the unit circle.
-
-    ``basis`` is unitary with ``basis* @ s @ basis`` upper triangular,
-    interior eigenvalues (|lambda| < 1 - band) leading in ``interior`` and
-    near-unimodular ones trailing in ``boundary``.
-    """
-
-    basis: np.ndarray
-    interior: np.ndarray
-    boundary: np.ndarray
-
-
-def spectral_split(s: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> SpectralSplit:
-    """Order the Schur form of ``s`` with interior eigenvalues first.
-
-    The unimodular band is ``|1 - |lambda|| <= rel_tol * max(1, rho)``
-    where ``rho`` is the spectral radius; an eigenvalue beyond
-    ``1 + band`` is incompatible with power boundedness and raises
-    ``AssumptionError``.
-
-    Returns
-    -------
-    SpectralSplit
-        Unitary ``basis`` and the two diagonal blocks of
-        ``basis* @ s @ basis``; either block may be 0x0.
-    """
-    s = as_matrix(s, square=True, name="spectral_split input")
-    rho = spectral_radius(s)
-    band = tol.rel_tol * max(1.0, rho)
-    if rho > 1.0 + band:
-        raise AssumptionError(
-            f"spectral radius {rho:.6g} exceeds 1 + tolerance; "
-            "no interior/boundary splitting for such spectra"
-        )
-    t, w, sdim = scipy.linalg.schur(
-        s, output="complex", sort=lambda lam: bool(abs(lam) < 1.0 - band)
-    )
-    k = int(sdim)
-    return SpectralSplit(basis=w, interior=t[:k, :k], boundary=t[k:, k:])
 
 
 # ---------------------------------------------------------------------------

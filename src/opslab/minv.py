@@ -24,7 +24,6 @@ from .errors import ArgumentError, AssumptionError
 from .matcore import (
     DEFAULT_TOL,
     ToleranceConfig,
-    adjoint,
     as_matrix,
     frobenius,
     operator_norm,
@@ -36,10 +35,8 @@ __all__ = [
     "defect",
     "is_left_m_inverse",
     "minimal_defect_order",
-    "power_defect",
     "z_inverse",
     "z_norm_bound",
-    "a_m_isometry_defect",
     "LinearMatrixMap",
     "elementary_operator",
     "generalized_derivation",
@@ -116,18 +113,6 @@ def minimal_defect_order(
     return None
 
 
-def power_defect(s: np.ndarray, t: np.ndarray, m: int, n: int) -> np.ndarray:
-    """Defect of the pair ``(S^n, T^n)`` at the same order m.
-
-    A vanishing defect is stable under powers: left m-invertibility of S
-    by T carries over to S^n by T^n.
-    """
-    s, t, m = _validated_pair(s, t, m)
-    if n < 1:
-        raise ArgumentError(f"n must be >= 1, got {n}")
-    return defect(np.linalg.matrix_power(s, n), np.linalg.matrix_power(t, n), m)
-
-
 def z_inverse(
     s: np.ndarray,
     t: np.ndarray,
@@ -166,29 +151,6 @@ def z_norm_bound(m: int, m1: float) -> float:
     if m1 <= 0:
         raise ArgumentError(f"M1 must be positive, got {m1}")
     return (2.0 ** m) * float(m1) ** 2
-
-
-def a_m_isometry_defect(
-    a: np.ndarray, s: np.ndarray, m: int, tol: ToleranceConfig = DEFAULT_TOL
-) -> np.ndarray:
-    """Weighted defect ``sum_j (-1)^(m-j) C(m,j) S*^j A S^j``.
-
-    ``A`` must be Hermitian; with ``A = I`` this reduces to the plain
-    m-isometry defect ``defect(S, S*, m)``.
-    """
-    a = as_matrix(a, square=True, name="A")
-    s = as_matrix(s, square=True, name="S")
-    require_same_shape(a, s, "A and S")
-    if m < 1:
-        raise ArgumentError(f"m must be >= 1, got {m}")
-    if frobenius(a - adjoint(a)) > tol.zero_threshold(frobenius(a)):
-        raise ArgumentError("A must be Hermitian")
-    sa = adjoint(s)
-    out = np.zeros_like(a)
-    for j in range(m + 1):
-        term = np.linalg.matrix_power(sa, j) @ a @ np.linalg.matrix_power(s, j)
-        out += ((-1) ** (m - j)) * comb(m, j) * term
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -150,7 +150,12 @@ def run_similarity_roundtrip(
 def run_z_inverse_contract(
     seed: int = 0, count: int = 200, dim_max: int = 8
 ) -> SuiteResult:
-    """Z_n S^n = I on generated pairs and Jordan strict isometries, with norm bound."""
+    """Z_n S^n = I on generated pairs and Jordan strict isometries, with norm bound.
+
+    Since ``Z_n S^n - I = (-1)^(m+1) P_m(S^n, T^n)`` exactly, the residual
+    for n = 1..6 also checks that a vanishing defect is stable under
+    powers: T^n is a left m-inverse of S^n.
+    """
     result = SuiteResult("z-inverse-contract")
     tol = DEFAULT_TOL
 

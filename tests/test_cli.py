@@ -3,7 +3,13 @@ import json
 import numpy as np
 import pytest
 
-from opslab import matrix_from_json_dict, matrix_to_json_dict, save_matrix
+from opslab import (
+    matrix_from_json_dict,
+    matrix_to_json_dict,
+    metric,
+    operator_norm,
+    save_matrix,
+)
 from opslab.cli import main, parse_complex
 from opslab.gen import gen_jordan
 
@@ -53,6 +59,25 @@ def test_check_power_bounded_jordan_fails_with_witness(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["verdicts"]["power-bounded"]["pass"] is False
     assert "semisimple" in payload["artifacts"]["report"]["witness"]["reason"]
+
+
+def test_check_power_bounded_text_mode_skips_witness(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def counting_norm(m):
+        calls.append(1)
+        return operator_norm(m)
+
+    monkeypatch.setattr(metric, "operator_norm", counting_norm)
+    eye = write_matrix(tmp_path / "eye.json", np.eye(8))
+    code, out, _ = run(capsys, "check", "power-bounded", "--s", eye)
+    assert code == 0
+    assert "verdict power-bounded: PASS" in out
+    assert len(calls) <= 1
+    code, out, _ = run(capsys, "check", "power-bounded", "--s", eye, "--json")
+    report = json.loads(out)["artifacts"]["report"]
+    assert report["m1_estimate"] == 1.0
+    assert report["horizon"] == 64
 
 
 def test_check_power_bounded_overflowing_witness(tmp_path, capsys):
@@ -276,3 +301,19 @@ def test_suite_small_smoke(capsys):
 def test_suite_scalar_sanity(capsys):
     code, _, _ = run(capsys, "suite", "thm24", "--count", "1", "--dim-max", "1")
     assert code == 0
+
+
+def test_suite_and_generate_take_no_tolerance_flags(capsys):
+    # Suites and generators run at pinned tolerances; only check and solve
+    # accept --abs-tol/--rel-tol.
+    with pytest.raises(SystemExit) as exc:
+        main(["suite", "douglas", "--abs-tol", "0.5"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["generate", "jordan", "--k", "2", "--lambda", "1", "--rel-tol", "0.5"])
+    assert exc.value.code == 2
+    code, out, _ = run(capsys, "suite", "thm24", "--count", "1", "--dim-max", "1", "--json")
+    assert code == 0
+    assert json.loads(out)["tolerances"] is None
+    code, out, _ = run(capsys, "suite", "thm24", "--count", "1", "--dim-max", "1")
+    assert "tolerances" not in out

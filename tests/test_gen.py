@@ -19,7 +19,6 @@ from opslab.gen import (
     gen_left_m_pair,
     gen_power_bounded,
     gen_similar_isometry,
-    search_strict_mc_instances,
 )
 
 
@@ -103,9 +102,3 @@ def test_gen_1c_isometry():
     assert is_1c_isometric(s, c)
     assert not certify_power_bounded(s).bounded
 
-
-def test_search_strict_mc_instances_returns_list():
-    found = search_strict_mc_instances(2, seed=0, count=10)
-    assert isinstance(found, list)
-    for s, c, m in found:
-        assert not is_1c_isometric(s, c)

@@ -13,13 +13,13 @@ from opslab import (
     ToleranceConfig,
     adjoint,
     as_matrix,
+    c0_c1_decompose,
     matrix_from_json_dict,
     matrix_to_json_dict,
     operator_norm,
     psd_sqrt,
     pseudo_inverse,
     spectral_radius,
-    spectral_split,
 )
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
@@ -141,33 +141,32 @@ def test_norm_properties(n, seed):
 
 
 def test_spectral_split_diagonal():
-    s = np.diag([1.0, 0.5])
-    split = spectral_split(s)
-    assert_allclose(split.interior, [[0.5]], atol=1e-12)
-    assert_allclose(np.abs(split.boundary), [[1.0]], atol=1e-12)
+    dec = c0_c1_decompose(np.diag([1.0, 0.5]))
+    assert_allclose(dec.block_c0, [[0.5]], atol=1e-12)
+    assert_allclose(np.abs(dec.block_c1), [[1.0]], atol=1e-12)
 
 
 def test_spectral_split_unitary_has_empty_interior():
     rng = np.random.default_rng(2)
     z = random_complex(rng, 4, 4)
     q, _ = np.linalg.qr(z)
-    split = spectral_split(q)
-    assert split.interior.shape == (0, 0)
-    assert split.boundary.shape == (4, 4)
+    dec = c0_c1_decompose(q)
+    assert dec.block_c0.shape == (0, 0)
+    assert dec.block_c1.shape == (4, 4)
 
 
 def test_spectral_split_coupled():
     s = np.array([[0.5, 1.0], [0.0, 1.0]])
-    split = spectral_split(s)
-    t = adjoint(split.basis) @ s @ split.basis
-    assert_allclose(split.interior, [[0.5]], atol=1e-12)
+    dec = c0_c1_decompose(s)
+    t = adjoint(dec.w) @ s @ dec.w
+    assert_allclose(dec.block_c0, [[0.5]], atol=1e-12)
     assert abs(t[0, 1]) > 0.1  # genuine coupling survives the basis change
     assert np.linalg.norm(np.tril(t, -1)) < 1e-12
 
 
 def test_spectral_split_rejects_expanding():
     with pytest.raises(AssumptionError):
-        spectral_split(np.diag([2.0, 0.5]))
+        c0_c1_decompose(np.diag([2.0, 0.5]))
 
 
 def test_matrix_json_roundtrip():

@@ -14,7 +14,6 @@ from opslab import (
     douglas_factor,
     douglas_mu,
     extract_isometry,
-    frame_bounds,
     invariant_metric,
     is_left_m_inverse,
     metric,
@@ -23,7 +22,6 @@ from opslab import (
     similar_to_unitary,
     similarity_certificate,
     verify_prop_isometric,
-    wold_decompose,
 )
 from opslab.gen import (
     derive_rng,
@@ -95,6 +93,27 @@ def test_certify_decision_skips_power_norm_witness(monkeypatch):
     assert report.bounded
     assert len(calls) <= 1
     assert report.m1_estimate == pytest.approx(1.0, abs=1e-10)
+
+
+def test_certify_cluster_edge_and_witness_window():
+    # ||S|| is the golden ratio, so eigenvalues closer than 1e-6 * 1.618
+    # form one cluster: a phase gap of 3.2e-6 leaves two simple unimodular
+    # eigenvalues, a gap of 8e-7 reads as a Jordan block.
+    def near_defective(delta):
+        return np.array([[1.0, 1.0], [0.0, np.exp(1j * delta)]])
+
+    assert certify_power_bounded(near_defective(3.2e-6)).bounded
+    report = certify_power_bounded(near_defective(8e-7))
+    assert not report.bounded
+    assert report.witness[1] == "unimodular eigenvalue is not semisimple"
+    # The witness is max ||S^n|| over n <= horizon, a lower bound on the
+    # sup, which is about 2 / delta here.
+    report = certify_power_bounded(near_defective(1e-3))
+    assert report.bounded
+    assert report.m1_estimate == pytest.approx(64.005, abs=1e-3)
+    assert report.to_json_dict()["horizon"] == 64
+    wide = certify_power_bounded(near_defective(1e-3), horizon=4000)
+    assert wide.m1_estimate == pytest.approx(2000.0, abs=1e-3)
 
 
 def test_certify_generated_corpus():
@@ -183,33 +202,6 @@ def test_similarity_certificate_pipeline():
     assert set(payload["residuals"]) == {"metric", "isometry", "similarity"}
 
 
-def test_frame_bounds_unitary():
-    u = haar_unitary(4, derive_rng(9))
-    lower, upper = frame_bounds(u, adjoint(u), 1)
-    assert lower == pytest.approx(1.0, abs=1e-10)
-    assert upper == pytest.approx(1.0, abs=1e-10)
-
-
-def test_frame_bounds_similarity_instance():
-    # Rebuild the pair from its generating similarity so the conditioning
-    # bound lower >= 1/cond(P0), upper <= cond(P0) can be asserted exactly.
-    s, p0, _ = gen_similar_isometry(4, seed=14)
-    t = np.linalg.solve(p0 @ p0, adjoint(s) @ p0 @ p0)
-    lower, upper = frame_bounds(s, t, 2)
-    cond = np.linalg.cond(p0)
-    assert 0 < lower <= upper
-    assert lower >= 1.0 / (cond * 1.001)
-    assert upper <= cond * 1.001
-
-
-def test_frame_bounds_rejects_non_pair():
-    half = np.array([[0.5]], dtype=complex)
-    with pytest.raises(AssumptionError):
-        frame_bounds(half, half, 2)
-    with pytest.raises(AssumptionError):
-        frame_bounds(J2, adjoint(J2), 3)  # defect fine, power boundedness fails
-
-
 # ---------------------------------------------------------------------------
 # Douglas factorization
 # ---------------------------------------------------------------------------
@@ -276,7 +268,7 @@ def test_douglas_rejects_range_violation():
 
 
 # ---------------------------------------------------------------------------
-# asymptotic splitting, Wold, Putnam-Fuglede, rigidity
+# asymptotic splitting, Putnam-Fuglede, rigidity
 # ---------------------------------------------------------------------------
 
 def test_c0_c1_diagonal():
@@ -290,6 +282,7 @@ def test_c0_c1_unitary():
     u = haar_unitary(3, derive_rng(12))
     dec = c0_c1_decompose(u)
     assert dec.block_c0.shape == (0, 0)
+    assert dec.block_c1.shape == (3, 3)
     assert dec.orthogonal
 
 
@@ -298,22 +291,17 @@ def test_c0_c1_coupled():
     assert_allclose(dec.block_c0, [[0.5]], atol=1e-12)
     assert not dec.orthogonal
     assert np.linalg.norm(dec.coupling) > 0.1
+    # W is a unitary Schur basis: W* S W is upper triangular, and the
+    # coupling is its off-diagonal block.
+    t = adjoint(dec.w) @ COUPLED @ dec.w
+    assert np.linalg.norm(np.tril(t, -1)) < 1e-12
+    assert_allclose(t[:1, 1:], dec.coupling, atol=1e-12)
 
 
 def test_c0_c1_requires_power_bounded():
-    with pytest.raises(AssumptionError):
-        c0_c1_decompose(J2)
-
-
-def test_wold_decompose():
-    u = haar_unitary(4, derive_rng(13))
-    unitary_part, shift_dim = wold_decompose(u)
-    assert shift_dim == 0
-    assert np.array_equal(unitary_part, u)
-    eye = np.eye(2, dtype=complex)
-    assert wold_decompose(eye)[1] == 0
-    with pytest.raises(AssumptionError):
-        wold_decompose(J2)
+    for s in (J2, np.diag([2.0, 0.5])):
+        with pytest.raises(AssumptionError):
+            c0_c1_decompose(s)
 
 
 def test_pf_unitary_and_contractive():

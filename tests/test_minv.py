@@ -7,7 +7,6 @@ from numpy.testing import assert_allclose
 from opslab import (
     ArgumentError,
     AssumptionError,
-    a_m_isometry_defect,
     adjoint,
     ascent,
     defect,
@@ -17,11 +16,10 @@ from opslab import (
     kernel_included,
     minimal_defect_order,
     operator_norm,
-    power_defect,
     z_inverse,
     z_norm_bound,
 )
-from opslab.gen import derive_rng, gen_left_m_pair, gen_similar_isometry, haar_unitary
+from opslab.gen import derive_rng, gen_left_m_pair, haar_unitary
 
 J2 = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
 
@@ -112,32 +110,6 @@ def test_minimal_defect_order():
     assert minimal_defect_order(half, half, 4) is None
 
 
-def test_power_defect_stability():
-    for n in range(1, 7):
-        assert np.linalg.norm(power_defect(J2, adjoint(J2), 3, n)) < 1e-10
-    pair = gen_left_m_pair(3, 2, seed=11)
-    for n in range(1, 7):
-        res = np.linalg.norm(power_defect(pair.s, pair.t, 2, n))
-        assert res < 1e-8 * max(1.0, np.linalg.norm(pair.s) ** (2 * n))
-
-
-def test_power_defect_stability_sweep():
-    rng = np.random.default_rng(31)
-    for trial in range(20):
-        n_dim = int(rng.integers(1, 7))
-        m = int(rng.integers(1, 4))
-        pair = gen_left_m_pair(n_dim, m, seed=500 + trial)
-        assert is_left_m_inverse(pair.s, pair.t, m)[0]
-        for n in range(1, 7):
-            res = np.linalg.norm(power_defect(pair.s, pair.t, m, n))
-            scale = max(
-                1.0,
-                np.linalg.norm(np.linalg.matrix_power(pair.s, n))
-                * np.linalg.norm(np.linalg.matrix_power(pair.t, n)),
-            )
-            assert res <= 1e-8 * scale
-
-
 def test_z_inverse_first_order_is_power_of_t():
     u = haar_unitary(3, derive_rng(4))
     for n in (1, 2, 3):
@@ -175,27 +147,6 @@ def test_z_norm_bound_values():
     assert operator_norm(z_inverse(u, adjoint(u), 1, 2)) <= z_norm_bound(1, 1.0)
     with pytest.raises(ArgumentError):
         z_norm_bound(1, 0.0)
-
-
-def test_a_m_isometry_defect_reduces_to_plain_defect():
-    rng = np.random.default_rng(6)
-    s = random_complex(rng, 4)
-    for m in (1, 2, 3):
-        assert_allclose(
-            a_m_isometry_defect(np.eye(4), s, m), defect(s, adjoint(s), m), atol=1e-12
-        )
-
-
-def test_a_m_isometry_defect_weighted_metric():
-    s, p0, _ = gen_similar_isometry(4, seed=9)
-    res = a_m_isometry_defect(p0 @ p0, s, 1)
-    assert np.linalg.norm(res) < 1e-9 * np.linalg.norm(p0 @ p0)
-    assert np.linalg.norm(a_m_isometry_defect(np.eye(2), J2, 3)) < 1e-12
-
-
-def test_a_m_isometry_defect_rejects_non_hermitian():
-    with pytest.raises(ArgumentError):
-        a_m_isometry_defect(np.array([[0, 1], [0, 0]]), np.eye(2), 1)
 
 
 def test_elementary_operator_matches_definition_on_basis():
