@@ -186,7 +186,8 @@ def _cmd_solve(args, tol: ToleranceConfig) -> Report:
         if not args.t:
             raise ArgumentError("similarity requires --t")
         t = load_matrix(args.t, "T")
-        u1, u2, p = metric.similar_to_unitary(s, t, _require_m(args), tol)
+        m = _require_m(args)
+        u1, u2, p = metric.similar_to_unitary(metric.similarity_certificate(s, tol), t, m, tol)
         residual = float(np.linalg.norm(u1 - p @ u2 @ np.linalg.inv(p), 2))
         report.add_verdict("unitary-models", True, residual)
         report.artifacts["U1"] = matrix_to_json_dict(u1)

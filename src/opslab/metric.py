@@ -364,9 +364,11 @@ def canonical_left_m_inverse(
 class SimilarityCertificate:
     """Witness that S is similar to an isometry through a positive metric.
 
-    ``p`` is Hermitian positive definite, ``v`` is the conjugated
-    isometry, and the residuals record how well ``S* P^2 S = P^2``,
-    ``V* V = I`` and ``P S = V P`` hold.
+    ``p`` is Hermitian positive definite, ``v = P S P^{-1}`` is the
+    conjugated isometry, and the residuals record how well
+    ``S* P^2 S = P^2``, ``V* V = I`` and ``P S = V P`` hold.  ``s`` is a
+    copy of S (not in repr, equality or JSON), so the certificate can stand
+    in for S; it also proves S power bounded: ``||S^n|| <= cond(P)``.
     """
 
     p: np.ndarray
@@ -374,6 +376,7 @@ class SimilarityCertificate:
     residual_metric: float
     residual_isometry: float
     residual_similarity: float
+    s: np.ndarray = field(repr=False, compare=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -390,7 +393,7 @@ class SimilarityCertificate:
 def similarity_certificate(
     s: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL
 ) -> SimilarityCertificate:
-    """Solve for an invariant metric and package the full certificate."""
+    """Certify S by ``X = invariant_metric(S)``, ``P = psd_sqrt(X)``, ``V = P S P^{-1}``."""
     s = as_matrix(s, square=True, name="S")
     x = invariant_metric(s, tol)
     p = psd_sqrt(x, tol)
@@ -402,6 +405,7 @@ def similarity_certificate(
         residual_metric=frobenius(adjoint(s) @ p2 @ s - p2),
         residual_isometry=frobenius(adjoint(v) @ v - np.eye(s.shape[0])),
         residual_similarity=frobenius(p @ s - v @ p),
+        s=s.copy(),
     )
 
 
@@ -442,6 +446,10 @@ def douglas_mu(
             "ran(A) is not contained in ran(B); no finite bound exists "
             f"(witness direction {np.round(witness, 6).tolist()})"
         )
+    return _douglas_mu_unchecked(a, b, tol)
+
+
+def _douglas_mu_unchecked(a: np.ndarray, b: np.ndarray, tol: ToleranceConfig) -> float:
     q = range_basis(b, tol)
     if q.shape[1] == 0:
         return 0.0
@@ -473,7 +481,7 @@ def douglas_factor(
             f"(witness direction {np.round(witness, 6).tolist()})"
         )
     c = pseudo_inverse(b, tol) @ a
-    mu2 = douglas_mu(a, b, tol)
+    mu2 = _douglas_mu_unchecked(a, b, tol)
     scale = tol.scale_of(a, b, c)
 
     factor_res = frobenius(b @ c - a)
@@ -684,47 +692,38 @@ def ascent_bound_check(
 
 
 def similar_to_unitary(
-    s: np.ndarray, t: np.ndarray, m: int, tol: ToleranceConfig = DEFAULT_TOL
+    cert: SimilarityCertificate, t: np.ndarray, m: int, tol: ToleranceConfig = DEFAULT_TOL
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Simultaneous unitary models for a power-bounded defect pair.
 
-    For a left m-inverse pair with both members power bounded, S and T*
-    are each similar to a unitary through the square roots of their
-    invariant metrics:
+    ``cert`` is the ``similarity_certificate`` of S, which already proves
+    S power bounded.  For a power-bounded left m-inverse T of S, T* is
+    similar to an isometry too, and a square isometry is unitary.  The
+    unitary models are the ``V`` of the two certificates:
 
         U1 = G S G^{-1},   U2 = R T* R^{-1},
 
-    with ``G = psd_sqrt(invariant_metric(S))`` and
-    ``R = psd_sqrt(invariant_metric(T*))``.  The two models are conjugate:
+    with ``G = cert.p`` and ``R`` the ``p`` of
+    ``similarity_certificate(T*)``; each ``V* V = I`` is checked by
+    ``extract_isometry``.  The two models are conjugate:
     ``U1 = P U2 P^{-1}`` for ``P = G^{-1} R^{-1}``, which is verified
     before returning ``(U1, U2, P)``.
     """
-    s = as_matrix(s, square=True, name="S")
     t = as_matrix(t, square=True, name="T")
-    ok, residual = minv.is_left_m_inverse(s, t, m, tol)
+    ok, residual = minv.is_left_m_inverse(cert.s, t, m, tol)
     if not ok:
         raise AssumptionError(
             f"similar_to_unitary requires a left {m}-inverse pair "
             f"(residual {residual:.3e})"
         )
-    for mat, label in ((s, "S"), (t, "T")):
-        if not certify_power_bounded(mat, tol=tol).bounded:
-            raise AssumptionError(f"similar_to_unitary requires power bounded {label}")
+    if not certify_power_bounded(t, tol=tol).bounded:
+        raise AssumptionError("similar_to_unitary requires power bounded T")
 
-    g = psd_sqrt(invariant_metric(s, tol), tol)
-    u1 = g @ s @ np.linalg.inv(g)
-    t_star = adjoint(t)
-    r = psd_sqrt(invariant_metric(t_star, tol), tol)
-    u2 = r @ t_star @ np.linalg.inv(r)
-    p = np.linalg.inv(g) @ np.linalg.inv(r)
-
-    scale = max(1.0, operator_norm(u1))
-    for u, label in ((u1, "U1"), (u2, "U2")):
-        res = frobenius(adjoint(u) @ u - np.eye(u.shape[0]))
-        if res > tol.zero_threshold(tol.scale_of(u) ** 2):
-            raise IdentityCheckError(f"{label} is not unitary (residual {res:.3e})")
+    cert_t = similarity_certificate(adjoint(t), tol)
+    u1, u2 = cert.v, cert_t.v
+    p = np.linalg.inv(cert.p) @ np.linalg.inv(cert_t.p)
     conj_res = operator_norm(u1 - p @ u2 @ np.linalg.inv(p))
-    if conj_res > 1e-7 * scale:
+    if conj_res > 1e-7 * max(1.0, operator_norm(u1)):
         raise IdentityCheckError(
             f"unitary models are not conjugate through P (residual {conj_res:.3e})"
         )

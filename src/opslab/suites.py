@@ -112,31 +112,27 @@ def run_similarity_roundtrip(
         s, _, _ = gen.gen_similar_isometry(n, int(rng.integers(0, 2**63)))
         tag = f"instance {i} (n={n})"
         try:
-            x = metric.invariant_metric(s, tol)
-            res_metric = frobenius(adjoint(s) @ x @ s - x)
-            lim = 1e-8 * max(1.0, frobenius(s) ** 2)
+            cert = metric.similarity_certificate(s, tol)
+            res_metric = cert.residual_metric
             result.record("metric_residual", res_metric)
-            if res_metric > lim:
+            if res_metric > 1e-8 * max(1.0, frobenius(s) ** 2):
                 result.violations.append(f"{tag}: metric residual {res_metric:.3e}")
-
-            p = metric.psd_sqrt(x, tol)
-            v = metric.extract_isometry(s, p, tol)
-            res_iso = frobenius(adjoint(v) @ v - np.eye(n))
+            res_iso = cert.residual_isometry
             result.record("isometry_residual", res_iso)
-            if res_iso > 1e-8 * max(1.0, frobenius(v) ** 2):
+            if res_iso > 1e-8 * max(1.0, frobenius(cert.v) ** 2):
                 result.violations.append(f"{tag}: isometry residual {res_iso:.3e}")
-            res_sim = frobenius(p @ s - v @ p)
+            res_sim = cert.residual_similarity
             result.record("similarity_residual", res_sim)
-            if res_sim > 1e-8 * max(1.0, frobenius(p) * frobenius(s)):
+            if res_sim > 1e-8 * max(1.0, frobenius(cert.p) * frobenius(s)):
                 result.violations.append(f"{tag}: similarity residual {res_sim:.3e}")
 
-            t = metric.canonical_left_m_inverse(s, p, max(1, int(rng.integers(1, 4))), tol)
+            t = metric.canonical_left_m_inverse(s, cert.p, max(1, int(rng.integers(1, 4))), tol)
             res_canon = frobenius(t @ s - np.eye(n))
             result.record("canonical_residual", res_canon)
             if res_canon > 1e-8 * max(1.0, frobenius(s) * frobenius(t)):
                 result.violations.append(f"{tag}: canonical residual {res_canon:.3e}")
 
-            u1, u2, pp = metric.similar_to_unitary(s, t, 1, tol)
+            u1, u2, pp = metric.similar_to_unitary(cert, t, 1, tol)
             res_u = operator_norm(u1 - pp @ u2 @ np.linalg.inv(pp))
             result.record("unitary_model_residual", res_u)
             if res_u > 1e-7 * max(1.0, operator_norm(u1)):
@@ -154,7 +150,9 @@ def run_z_inverse_contract(
 
     Since ``Z_n S^n - I = (-1)^(m+1) P_m(S^n, T^n)`` exactly, the residual
     for n = 1..6 also checks that a vanishing defect is stable under
-    powers: T^n is a left m-inverse of S^n.
+    powers: T^n is a left m-inverse of S^n.  S and T of a generated pair
+    must be certified power bounded, and ``||Z_n|| <= 2^m M1^2`` with M1 at
+    least 1 and the larger ``m1_estimate`` of the two reports at horizon 6m.
     """
     result = SuiteResult("z-inverse-contract")
     tol = DEFAULT_TOL
@@ -163,12 +161,11 @@ def run_z_inverse_contract(
         n_dim = s.shape[0]
         if power_bounded:
             m1 = 1.0
-            for k in range(1, 6 * m + 1):
-                m1 = max(
-                    m1,
-                    operator_norm(np.linalg.matrix_power(s, k)),
-                    operator_norm(np.linalg.matrix_power(t, k)),
-                )
+            for x, label in ((s, "S"), (t, "T")):
+                report = metric.certify_power_bounded(x, horizon=6 * m, tol=tol)
+                if not report.bounded:
+                    result.violations.append(f"{tag}: {label} is not power bounded")
+                m1 = max(m1, report.m1_estimate)
             bound = minv.z_norm_bound(m, m1) + 1e-6
         for n_pow in range(1, 7):
             z = minv.z_inverse(s, t, m, n_pow, tol)

@@ -23,6 +23,7 @@ from opslab import (
     similarity_certificate,
     verify_prop_isometric,
 )
+from opslab import suites
 from opslab.gen import (
     derive_rng,
     gen_left_m_pair,
@@ -199,7 +200,10 @@ def test_similarity_certificate_pipeline():
     assert cert.residual_similarity <= 1e-8 * scale
     assert np.linalg.eigvalsh(cert.p).min() > 0
     payload = cert.to_json_dict()
+    assert set(payload) == {"P", "V", "residuals"}
     assert set(payload["residuals"]) == {"metric", "isometry", "similarity"}
+    assert np.array_equal(cert.s, s) and cert.s is not s
+    assert "s=" not in repr(cert)
 
 
 # ---------------------------------------------------------------------------
@@ -261,10 +265,22 @@ def test_douglas_mu_matches_factor_norm():
 def test_douglas_rejects_range_violation():
     a = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
     b = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-    with pytest.raises(AssumptionError, match="witness"):
+    with pytest.raises(AssumptionError, match="no factor exists .*witness"):
         douglas_factor(a, b)
-    with pytest.raises(AssumptionError):
+    with pytest.raises(AssumptionError, match="no finite bound exists"):
         douglas_mu(a, b)
+
+
+def test_douglas_factor_checks_range_inclusion_once(monkeypatch):
+    rng = np.random.default_rng(7)
+    b = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    a = b @ (rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
+    calls = []
+    check = metric._range_inclusion_witness
+    monkeypatch.setattr(metric, "_range_inclusion_witness", lambda *a: calls.append(1) or check(*a))
+    _, mu2 = douglas_factor(a, b)
+    assert len(calls) == 1
+    assert mu2 == douglas_mu(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -378,14 +394,16 @@ def test_ascent_bound_rejects_non_isometry():
 
 def test_similar_to_unitary_unitary_case():
     u = haar_unitary(3, derive_rng(22))
-    u1, u2, p = similar_to_unitary(u, adjoint(u), 1)
+    u1, u2, p = similar_to_unitary(similarity_certificate(u), adjoint(u), 1)
     assert np.linalg.norm(u1 - p @ u2 @ np.linalg.inv(p)) < 1e-10
     assert np.linalg.norm(adjoint(u1) @ u1 - np.eye(3)) < 1e-10
 
 
 def test_similar_to_unitary_generated_pair():
     pair = gen_left_m_pair(4, 2, seed=29)
-    u1, u2, p = similar_to_unitary(pair.s, pair.t, 2)
+    cert = similarity_certificate(pair.s)
+    u1, u2, p = similar_to_unitary(cert, pair.t, 2)
+    assert u1 is cert.v
     scale = max(1.0, operator_norm(u1))
     assert operator_norm(u1 - p @ u2 @ np.linalg.inv(p)) <= 1e-7 * scale
     # U1 models S: same spectrum up to ordering.
@@ -394,9 +412,31 @@ def test_similar_to_unitary_generated_pair():
     assert np.linalg.norm(eig_s - eig_u) < 1e-7
 
 
+def test_similarity_certificate_rejects_jordan():
+    with pytest.raises(AssumptionError):
+        similarity_certificate(J2)
+
+
 def test_similar_to_unitary_rejects_jordan():
-    with pytest.raises(AssumptionError, match="power bounded"):
-        similar_to_unitary(J2, adjoint(J2), 3)
+    # (J2 - I)^2 = 0, so J2 is a left 2-inverse of I, but not power bounded.
+    cert = similarity_certificate(np.eye(2, dtype=complex))
+    with pytest.raises(AssumptionError, match="power bounded T"):
+        similar_to_unitary(cert, J2, 2)
+
+
+def test_similar_to_unitary_rejects_non_pair():
+    u = haar_unitary(3, derive_rng(24))
+    with pytest.raises(AssumptionError, match="left 1-inverse pair"):
+        similar_to_unitary(similarity_certificate(u), 2 * adjoint(u), 1)
+
+
+def test_similarity_roundtrip_builds_one_certificate_per_matrix(monkeypatch):
+    # One invariant metric for S and one for T* per instance.
+    calls = []
+    solve = metric.invariant_metric
+    monkeypatch.setattr(metric, "invariant_metric", lambda *a: calls.append(1) or solve(*a))
+    assert suites.run_similarity_roundtrip(count=5).passed
+    assert len(calls) == 10
 
 
 def test_verify_prop_isometric():
