@@ -1,9 +1,11 @@
 """Structure theory for power-bounded matrices.
 
 The central objects are invariant metrics: Hermitian positive definite
-solutions X of ``S* X S = X``.  When one exists, ``P = psd_sqrt(X)``
-conjugates S to an isometry (``P S P^{-1}`` has orthonormal columns), and
-``P^{-2} S* P^{2}`` is a power-bounded left m-inverse of S for every m.
+solutions X of ``S* X S = X``, built in O(n^3) from the Riesz spectral
+projectors of S on one ordered Schur form.  When one exists,
+``P = psd_sqrt(X)`` conjugates S to an isometry (``P S P^{-1}`` has
+orthonormal columns), and ``P^{-2} S* P^{2}`` is a power-bounded left
+m-inverse of S for every m.
 Around that core this module provides:
 
 * a power-boundedness certificate based on the exact finite-dimensional
@@ -75,8 +77,12 @@ __all__ = [
 # indistinguishable in double precision.
 _CLUSTER_TOL = 1e-6
 
-# Doubling steps of the invariant-metric averaging: 2^40 powers of S.
-_MAX_DOUBLINGS = 40
+# A cluster's Schur block counts as scalar (one multiple semisimple
+# eigenvalue) within this Frobenius distance of a multiple of I, relative to
+# max(1, ||S||).  Rounding leaves such blocks 1e-15 to 4e-15 from scalar at
+# n <= 64; distinct eigenvalues 1e-10 apart kept in one block already fail
+# the certificate's isometry check at n = 6.
+_SCALAR_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -134,6 +140,20 @@ class PowerBoundReport:
         return out
 
 
+def _clusters(eigs: list[complex], cluster_tol: float) -> list[list[int]]:
+    """Greedy clusters (index lists): each takes the unclustered eigenvalues near the first."""
+    remaining = list(range(len(eigs)))
+    clusters = []
+    while remaining:
+        first = remaining.pop(0)
+        cluster, rest = [first], []
+        for i in remaining:
+            (cluster if abs(eigs[i] - eigs[first]) <= cluster_tol else rest).append(i)
+        clusters.append(cluster)
+        remaining = rest
+    return clusters
+
+
 def certify_power_bounded(
     s: np.ndarray, horizon: int = 64, tol: ToleranceConfig = DEFAULT_TOL
 ) -> PowerBoundReport:
@@ -169,48 +189,25 @@ def certify_power_bounded(
         )
 
     cluster_tol = _CLUSTER_TOL * max(1.0, operator_norm(s))
-    unimodular = [complex(lam) for lam in eigs if abs(1.0 - abs(lam)) <= band]
-    semisimple = True
+    unimodular = [lam for lam in eigs.tolist() if abs(1.0 - abs(lam)) <= band]
     witness = None
-    remaining = list(unimodular)
-    while remaining:
-        seed = remaining.pop(0)
-        cluster = [seed]
-        rest = []
-        for lam in remaining:
-            if abs(lam - seed) <= cluster_tol:
-                cluster.append(lam)
-            else:
-                rest.append(lam)
-        remaining = rest
+    for cluster in _clusters(unimodular, cluster_tol):
         if len(cluster) == 1:
             continue
-        center = complex(np.mean(cluster))
-        shifted = s - center * np.eye(n)
-        rank = numerical_rank(shifted, tol, cutoff=cluster_tol)
-        geometric = n - rank
-        if geometric < len(cluster):
-            semisimple = False
+        center = complex(np.mean([unimodular[i] for i in cluster]))
+        rank = numerical_rank(s - center * np.eye(n), tol, cutoff=cluster_tol)
+        if n - rank < len(cluster):
             witness = (center, "unimodular eigenvalue is not semisimple")
             break
 
     return PowerBoundReport(
-        bounded=semisimple,
+        bounded=witness is None,
         spectral_radius=rho,
-        unimodular_semisimple=semisimple,
+        unimodular_semisimple=witness is None,
         s=s,
         horizon=horizon,
         witness=witness,
     )
-
-
-def _stein_fixed_point_basis(
-    s: np.ndarray, tol: ToleranceConfig
-) -> np.ndarray:
-    # Null space of the vectorized map X -> S* X S - X.
-    n = s.shape[0]
-    rep = np.kron(s.T, adjoint(s)) - np.eye(n * n, dtype=complex)
-    return null_space(rep, tol)
 
 
 def invariant_metric(
@@ -218,73 +215,75 @@ def invariant_metric(
 ) -> np.ndarray:
     """Hermitian positive definite X with ``S* X S = X``, unit spectral norm.
 
-    Two routes are combined and cross-checked.  A doubling iteration
+    X is the limit of the averages of ``S*^j S^j``, ``X = sum E* E`` over
+    the Riesz projectors E of S onto its eigenvalues, built in O(n^3) from
+    one complex Schur form ``S = Q T Q*``: the eigenvalue clusters of
+    ``certify_power_bounded`` are made contiguous on the diagonal of T
+    (LAPACK ``ztrsen``), a cluster whose block is not scalar within
+    ``1e-12 * max(1, ||S||)`` is split into its (distinct) eigenvalues, and
+    Sylvester solves against the trailing part of T (``ztrsyl``) give
+    ``T = V D V^{-1}`` with D block diagonal.  Then
+    ``X = Q V^{-*} blockdiag((V* V)_ii) V^{-1} Q*``, hermitized and normalized.
 
-        X <- (X + Sk* X Sk) / 2,   Sk <- Sk^2
-
-    accumulates the average of ``S*^j S^j`` over ``2^k`` powers in ``k``
-    steps; it converges to a positive definite fixed point whenever one
-    exists.  Independently, the fixed-point space is computed as the
-    kernel of the vectorized map ``X -> S* X S - X``; the iterate is
-    projected onto that kernel (which removes the averaging truncation
-    error) and must already lie close to it.  The projected matrix is
-    hermitized, normalized to unit spectral norm, and returned.
-
-    Raises
-    ------
-    AssumptionError
-        If the fixed-point space is trivial, the iteration diverges and
-        leaves no positive candidate, or the normalized fixed point is not
-        positive definite.  All of these mean S is not similar to an
-        isometry (an eigenvalue inside the disc, a defective unimodular
-        eigenvalue, or growth outside the disc).
+    Raises ``AssumptionError`` when S is not power bounded, has eigenvalues
+    inside the unit disc (all: zero is the only fixed point; some: every
+    fixed point is singular) or X is not positive definite at tolerance, and
+    ``IdentityCheckError`` when ``||S* X S - X||_F > zero_threshold(||S||_F^2)``.
     """
     s = as_matrix(s, square=True, name="S")
     n = s.shape[0]
-    basis = _stein_fixed_point_basis(s, tol)
-    if basis.shape[1] == 0:
+    report = certify_power_bounded(s, tol=tol)
+    if not report.bounded:
+        lam, reason = report.witness
         raise AssumptionError(
-            "the only solution of S* X S = X is zero; no invariant metric exists"
+            "invariant fixed points are not positive definite: "
+            f"S is not power bounded ({reason}, eigenvalue {lam:.6g})"
+        )
+    t, q = scipy.linalg.schur(s, output="complex")
+    eigs = np.diag(t)
+    band = tol.rel_tol * max(1.0, report.spectral_radius)
+    interior = int(np.count_nonzero(np.abs(eigs) < 1.0 - band))
+    if interior:
+        raise AssumptionError(
+            "the only solution of S* X S = X is zero; no invariant metric exists" if interior == n
+            else f"invariant fixed point is not positive definite ({interior} eigenvalues "
+            "inside the unit disc); S is not similar to an isometry"
         )
 
-    x = np.eye(n, dtype=complex)
-    spow = s.copy()
-    best = x
-    best_res = np.inf
-    diverged = False
-    for _ in range(_MAX_DOUBLINGS):
-        x_next = 0.5 * (x + adjoint(spow) @ x @ spow)
-        if not np.all(np.isfinite(x_next)) or frobenius(x_next) > 1e12:
-            diverged = True
-            break
-        x = x_next
-        res = frobenius(adjoint(s) @ x @ s - x) / max(1.0, frobenius(x))
-        if res < best_res:
-            best, best_res = x, res
-        spow_next = spow @ spow
-        if not np.all(np.isfinite(spow_next)) or frobenius(spow_next) > 1e9:
-            break
-        spow = spow_next
+    # The complex ztrsen and ztrsyl fail only on illegal arguments; ztrsyl's
+    # info = 1 (equal eigenvalues in two blocks) ends in the checks on X.
+    scale = max(1.0, operator_norm(s))
+    labels = np.empty(n, dtype=int)
+    for g, cluster in enumerate(_clusters(eigs.tolist(), _CLUSTER_TOL * scale)):
+        labels[cluster] = g
+    for g in range(labels.max()):
+        lead = labels <= g
+        if not lead[: np.count_nonzero(lead)].all():
+            t, q, eigs, *_ = scipy.linalg.lapack.ztrsen(lead.astype(np.int32), t, q, job="N")
+            labels = np.concatenate([labels[lead], labels[~lead]])
 
-    candidate = np.eye(n, dtype=complex) if diverged else best
-    vec = candidate.flatten(order="F")
-    projected = basis @ (adjoint(basis) @ vec)
-    if not diverged:
-        drift = np.linalg.norm(vec - projected) / max(1e-30, np.linalg.norm(vec))
-        if drift > 1e-3:
-            raise AssumptionError(
-                f"averaging iterate is far from the fixed-point space "
-                f"(relative distance {drift:.3e}); no reliable invariant metric"
-            )
-    x = projected.reshape((n, n), order="F")
+    edges = [*np.flatnonzero(np.diff(labels, prepend=-1)), n]
+    bounds = [0]
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        if hi - lo > 1:
+            offset = frobenius(t[lo:hi, lo:hi] - np.mean(eigs[lo:hi]) * np.eye(hi - lo))
+            if offset > _SCALAR_TOL * scale:
+                bounds.extend(range(lo + 1, hi))
+        bounds.append(hi)
+
+    # Row block i of W = V^{-1} is [0, I, -Y_i], where
+    # T_ii Y_i - Y_i T_rest = -T_i,rest against the trailing part of T.
+    w = np.eye(n, dtype=complex)
+    for lo, hi in zip(bounds[:-2], bounds[1:-1]):
+        y, factor, _ = scipy.linalg.lapack.ztrsyl(t[lo:hi, lo:hi], t[hi:, hi:], -t[lo:hi, hi:], isgn=-1)
+        w[lo:hi, hi:] = -y / factor
+    v, _ = scipy.linalg.lapack.ztrtri(w, unitdiag=1)
+    block = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
+    gram = np.where(block[:, None] == block, adjoint(v) @ v, 0.0)
+    qw = q @ adjoint(w)
+    x = qw @ gram @ adjoint(qw)
     x = 0.5 * (x + adjoint(x))
-    norm = operator_norm(x)
-    if norm <= tol.zero_threshold(1.0):
-        raise AssumptionError(
-            "projection onto the fixed-point space vanished; "
-            "no positive definite invariant metric exists"
-        )
-    x = x / norm
+    x = x / operator_norm(x)
     lam_min = float(np.linalg.eigvalsh(x).min())
     if lam_min <= tol.zero_threshold(1.0):
         raise AssumptionError(
@@ -294,7 +293,7 @@ def invariant_metric(
     residual = frobenius(adjoint(s) @ x @ s - x)
     if residual > tol.zero_threshold(tol.scale_of(s) ** 2):
         raise IdentityCheckError(
-            f"projected invariant metric has residual {residual:.3e}"
+            f"invariant metric has residual {residual:.3e}"
         )
     return x
 
@@ -333,12 +332,13 @@ def extract_isometry(
 
 def canonical_left_m_inverse(
     s: np.ndarray, p: np.ndarray, m: int, tol: ToleranceConfig = DEFAULT_TOL
-) -> np.ndarray:
+) -> tuple[np.ndarray, float]:
     """Left m-inverse ``T = P^{-2} S* P^{2}`` induced by an invariant metric.
 
     The metric identity makes ``T^j S^j = I`` for every j, so the defect
     of (S, T) vanishes at every order; T is verified to be a left
-    m-inverse and power bounded before being returned.
+    m-inverse and power bounded before ``(T, residual)`` is returned, with
+    ``residual`` the Frobenius norm of the order-m defect that was checked.
     """
     s = as_matrix(s, square=True, name="S")
     p = as_matrix(p, square=True, name="P")
@@ -357,7 +357,7 @@ def canonical_left_m_inverse(
         )
     if not certify_power_bounded(t, tol=tol).bounded:
         raise IdentityCheckError("canonical inverse is not power bounded")
-    return t
+    return t, residual
 
 
 @dataclass(frozen=True)
@@ -693,7 +693,7 @@ def ascent_bound_check(
 
 def similar_to_unitary(
     cert: SimilarityCertificate, t: np.ndarray, m: int, tol: ToleranceConfig = DEFAULT_TOL
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """Simultaneous unitary models for a power-bounded defect pair.
 
     ``cert`` is the ``similarity_certificate`` of S, which already proves
@@ -707,7 +707,8 @@ def similar_to_unitary(
     ``similarity_certificate(T*)``; each ``V* V = I`` is checked by
     ``extract_isometry``.  The two models are conjugate:
     ``U1 = P U2 P^{-1}`` for ``P = G^{-1} R^{-1}``, which is verified
-    before returning ``(U1, U2, P)``.
+    before returning ``(U1, U2, P, residual)``, with ``residual`` the
+    spectral norm of ``U1 - P U2 P^{-1}`` that was checked.
     """
     t = as_matrix(t, square=True, name="T")
     ok, residual = minv.is_left_m_inverse(cert.s, t, m, tol)
@@ -727,7 +728,7 @@ def similar_to_unitary(
         raise IdentityCheckError(
             f"unitary models are not conjugate through P (residual {conj_res:.3e})"
         )
-    return u1, u2, p
+    return u1, u2, p, conj_res
 
 
 def verify_prop_isometric(

@@ -7,11 +7,12 @@ from opslab import (
     matrix_from_json_dict,
     matrix_to_json_dict,
     metric,
+    minv,
     operator_norm,
     save_matrix,
 )
 from opslab.cli import main, parse_complex
-from opslab.gen import gen_jordan
+from opslab.gen import gen_jordan, gen_left_m_pair
 
 
 def run(capsys, *argv):
@@ -210,6 +211,41 @@ def test_solve_similarity(tmp_path, capsys):
     assert code == 0
     report = json.loads(out)
     assert report["verdicts"]["unitary-models"]["pass"]
+
+
+def test_solve_canonical_inverse_evaluates_the_defect_once(tmp_path, capsys, monkeypatch):
+    s_path = write_matrix(tmp_path / "s.json", gen_left_m_pair(4, 2, seed=3).s)
+    calls = []
+    defect = minv.defect
+    monkeypatch.setattr(minv, "defect", lambda *a: calls.append(1) or defect(*a))
+    code, out, _ = run(capsys, "solve", "canonical-inverse", "--s", s_path, "--m", "2", "--json")
+    assert code == 0
+    assert len(calls) == 1
+    assert json.loads(out)["verdicts"]["canonical-inverse"]["pass"]
+
+
+def test_solve_similarity_reports_the_solver_residual(tmp_path, capsys, monkeypatch):
+    pair = gen_left_m_pair(3, 2, seed=11)
+    solve = metric.similar_to_unitary
+    monkeypatch.setattr(metric, "similar_to_unitary", lambda *a: (*solve(*a)[:3], 0.125))
+    code, out, _ = run(
+        capsys, "solve", "similarity", "--s", write_matrix(tmp_path / "s.json", pair.s),
+        "--t", write_matrix(tmp_path / "t.json", pair.t), "--m", "2", "--json",
+    )
+    assert code == 0
+    assert json.loads(out)["verdicts"]["unitary-models"]["residual"] == 0.125
+
+
+@pytest.mark.parametrize("kind", ["invariant-metric", "similarity"])
+def test_solve_at_n64(tmp_path, capsys, kind):
+    pair = gen_left_m_pair(64, 2, seed=1)  # S from gen_similar_isometry(64, 1)
+    argv = ["solve", kind, "--s", write_matrix(tmp_path / "s.json", pair.s), "--json"]
+    if kind == "similarity":
+        argv += ["--t", write_matrix(tmp_path / "t.json", pair.t), "--m", "2"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    verdicts = json.loads(out)["verdicts"]
+    assert verdicts and all(entry["pass"] for entry in verdicts.values())
 
 
 def test_generate_jordan_matches_library(tmp_path, capsys):
