@@ -41,7 +41,6 @@ from .matcore import (
     pseudo_inverse,
     range_basis,
     save_matrix,
-    spectral_radius,
 )
 from .metric import (
     C01Decomposition,

@@ -3,8 +3,8 @@
 Every operator handled by this library is a dense square complex matrix
 stored as a ``numpy.ndarray`` with dtype ``complex128``.  This module
 supplies the numerical primitives the rest of the package is built on:
-adjoints, the spectral norm, spectral radius, positive-semidefinite square
-roots, Moore-Penrose pseudoinverses, numerical ranks and bases, and the
+adjoints, the spectral norm, positive-semidefinite square roots,
+Moore-Penrose pseudoinverses, numerical ranks and bases, and the
 tolerance model governing every approximate comparison.
 
 Tolerance model
@@ -35,7 +35,6 @@ __all__ = [
     "adjoint",
     "frobenius",
     "operator_norm",
-    "spectral_radius",
     "psd_sqrt",
     "pseudo_inverse",
     "numerical_rank",
@@ -121,15 +120,6 @@ def operator_norm(m: np.ndarray) -> float:
     if m.size == 0:
         return 0.0
     return float(np.linalg.norm(m, 2))
-
-
-def spectral_radius(m: np.ndarray) -> float:
-    """Largest eigenvalue modulus of a square matrix (0 for empty blocks)."""
-    m = np.asarray(m, dtype=complex)
-    if m.size == 0:
-        return 0.0
-    m = as_matrix(m, square=True, name="spectral_radius input")
-    return float(np.max(np.abs(np.linalg.eigvals(m))))
 
 
 def psd_sqrt(h: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:

@@ -37,6 +37,7 @@ class SuiteResult:
     instances: int = 0
     violations: list[str] = field(default_factory=list)
     stats: dict[str, float] = field(default_factory=dict)
+    caps: dict[str, dict] = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
@@ -46,21 +47,32 @@ class SuiteResult:
         self.stats[key] = max(self.stats.get(key, 0.0), float(value))
 
     def to_json_dict(self) -> dict:
-        return {
+        out = {
             "name": self.name,
             "instances": self.instances,
             "passed": self.passed,
             "violations": self.violations,
             "stats": self.stats,
         }
+        if self.caps:  # only caps that took effect
+            out["caps"] = self.caps
+        return out
+
+
+def _capped(result: SuiteResult, name: str, requested: int, limit: int) -> int:
+    """``min(requested, limit)``, recorded in the report when the cap takes effect."""
+    if requested > limit:
+        result.caps[name] = {"requested": requested, "used": limit}
+    return min(requested, limit)
 
 
 def run_defect_agreement(seed: int = 0, count: int = 200, dim_max: int = 6) -> SuiteResult:
     """Iterated defect evaluator versus the exact-binomial sum, 1e-12 relative."""
     result = SuiteResult("defect-agreement")
+    dim_max = _capped(result, "dim_max", dim_max, 6)
     for i in range(count):
         rng = gen.derive_rng(seed, i)
-        n = int(rng.integers(2, min(dim_max, 6) + 1))
+        n = int(rng.integers(2, dim_max + 1))
         m = int(rng.integers(1, 6))
         s = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(n)
         t = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(n)
@@ -317,7 +329,7 @@ def run_c_isometry_rigidity(
 def run_pf_ascent(seed: int = 0, count: int = 50, dim_max: int = 5) -> SuiteResult:
     """Putnam-Fuglede structural/search agreement plus the ascent bound."""
     result = SuiteResult("pf-ascent")
-    dim_max = min(dim_max, 5)  # matrix-space maps stay at most 25x25
+    dim_max = _capped(result, "dim_max", dim_max, 5)  # matrix-space maps stay at most 25x25
     for i in range(count):
         rng = gen.derive_rng(seed, i)
         n = int(rng.integers(2, dim_max + 1))

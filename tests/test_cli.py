@@ -10,6 +10,7 @@ from opslab import (
     minv,
     operator_norm,
     save_matrix,
+    suites,
 )
 from opslab.cli import main, parse_complex
 from opslab.gen import gen_jordan, gen_left_m_pair
@@ -236,6 +237,19 @@ def test_solve_similarity_reports_the_solver_residual(tmp_path, capsys, monkeypa
     assert json.loads(out)["verdicts"]["unitary-models"]["residual"] == 0.125
 
 
+def test_solve_similarity_certifies_each_operator_once(tmp_path, capsys, monkeypatch):
+    pair = gen_left_m_pair(4, 2, seed=3)
+    calls = []
+    certify = metric.certify_power_bounded
+    monkeypatch.setattr(metric, "certify_power_bounded", lambda *a, **k: calls.append(1) or certify(*a, **k))
+    code, _, _ = run(
+        capsys, "solve", "similarity", "--s", write_matrix(tmp_path / "s.json", pair.s),
+        "--t", write_matrix(tmp_path / "t.json", pair.t), "--m", "2", "--json",
+    )
+    assert code == 0
+    assert len(calls) == 2  # S and T*
+
+
 @pytest.mark.parametrize("kind", ["invariant-metric", "similarity"])
 def test_solve_at_n64(tmp_path, capsys, kind):
     pair = gen_left_m_pair(64, 2, seed=1)  # S from gen_similar_isometry(64, 1)
@@ -353,3 +367,14 @@ def test_suite_and_generate_take_no_tolerance_flags(capsys):
     assert json.loads(out)["tolerances"] is None
     code, out, _ = run(capsys, "suite", "thm24", "--count", "1", "--dim-max", "1")
     assert "tolerances" not in out
+
+
+def test_suite_reports_the_caps_that_take_effect(capsys):
+    # pf-ascent builds n^2 x n^2 maps and runs at dim_max <= 5.
+    code, out, _ = run(capsys, "suite", "pf-ascent", "--count", "1", "--json")
+    assert code == 0
+    suite = json.loads(out)["artifacts"]["pf-ascent"]
+    assert suite["caps"] == {"dim_max": {"requested": 8, "used": 5}}
+    code, out, _ = run(capsys, "suite", "pf-ascent", "--count", "1", "--dim-max", "4", "--json")
+    assert "caps" not in json.loads(out)["artifacts"]["pf-ascent"]
+    assert suites.run_defect_agreement(count=1, dim_max=8).caps == {"dim_max": {"requested": 8, "used": 6}}

@@ -238,15 +238,21 @@ def test_near_defective_blocks_are_certified_or_refused():
 
 def test_extract_isometry_identity_metric():
     u = haar_unitary(3, derive_rng(4))
-    v = extract_isometry(u, np.eye(3, dtype=complex))
-    assert_allclose(v, u)
+    cert = extract_isometry(u, np.eye(3, dtype=complex))
+    assert_allclose(cert.v, u)
 
 
 def test_extract_isometry_recovers_unitary():
     s, p0, u = gen_similar_isometry(4, seed=21)
-    v = extract_isometry(s, p0)
+    cert = extract_isometry(s, p0)
+    v = cert.v
     assert np.linalg.norm(adjoint(v) @ v - np.eye(4)) < 1e-9
     assert np.linalg.norm(v - u) < 1e-8 * max(1.0, np.linalg.norm(u))
+    # The certificate carries the residuals extract_isometry checked.
+    p2 = p0 @ p0
+    assert cert.residual_metric == np.linalg.norm(adjoint(s) @ p2 @ s - p2)
+    assert cert.residual_isometry == np.linalg.norm(adjoint(v) @ v - np.eye(4))
+    assert cert.residual_similarity == np.linalg.norm(p0 @ s - v @ p0)
 
 
 def test_extract_isometry_rejects_non_metric():
@@ -393,6 +399,33 @@ def test_c0_c1_coupled():
     assert_allclose(t[:1, 1:], dec.coupling, atol=1e-12)
 
 
+def _sorted_split(s, band):
+    """Oracle: the split from one Schur form sorted by LAPACK itself."""
+    t, w, k = scipy.linalg.schur(s, output="complex", sort=lambda lam: bool(abs(lam) < 1.0 - band))
+    return t[:k, :k], t[k:, k:]
+
+
+def test_c0_c1_reordering_matches_the_sorted_schur_oracle():
+    checked = 0
+    for seed in range(40):
+        n = 3 + seed % 6
+        s = gen_power_bounded(n, seed=500 + seed)
+        report = certify_power_bounded(s)
+        lead = np.abs(np.diag(report.schur[0])) < 1.0 - report.band
+        if lead[: np.count_nonzero(lead)].all():
+            continue  # already ordered: no reordering to check
+        checked += 1
+        dec = c0_c1_decompose(s)
+        c0, c1 = _sorted_split(s, report.band)
+        assert dec.block_c0.shape == c0.shape and dec.block_c1.shape == c1.shape
+        for mine, oracle in ((dec.block_c0, c0), (dec.block_c1, c1)):
+            assert_allclose(np.sort_complex(np.diag(mine)), np.sort_complex(np.diag(oracle)), atol=1e-10)
+        assert np.linalg.norm(adjoint(dec.w) @ dec.w - np.eye(n)) < 1e-12
+        t = adjoint(dec.w) @ s @ dec.w
+        assert np.linalg.norm(np.tril(t, -1)) < 1e-12 * np.linalg.norm(s)
+    assert checked >= 10
+
+
 def test_c0_c1_requires_power_bounded():
     for s in (J2, np.diag([2.0, 0.5])):
         with pytest.raises(AssumptionError):
@@ -527,6 +560,35 @@ def test_similarity_roundtrip_beyond_the_tier1_seed():
     # (4.2e-8 against 3.0e-8) when the metric was an averaged iterate.
     result = suites.run_similarity_roundtrip(seed=2036509382000, count=116, dim_max=8)
     assert result.passed, result.violations
+
+
+def _count_calls(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *a, **k: calls.append(1) or original(*a, **k))
+    return calls
+
+
+def test_one_schur_form_per_operator(monkeypatch):
+    s, _, _ = gen_similar_isometry(5, seed=12)
+    rng = derive_rng(17)
+    a = np.block([[haar_unitary(2, rng), np.zeros((2, 2))], [np.ones((2, 2)), 0.5 * np.eye(2)]])
+    schur = _count_calls(monkeypatch, scipy.linalg, "schur")
+    eigvals = _count_calls(monkeypatch, np.linalg, "eigvals")
+    similarity_certificate(s)
+    assert (len(schur), len(eigvals)) == (1, 0)
+    schur.clear()
+    report = pf_property_check(a, sample_count=3)
+    assert (len(schur), len(eigvals)) == (1, 0)
+    assert not report.satisfies_pf  # the coupling makes the splitting non-orthogonal
+
+
+def test_similar_to_unitary_certifies_t_once(monkeypatch):
+    pair = gen_left_m_pair(4, 2, seed=29)
+    cert = similarity_certificate(pair.s)
+    calls = _count_calls(monkeypatch, metric, "certify_power_bounded")
+    similar_to_unitary(cert, pair.t, 2)
+    assert len(calls) == 1  # inside similarity_certificate(T*)
 
 
 def test_verify_prop_isometric():
