@@ -9,7 +9,8 @@ Matrices travel as JSON files in the library-wide schema
 ``{"rows": r, "cols": c, "data": [[re, im], ...]}`` (row-major);
 conjugations as ``{"J": <matrix>}``.  Exit code 0 means every verdict
 passed, 1 means a check failed or a solver hypothesis was violated, and 2
-means malformed input or usage.  All randomness sits behind ``--seed``.
+means malformed input or usage.  Only ``generate`` and ``suite`` draw random
+numbers, all behind ``--seed``; ``check`` and ``solve`` are deterministic.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .matcore import (
     frobenius,
     load_matrix,
     matrix_to_json_dict,
-    psd_sqrt,
 )
 
 CHECK_KINDS = ("left-m-inverse", "m-isometry", "mc-isometry", "power-bounded", "pf-property")
@@ -131,7 +131,7 @@ def _require_m(args) -> int:
 
 
 def _cmd_check(args, tol: ToleranceConfig) -> Report:
-    report = Report(command=f"check {args.kind}", tolerances=_tol_dict(tol), seed=args.seed)
+    report = Report(command=f"check {args.kind}", tolerances=_tol_dict(tol))
     if args.kind == "left-m-inverse":
         s = load_matrix(args.s, "S")
         t = load_matrix(args.t, "T") if args.t else None
@@ -163,14 +163,14 @@ def _cmd_check(args, tol: ToleranceConfig) -> Report:
             report.artifacts["witness"] = f"{reason} (eigenvalue {lam:.6g})"
     elif args.kind == "pf-property":
         s = load_matrix(args.s, "S")
-        pf = metric.pf_property_check(s, sample_count=args.samples, seed=args.seed, tol=tol)
+        pf = metric.pf_property_check(s, tol)
         report.add_verdict("pf-property", pf.satisfies_pf)
         report.artifacts["report"] = pf.to_json_dict()
     return report
 
 
 def _cmd_solve(args, tol: ToleranceConfig) -> Report:
-    report = Report(command=f"solve {args.kind}", tolerances=_tol_dict(tol), seed=args.seed)
+    report = Report(command=f"solve {args.kind}", tolerances=_tol_dict(tol))
     if args.kind == "invariant-metric":
         s = load_matrix(args.s, "S")
         cert = metric.similarity_certificate(s, tol)
@@ -195,10 +195,10 @@ def _cmd_solve(args, tol: ToleranceConfig) -> Report:
     elif args.kind == "canonical-inverse":
         s = load_matrix(args.s, "S")
         if args.p:
-            p = load_matrix(args.p, "P")
+            cert = metric.extract_isometry(s, load_matrix(args.p, "P"), tol)
         else:
-            p = psd_sqrt(metric.invariant_metric(s, tol), tol)
-        t, residual = metric.canonical_left_m_inverse(s, p, _require_m(args), tol)
+            cert = metric.similarity_certificate(s, tol)
+        t, residual = metric.canonical_left_m_inverse(cert, _require_m(args), tol)
         report.add_verdict("canonical-inverse", True, residual)
         report.artifacts["T"] = matrix_to_json_dict(t)
     elif args.kind == "douglas":
@@ -326,8 +326,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="opslab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=0)
+    def common(p, seeded):  # check and solve draw no random numbers
+        if seeded:
+            p.add_argument("--seed", type=int, default=0)
         p.add_argument("--json", action="store_true", help="machine-readable report")
 
     def tolerances(p):  # suites pin their own tolerances; generators use none
@@ -341,8 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--conj", help="conjugation JSON file")
     p_check.add_argument("--m", type=int)
     p_check.add_argument("--horizon", type=int, default=64)
-    p_check.add_argument("--samples", type=int, default=20)
-    common(p_check)
+    common(p_check, seeded=False)
     tolerances(p_check)
 
     p_solve = sub.add_parser("solve", help="solve for a certificate")
@@ -353,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--a")
     p_solve.add_argument("--b")
     p_solve.add_argument("--m", type=int, default=1)
-    common(p_solve)
+    common(p_solve, seeded=False)
     tolerances(p_solve)
 
     p_gen = sub.add_parser("generate", help="write a seeded instance")
@@ -366,13 +366,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--t", type=float, default=1.0)
     p_gen.add_argument("--count", type=int, default=1, help="instances per manifest")
     p_gen.add_argument("--out")
-    common(p_gen)
+    common(p_gen, seeded=True)
 
     p_suite = sub.add_parser("suite", help="run a verification sweep")
     p_suite.add_argument("name", choices=sorted(SUITES))
     p_suite.add_argument("--count", type=int, default=200)
     p_suite.add_argument("--dim-max", type=int, default=8)
-    common(p_suite)
+    common(p_suite, seeded=True)
     return parser
 
 

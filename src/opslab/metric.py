@@ -17,9 +17,10 @@ Around that core this module provides:
   optimality value ``inf {lam : A A* <= lam B B*}``;
 * the splitting of a power-bounded matrix into its asymptotically
   vanishing and norm-preserving parts, read off that Schur form reordered;
-* Putnam-Fuglede checks for the elementary operator ``X -> A X V* - X``
-  against its adjoint-side companion, with kernel-inclusion and ascent
-  bounds;
+* the Putnam-Fuglede check for the elementary operator ``X -> A X V* - X``
+  against its adjoint-side companion, decided exactly in O(n^3) on the
+  n x n unimodular eigenspaces of A, and the ascent bound, which still
+  builds the n^2 x n^2 vectorized maps;
 * the rigidity consequences: a power-bounded m-isometry is isometric, and
   a power-bounded pair (S, T) with vanishing defect is simultaneously
   similar to a conjugate pair of unitaries.
@@ -35,7 +36,6 @@ import scipy.linalg
 
 from . import minv
 from .errors import ArgumentError, AssumptionError, IdentityCheckError
-from .gen import haar_unitary
 from .matcore import (
     DEFAULT_TOL,
     ToleranceConfig,
@@ -378,32 +378,25 @@ def similarity_certificate(
 
 
 def canonical_left_m_inverse(
-    s: np.ndarray, p: np.ndarray, m: int, tol: ToleranceConfig = DEFAULT_TOL
+    cert: SimilarityCertificate, m: int, tol: ToleranceConfig = DEFAULT_TOL
 ) -> tuple[np.ndarray, float]:
     """Left m-inverse ``T = P^{-2} S* P^{2}`` induced by an invariant metric.
 
-    The metric identity makes ``T^j S^j = I`` for every j, so the defect
-    of (S, T) vanishes at every order; T is verified to be a left
-    m-inverse and power bounded before ``(T, residual)`` is returned, with
-    ``residual`` the Frobenius norm of the order-m defect that was checked.
+    ``cert`` is a similarity certificate of S, whose checks already hold
+    ``S* P^2 S = P^2``.  That identity makes ``T^j S^j = I`` for every j,
+    so the defect of (S, T) vanishes at every order, and
+    ``T = P^{-1} V* P`` with V unitary gives ``||T^n|| <= cond(P)``: T is
+    power bounded.  T is verified to be a left m-inverse before
+    ``(T, residual)`` is returned, with ``residual`` the Frobenius norm of
+    the order-m defect that was checked.
     """
-    s = as_matrix(s, square=True, name="S")
-    p = as_matrix(p, square=True, name="P")
-    require_same_shape(s, p, "S and P")
-    p2 = p @ p
-    metric_res = frobenius(adjoint(s) @ p2 @ s - p2)
-    if metric_res > tol.zero_threshold(tol.scale_of(s) ** 2 * tol.scale_of(p2)):
-        raise AssumptionError(
-            f"P^2 is not an invariant metric for S (residual {metric_res:.3e})"
-        )
-    t = np.linalg.solve(p2, adjoint(s) @ p2)
-    ok, residual = minv.is_left_m_inverse(s, t, m, tol)
+    p2 = cert.p @ cert.p
+    t = np.linalg.solve(p2, adjoint(cert.s) @ p2)
+    ok, residual = minv.is_left_m_inverse(cert.s, t, m, tol)
     if not ok:
         raise IdentityCheckError(
             f"canonical inverse failed the defect check (residual {residual:.3e})"
         )
-    if not certify_power_bounded(t, tol=tol).bounded:
-        raise IdentityCheckError("canonical inverse is not power bounded")
     return t, residual
 
 
@@ -562,10 +555,10 @@ class PFReport:
     """Outcome of the Putnam-Fuglede check for the elementary operator.
 
     ``structural`` is the decomposition criterion (orthogonal splitting
-    with unitary unimodular part); ``satisfies_pf`` is the verdict of the
-    kernel-inclusion search over isometries V.  The two must agree; a
-    counterexample ``(V, X)`` with ``A X V* = X`` but ``A* X V != X`` is
-    attached whenever the verdict is negative.
+    with unitary unimodular part); ``satisfies_pf`` is the kernel-inclusion
+    verdict over isometries V, decided on the unimodular eigenspaces of A.
+    The two must agree; a counterexample ``(V, X)`` with ``A X V* = X`` but
+    ``A* X V != X`` is attached whenever the verdict is negative.
     """
 
     satisfies_pf: bool
@@ -583,42 +576,29 @@ class PFReport:
         return out
 
 
-def _deterministic_isometries(n: int, unimodular: np.ndarray) -> list[np.ndarray]:
-    """Fixed probe set: identity, cycle, phase diagonals, and multiples of
-    the identity by the phases of the unimodular eigenvalues (the probes
-    that can excite a nontrivial intertwiner kernel)."""
-    eye = np.eye(n, dtype=complex)
-    probes = [eye, np.roll(eye, 1, axis=0), np.diag(np.exp(2j * np.pi * np.arange(n) / n))]
-    seen: list[complex] = []
-    for lam in unimodular:
-        unit = complex(lam / abs(lam))
-        if all(abs(unit - u) > 1e-12 for u in seen):
-            seen.append(unit)
-            probes.append(unit * eye)
-    return probes
-
-
-def pf_property_check(
-    a: np.ndarray,
-    sample_count: int = 20,
-    seed: int = 0,
-    tol: ToleranceConfig = DEFAULT_TOL,
-) -> PFReport:
+def pf_property_check(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> PFReport:
     """Test whether solutions of ``A X V* = X`` also solve ``A* X V = X``.
+
+    For a unitary V the kernel of ``X -> A X V* - X`` is spanned by the
+    ``x w*`` with ``A x = mu x`` and ``V w = mu w`` for a unimodular mu that
+    A and V share, so the property holds for every isometry V exactly when
+    ``ker(A - mu) <= ker(A* - conj(mu))`` at each unimodular eigenvalue mu
+    of A; the probe ``V = mu I`` reaches that whole eigenspace.  For each
+    distinct phase mu on the diagonal of the unimodular block, the image of
+    the numerical null space E of ``A - mu I`` under ``mu A* - I`` must
+    vanish below ``zero_threshold(||A - mu I||)``: the rank cutoff and
+    threshold of the vectorized maps, whose singular values are those of
+    ``A - mu I``, each repeated n times.  A failure is witnessed by
+    ``(mu I, x x*)``, with x the unit vector of E that ``mu A* - I``
+    stretches most (``x x*`` does not depend on the phase of x).
 
     The structural criterion: the unimodular/vanishing splitting of A is
     orthogonal and the unimodular block is unitary (equivalently, A is an
     orthogonal direct sum of a unitary and a matrix of spectral radius
-    below 1).  The search criterion: over a deterministic probe set of
-    isometries (identity, a cycle, phase diagonals, unimodular-eigenvalue
-    multiples of the identity) plus ``sample_count`` seeded Haar
-    unitaries, every kernel element of ``X -> A X V* - X`` is checked
-    against the adjoint-side equation.  The two verdicts are asserted to
-    agree; disagreement raises ``IdentityCheckError`` with diagnostics.
+    below 1).  The two verdicts are asserted to agree; disagreement raises
+    ``IdentityCheckError`` with diagnostics.
     """
     a = as_matrix(a, square=True, name="A")
-    if sample_count < 1:
-        raise ArgumentError(f"sample_count must be >= 1, got {sample_count}")
     dec = c0_c1_decompose(a, tol)
     c1 = dec.block_c1
     c1_unitary = frobenius(adjoint(c1) @ c1 - np.eye(c1.shape[0])) <= tol.zero_threshold(
@@ -627,23 +607,27 @@ def pf_property_check(
     # block_c0 holds the eigenvalues below 1 - band, so its powers vanish.
     structural = dec.orthogonal and c1_unitary
 
-    rng = np.random.default_rng(seed)
-    probes = _deterministic_isometries(a.shape[0], np.diag(c1))
-    probes.extend(haar_unitary(a.shape[0], rng) for _ in range(sample_count))
-
+    eye = np.eye(a.shape[0], dtype=complex)
+    seen: list[complex] = []
     counterexample = None
-    for v in probes:
-        forward = minv.elementary_operator(a, adjoint(v))
-        backward = minv.elementary_operator(adjoint(a), v)
-        included, witness = minv.kernel_included(forward, backward, tol)
-        if not included:
-            counterexample = (v, witness)
+    for lam in np.diag(c1).tolist():
+        mu = lam / abs(lam)
+        if any(abs(mu - u) <= 1e-12 for u in seen):
+            continue
+        seen.append(mu)
+        _, sv, vh = np.linalg.svd(a - mu * eye)
+        threshold = tol.zero_threshold(float(sv[0]))
+        eigenspace = adjoint(vh[sv <= threshold])
+        _, image_sv, image_vh = np.linalg.svd((mu * adjoint(a) - eye) @ eigenspace)
+        if image_sv.size and image_sv[0] > threshold:
+            x = eigenspace @ image_vh[0].conj()
+            counterexample = (mu * eye, np.outer(x, x.conj()))
             break
     satisfies_pf = counterexample is None
 
     if satisfies_pf != structural:
         raise IdentityCheckError(
-            "Putnam-Fuglede search verdict "
+            "Putnam-Fuglede eigenspace verdict "
             f"({satisfies_pf}) disagrees with the structural criterion ({structural}); "
             f"orthogonal={dec.orthogonal}, unimodular_block_unitary={c1_unitary}"
         )

@@ -138,7 +138,7 @@ def run_similarity_roundtrip(
             if res_sim > 1e-8 * max(1.0, frobenius(cert.p) * frobenius(s)):
                 result.violations.append(f"{tag}: similarity residual {res_sim:.3e}")
 
-            t, _ = metric.canonical_left_m_inverse(s, cert.p, max(1, int(rng.integers(1, 4))), tol)
+            t, _ = metric.canonical_left_m_inverse(cert, max(1, int(rng.integers(1, 4))), tol)
             res_canon = frobenius(t @ s - np.eye(n))
             result.record("canonical_residual", res_canon)
             if res_canon > 1e-8 * max(1.0, frobenius(s) * frobenius(t)):
@@ -327,56 +327,62 @@ def run_c_isometry_rigidity(
 
 
 def run_pf_ascent(seed: int = 0, count: int = 50, dim_max: int = 5) -> SuiteResult:
-    """Putnam-Fuglede structural/search agreement plus the ascent bound."""
+    """Putnam-Fuglede verdicts against the vectorized maps, plus the ascent bound.
+
+    The oracle is kernel inclusion of the n^2 x n^2 maps at the identity, a
+    Haar unitary and ``V = mu I`` for every distinct unimodular phase mu of
+    A's own eigenvalues: the library verdict must equal it, and each
+    counterexample must solve ``A X V* = X`` (1e-8) but not ``A* X V = X``
+    (1e-6) when the maps are applied to it.
+    """
     result = SuiteResult("pf-ascent")
     dim_max = _capped(result, "dim_max", dim_max, 5)  # matrix-space maps stay at most 25x25
     for i in range(count):
         rng = gen.derive_rng(seed, i)
         n = int(rng.integers(2, dim_max + 1))
         tag = f"instance {i} (n={n})"
-        if i % 2 == 0:
+        if i % 2 == 0:  # unitary (+) contraction, rotated by a Haar unitary
             k = int(rng.integers(1, n + 1))
-            blocks = [gen.haar_unitary(k, rng)]
+            a = np.zeros((n, n), dtype=complex)
+            a[:k, :k] = gen.haar_unitary(k, rng)
             if n - k > 0:
-                g = rng.standard_normal((n - k, n - k)) + 1j * rng.standard_normal(
-                    (n - k, n - k)
-                )
-                rho = max(np.abs(np.linalg.eigvals(g)).max(), 1e-3)
-                blocks.append(0.8 * g / rho)
-            a = blocks[0]
-            if len(blocks) == 2:
-                a = np.block(
-                    [
-                        [blocks[0], np.zeros((k, n - k))],
-                        [np.zeros((n - k, k)), blocks[1]],
-                    ]
-                )
+                g = rng.standard_normal((n - k, n - k)) + 1j * rng.standard_normal((n - k, n - k))
+                a[k:, k:] = 0.8 * g / max(np.abs(np.linalg.eigvals(g)).max(), 1e-3)
             q = gen.haar_unitary(n, rng)
             a = q @ a @ adjoint(q)
         else:
             a = gen.gen_power_bounded(n, int(rng.integers(0, 2**63)))
-        try:
-            report = metric.pf_property_check(a, sample_count=10, seed=seed + i)
-            if not report.satisfies_pf and report.counterexample is None:
-                result.violations.append(f"{tag}: negative verdict without witness")
-        except OpslabError as exc:
-            result.violations.append(f"{tag}: {type(exc).__name__}: {exc}")
 
-        probes = [np.eye(n, dtype=complex), gen.haar_unitary(n, rng)]
-        eigs = np.linalg.eigvals(a)
-        unimodular = eigs[np.abs(np.abs(eigs) - 1.0) < 1e-8]
-        if unimodular.size:  # matched spectrum makes the kernel nontrivial
-            lam = unimodular[0] / abs(unimodular[0])
-            probes.append(lam * np.eye(n, dtype=complex))
+        phases = []  # V = mu I at A's unimodular phases reaches every PF kernel
+        for lam in np.linalg.eigvals(a):
+            if abs(abs(lam) - 1.0) < 1e-8 and all(abs(lam / abs(lam) - mu) > 1e-8 for mu in phases):
+                phases.append(lam / abs(lam))
+        eye = np.eye(n, dtype=complex)
+        probes = [eye, gen.haar_unitary(n, rng), *(mu * eye for mu in phases)]
+        all_included = True
         for v in probes:
             try:
                 included, asc = metric.ascent_bound_check(a, v)
+                all_included = all_included and included
                 if included and asc > 1:
-                    result.violations.append(
-                        f"{tag}: inclusion holds but ascent {asc} > 1"
-                    )
+                    result.violations.append(f"{tag}: inclusion holds but ascent {asc} > 1")
                 result.record("max_ascent", float(asc))
             except IdentityCheckError as exc:
                 result.violations.append(f"{tag}: {exc}")
+
+        try:
+            report = metric.pf_property_check(a)
+            if report.satisfies_pf != all_included:
+                result.violations.append(f"{tag}: verdict {report.satisfies_pf}, kernel inclusion {all_included}")
+            if not report.satisfies_pf and report.counterexample is None:
+                result.violations.append(f"{tag}: negative verdict without witness")
+            elif not report.satisfies_pf:
+                v, x = report.counterexample
+                forward = frobenius(minv.elementary_operator(a, adjoint(v)).apply(x))
+                backward = frobenius(minv.elementary_operator(adjoint(a), v).apply(x))
+                if forward > 1e-8 or backward <= 1e-6:
+                    result.violations.append(f"{tag}: witness residuals {forward:.3e} and {backward:.3e}")
+        except OpslabError as exc:
+            result.violations.append(f"{tag}: {type(exc).__name__}: {exc}")
         result.instances += 1
     return result

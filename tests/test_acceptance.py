@@ -78,7 +78,9 @@ def test_c_isometry_rigidity_sweep():
 
 def test_pf_and_ascent():
     # 50 power-bounded instances (orthogonal unitary (+) contraction sums
-    # and non-orthogonal couplings, n <= 5): structural and search verdicts
-    # agree with witnesses on failure; kernel inclusion forces ascent <= 1
-    # on the vectorized maps.
+    # and non-orthogonal couplings, n <= 5): the eigenspace verdict agrees
+    # with the structural criterion and with kernel inclusion of the
+    # vectorized maps at V = I, a Haar unitary and every mu I (mu a
+    # unimodular eigenvalue phase); each witness solves A X V* = X but not
+    # A* X V = X; kernel inclusion forces ascent <= 1.
     _gate("pf-ascent", suites.run_pf_ascent(seed=SEED, count=50, dim_max=5))

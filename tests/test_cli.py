@@ -9,6 +9,7 @@ from opslab import (
     metric,
     minv,
     operator_norm,
+    psd_sqrt,
     save_matrix,
     suites,
 )
@@ -225,6 +226,30 @@ def test_solve_canonical_inverse_evaluates_the_defect_once(tmp_path, capsys, mon
     assert json.loads(out)["verdicts"]["canonical-inverse"]["pass"]
 
 
+def test_solve_canonical_inverse_certifies_once(tmp_path, capsys, monkeypatch):
+    s = gen_left_m_pair(4, 2, seed=3).s
+    calls = []
+    certify = metric.certify_power_bounded
+    monkeypatch.setattr(metric, "certify_power_bounded", lambda *a, **k: calls.append(1) or certify(*a, **k))
+    code, out, _ = run(
+        capsys, "solve", "canonical-inverse", "--s", write_matrix(tmp_path / "s.json", s), "--m", "2", "--json"
+    )
+    assert code == 0
+    assert len(calls) == 1  # S; T = P^-1 V* P is power bounded by construction
+    # T is the canonical inverse P^-2 S* P^2 of the metric square root P.
+    p = psd_sqrt(metric.invariant_metric(s))
+    expected = np.linalg.solve(p @ p, s.conj().T @ (p @ p))
+    assert np.array_equal(matrix_from_json_dict(json.loads(out)["artifacts"]["T"]), expected)
+
+
+def test_solve_canonical_inverse_rejects_a_singular_p(tmp_path, capsys):
+    s = write_matrix(tmp_path / "s.json", np.eye(3))
+    zero = write_matrix(tmp_path / "p.json", np.zeros((3, 3)))
+    code, _, err = run(capsys, "solve", "canonical-inverse", "--s", s, "--p", zero)
+    assert code == 2
+    assert err.strip() == "error: P must be positive definite"
+
+
 def test_solve_similarity_reports_the_solver_residual(tmp_path, capsys, monkeypatch):
     pair = gen_left_m_pair(3, 2, seed=11)
     solve = metric.similar_to_unitary
@@ -333,8 +358,8 @@ def test_generate_one_c_isometry_hyperbolic(tmp_path, capsys):
 
 def test_report_determinism(tmp_path, capsys):
     eye = write_matrix(tmp_path / "eye.json", np.eye(3))
-    _, out1, _ = run(capsys, "check", "pf-property", "--s", eye, "--seed", "5", "--json")
-    _, out2, _ = run(capsys, "check", "pf-property", "--s", eye, "--seed", "5", "--json")
+    _, out1, _ = run(capsys, "check", "pf-property", "--s", eye, "--json")
+    _, out2, _ = run(capsys, "check", "pf-property", "--s", eye, "--json")
     assert out1 == out2
 
 
@@ -367,6 +392,23 @@ def test_suite_and_generate_take_no_tolerance_flags(capsys):
     assert json.loads(out)["tolerances"] is None
     code, out, _ = run(capsys, "suite", "thm24", "--count", "1", "--dim-max", "1")
     assert "tolerances" not in out
+
+
+def test_check_and_solve_take_no_seed_or_samples_flags(tmp_path, capsys):
+    # Nothing in check or solve is random, so neither takes --seed.
+    eye = write_matrix(tmp_path / "eye.json", np.eye(2))
+    for argv in (
+        ["check", "pf-property", "--s", eye, "--samples", "5"],
+        ["check", "pf-property", "--s", eye, "--seed", "1"],
+        ["solve", "invariant-metric", "--s", eye, "--seed", "1"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+    for argv in (["check", "pf-property"], ["solve", "invariant-metric"]):
+        code, out, _ = run(capsys, *argv, "--s", eye, "--json")
+        assert code == 0
+        assert json.loads(out)["seed"] is None
 
 
 def test_suite_reports_the_caps_that_take_effect(capsys):

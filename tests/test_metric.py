@@ -14,9 +14,12 @@ from opslab import (
     certify_power_bounded,
     douglas_factor,
     douglas_mu,
+    elementary_operator,
     extract_isometry,
+    frobenius,
     invariant_metric,
     is_left_m_inverse,
+    kernel_included,
     metric,
     null_space,
     operator_norm,
@@ -262,18 +265,18 @@ def test_extract_isometry_rejects_non_metric():
 
 def test_canonical_left_m_inverse():
     u = haar_unitary(3, derive_rng(6))
-    t, _ = canonical_left_m_inverse(u, np.eye(3, dtype=complex), 1)
+    t, _ = canonical_left_m_inverse(extract_isometry(u, np.eye(3, dtype=complex)), 1)
     assert_allclose(t, adjoint(u), atol=1e-12)
 
     s, p0, _ = gen_similar_isometry(4, seed=8)
-    t, residual = canonical_left_m_inverse(s, p0, 2)
+    t, residual = canonical_left_m_inverse(extract_isometry(s, p0), 2)
     # The returned residual is the order-2 defect the solver checked.
     assert residual == pytest.approx(is_left_m_inverse(s, t, 2)[1], rel=1e-12, abs=1e-300)
     for m in range(1, 5):
         ok, _ = is_left_m_inverse(s, t, m)
         assert ok
-    with pytest.raises(AssumptionError):
-        canonical_left_m_inverse(J2, np.eye(2, dtype=complex), 2)
+    with pytest.raises(AssumptionError):  # P = I is no invariant metric of J2
+        canonical_left_m_inverse(extract_isometry(J2, np.eye(2, dtype=complex)), 2)
 
 
 def test_similarity_certificate_pipeline():
@@ -434,14 +437,14 @@ def test_c0_c1_requires_power_bounded():
 
 def test_pf_unitary_and_contractive():
     u = haar_unitary(3, derive_rng(15))
-    assert pf_property_check(u, sample_count=5).satisfies_pf
+    assert pf_property_check(u).satisfies_pf
     contraction = 0.6 * haar_unitary(3, derive_rng(16))
-    report = pf_property_check(contraction, sample_count=5)
+    report = pf_property_check(contraction)
     assert report.satisfies_pf and report.structural
 
 
 def test_pf_coupled_fails_with_witness():
-    report = pf_property_check(COUPLED, sample_count=5)
+    report = pf_property_check(COUPLED)
     assert not report.satisfies_pf
     assert not report.structural
     v, x = report.counterexample
@@ -457,7 +460,7 @@ def test_pf_orthogonal_sum_in_rotated_basis():
     c = 0.7 * haar_unitary(2, rng)
     a = np.block([[u, np.zeros((2, 2))], [np.zeros((2, 2)), c]])
     q = haar_unitary(4, rng)
-    report = pf_property_check(q @ a @ adjoint(q), sample_count=5)
+    report = pf_property_check(q @ a @ adjoint(q))
     assert report.satisfies_pf and report.structural
 
 
@@ -465,9 +468,88 @@ def test_pf_similar_to_unitary_but_not_normal_fails():
     # Orthogonality of the splitting is not enough: the unimodular block
     # must itself be unitary, which fails for a skewed similarity.
     s, _, _ = gen_similar_isometry(3, seed=77)
-    report = pf_property_check(s, sample_count=5)
+    report = pf_property_check(s)
     assert not report.satisfies_pf
     assert report.counterexample is not None
+
+
+def _pf_oracle(a):
+    """Kernel inclusion of the n^2 x n^2 maps at V = mu I for every unimodular phase mu of A."""
+    eigs = np.linalg.eigvals(a)
+    included = []
+    for lam in eigs[np.abs(np.abs(eigs) - 1.0) < 1e-8]:
+        v = lam / abs(lam) * np.eye(a.shape[0], dtype=complex)
+        ok, _ = kernel_included(elementary_operator(a, adjoint(v)), elementary_operator(adjoint(a), v))
+        included.append(ok)
+    return all(included)
+
+
+def _assert_pf_matches_oracle(a):
+    report = pf_property_check(a)
+    assert report.satisfies_pf == _pf_oracle(a)
+    if report.counterexample is not None:
+        v, x = report.counterexample
+        assert frobenius(elementary_operator(a, adjoint(v)).apply(x)) <= 1e-8
+        assert frobenius(elementary_operator(adjoint(a), v).apply(x)) > 1e-6
+    return report.satisfies_pf
+
+
+def test_pf_eigenspace_verdict_matches_the_vectorized_maps():
+    verdicts = []
+    for seed in range(12):
+        verdicts.append(_assert_pf_matches_oracle(gen_power_bounded(2 + seed % 5, seed=700 + seed)))
+        assert not _assert_pf_matches_oracle(gen_similar_isometry(2 + seed % 5, seed=700 + seed)[0])
+    assert True in verdicts and False in verdicts
+    # Repeated unimodular eigenvalues: the probe mu I reaches the whole
+    # two-dimensional eigenspace.
+    rng = derive_rng(31)
+    d = np.diag([1, 1, 1j, 1j, 0.5, 0.2]).astype(complex)
+    u = haar_unitary(6, rng)
+    assert _assert_pf_matches_oracle(u @ d @ adjoint(u))
+    w = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    assert not _assert_pf_matches_oracle(w @ d @ np.linalg.inv(w))
+
+
+def test_pf_builds_no_kronecker_map(monkeypatch):
+    kron = _count_calls(monkeypatch, np, "kron")
+    pf_property_check(gen_power_bounded(8, seed=5))
+    assert kron == []
+
+
+def _coupled_power_bounded(n, rng):
+    """Unimodular diagonal (+) contraction, conjugated by a W of condition 10:
+    power bounded, but the Putnam-Fuglede property fails."""
+    k = n // 2
+    phases = np.exp(2j * np.pi * (np.arange(k) + rng.uniform(0.0, 0.5, k)) / k)
+    g = rng.standard_normal((n - k, n - k)) + 1j * rng.standard_normal((n - k, n - k))
+    d = scipy.linalg.block_diag(np.diag(phases), g * (0.8 / np.abs(np.linalg.eigvals(g)).max()))
+    w = haar_unitary(n, rng) @ np.diag(np.geomspace(1.0, 10.0, n)) @ haar_unitary(n, rng)
+    return w @ d @ np.linalg.inv(w)
+
+
+def test_pf_witness_is_the_most_stretched_eigenvector():
+    # ker(A - I) = span(e1, e2) in the rotated basis; A* fixes e1 but maps
+    # e2 to e2 + e3, so the witness is X = e2 e2*, whatever basis of the
+    # eigenspace the SVD returns.
+    q = haar_unitary(3, derive_rng(32))
+    a = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 0.0, 0.5]], dtype=complex)
+    v, x = pf_property_check(q @ a @ adjoint(q)).counterexample
+    assert_allclose(v, np.eye(3), atol=1e-12)
+    assert_allclose(x, np.outer(q[:, 1], q[:, 1].conj()), atol=1e-12)
+
+
+def test_pf_witness_is_stable_under_rounding():
+    # The witness x x* is fixed by the eigenspace, not by the basis an SVD
+    # picks for it, so a 1e-15 change of A moves it only by rounding.
+    for seed in range(1, 9):
+        for n in (8, 16, 24):
+            for rep in range(2):
+                rng = np.random.default_rng((seed, n, rep))
+                a = _coupled_power_bounded(n, rng)
+                e = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+                x1 = pf_property_check(a).counterexample[1]
+                x2 = pf_property_check(a + 1e-15 * e / operator_norm(e)).counterexample[1]
+                assert np.linalg.norm(x1 - x2) <= 1e-12
 
 
 def test_pf_requires_power_bounded():
@@ -578,7 +660,7 @@ def test_one_schur_form_per_operator(monkeypatch):
     similarity_certificate(s)
     assert (len(schur), len(eigvals)) == (1, 0)
     schur.clear()
-    report = pf_property_check(a, sample_count=3)
+    report = pf_property_check(a)
     assert (len(schur), len(eigvals)) == (1, 0)
     assert not report.satisfies_pf  # the coupling makes the splitting non-orthogonal
 
