@@ -81,7 +81,7 @@ class Report:
 
     def print(self, as_json: bool) -> None:
         if as_json:
-            print(json.dumps(self.to_json_dict(), indent=2, sort_keys=True))
+            print(json.dumps(self.to_json_dict(), sort_keys=True))
             return
         print(f"command: {self.command}")
         if self.tolerances is not None:
@@ -293,7 +293,7 @@ def _cmd_generate(args) -> Report:
     report.artifacts["metadata"] = meta
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh)
+            fh.write(json.dumps(payload))
         report.artifacts["out"] = str(args.out)
     else:
         report.artifacts["payload"] = payload

@@ -89,7 +89,7 @@ def as_matrix(obj, *, square: bool = False, name: str = "matrix") -> np.ndarray:
         raise ArgumentError(f"{name} must be 2-dimensional, got ndim={m.ndim}")
     if m.shape[0] == 0 or m.shape[1] == 0:
         raise ArgumentError(f"{name} must have positive dimensions, got {m.shape}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.isfinite(m).all():
         raise ArgumentError(f"{name} contains non-finite entries")
     if square and m.shape[0] != m.shape[1]:
         raise ArgumentError(f"{name} must be square, got shape {m.shape}")
@@ -207,12 +207,18 @@ def matrix_to_json_dict(m: np.ndarray) -> dict:
     """Serialize a matrix to the library-wide JSON schema."""
     m = as_matrix(m, name="matrix")
     rows, cols = m.shape
-    data = [[float(z.real), float(z.imag)] for z in m.ravel(order="C")]
+    data = np.ascontiguousarray(m).view(np.float64).reshape(-1, 2).tolist()
     return {"rows": int(rows), "cols": int(cols), "data": data}
 
 
 def matrix_from_json_dict(d: dict, name: str = "matrix") -> np.ndarray:
-    """Parse the JSON schema, rejecting shape mismatches and non-finite entries."""
+    """Parse the JSON schema, rejecting shape mismatches and non-finite entries.
+
+    ``data`` as ``json`` parses it is converted by one ``np.array`` call
+    when that gives a ``(rows*cols, 2)`` array of booleans, integers or
+    floats, all finite.  Anything else goes through the per-entry loop,
+    the only place a ``MatrixFormatError`` is raised.
+    """
     if not isinstance(d, dict):
         raise MatrixFormatError(f"{name}: expected a JSON object, got {type(d).__name__}")
     try:
@@ -226,6 +232,17 @@ def matrix_from_json_dict(d: dict, name: str = "matrix") -> np.ndarray:
         raise MatrixFormatError(
             f"{name}: data length {got} does not match rows*cols={rows * cols}"
         )
+    try:
+        pairs = np.array(data)
+    except (ValueError, TypeError, OverflowError):  # ragged or unconvertible: the loop says why
+        pairs = None
+    if (
+        pairs is not None
+        and pairs.shape == (rows * cols, 2)
+        and pairs.dtype.kind in "biuf"
+        and np.isfinite(pairs).all()
+    ):
+        return pairs.astype(np.float64).view(np.complex128).reshape(rows, cols)
     out = np.empty(rows * cols, dtype=complex)
     for i, entry in enumerate(data):
         if (
@@ -234,7 +251,10 @@ def matrix_from_json_dict(d: dict, name: str = "matrix") -> np.ndarray:
             or not all(isinstance(x, (int, float)) for x in entry)
         ):
             raise MatrixFormatError(f"{name}: data[{i}] must be a [re, im] pair")
-        re, im = float(entry[0]), float(entry[1])
+        try:
+            re, im = float(entry[0]), float(entry[1])
+        except OverflowError:  # an integer literal beyond the float range
+            raise MatrixFormatError(f"{name}: data[{i}] is not finite") from None
         if not (math.isfinite(re) and math.isfinite(im)):
             raise MatrixFormatError(f"{name}: data[{i}] is not finite")
         out[i] = complex(re, im)
@@ -243,7 +263,7 @@ def matrix_from_json_dict(d: dict, name: str = "matrix") -> np.ndarray:
 
 def save_matrix(path, m: np.ndarray) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(matrix_to_json_dict(m), fh)
+        fh.write(json.dumps(matrix_to_json_dict(m)))
 
 
 def load_matrix(path, name: str = "matrix") -> np.ndarray:

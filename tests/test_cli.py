@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import opslab
 from opslab import (
     matrix_from_json_dict,
     matrix_to_json_dict,
@@ -14,7 +19,7 @@ from opslab import (
     suites,
 )
 from opslab.cli import main, parse_complex
-from opslab.gen import gen_jordan, gen_left_m_pair
+from opslab.gen import gen_jordan, gen_left_m_pair, gen_similar_isometry
 
 
 def run(capsys, *argv):
@@ -361,6 +366,45 @@ def test_report_determinism(tmp_path, capsys):
     _, out1, _ = run(capsys, "check", "pf-property", "--s", eye, "--json")
     _, out2, _ = run(capsys, "check", "pf-property", "--s", eye, "--json")
     assert out1 == out2
+
+
+def run_entry_point(*argv, cwd):
+    """``python -m opslab.cli`` in a fresh interpreter, as a shell user runs it."""
+    src = str(Path(opslab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run(
+        [sys.executable, "-m", "opslab.cli", *argv],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_entry_point_json_report_is_one_line(tmp_path):
+    write_matrix(tmp_path / "j2.json", gen_jordan(2, 1.0))
+    proc = run_entry_point("check", "power-bounded", "--s", "j2.json", "--json", cwd=tmp_path)
+    assert proc.returncode == 1
+    assert proc.stderr == ""
+    assert proc.stdout.count("\n") == 1 and proc.stdout.endswith("\n")
+    report = json.loads(proc.stdout)
+    assert proc.stdout == json.dumps(report, sort_keys=True) + "\n"
+    assert report["exit_code"] == 1
+    assert report["artifacts"]["report"]["witness"]["reason"] == "unimodular eigenvalue is not semisimple"
+
+
+def test_entry_point_generate_out_writes_the_compact_payload(tmp_path):
+    proc = run_entry_point(
+        "generate", "similar-isometry", "--n", "3", "--seed", "7", "--out", "inst.json", cwd=tmp_path
+    )
+    assert proc.returncode == 0
+    s, p0, u = gen_similar_isometry(3, 7)
+    payload = {
+        "generator": "similar-isometry",
+        "seed": 7,
+        "parameters": {"n": 3},
+        "S": matrix_to_json_dict(s),
+        "P0": matrix_to_json_dict(p0),
+        "U": matrix_to_json_dict(u),
+    }
+    assert (tmp_path / "inst.json").read_bytes() == json.dumps(payload).encode()
 
 
 def test_suite_small_smoke(capsys):

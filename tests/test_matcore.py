@@ -183,6 +183,86 @@ def test_matrix_json_roundtrip():
     assert np.array_equal(back, m)  # bit-identical round trip
 
 
+def per_entry_matrix(d):
+    """The schema's data decoded one entry at a time: the oracle."""
+    out = np.empty(d["rows"] * d["cols"], dtype=complex)
+    for i, (re, im) in enumerate(d["data"]):
+        out[i] = complex(float(re), float(im))
+    return out.reshape(d["rows"], d["cols"])
+
+
+def assert_same_bits(a, b):
+    assert a.dtype == b.dtype == np.complex128 and a.shape == b.shape
+    assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        [[1, 2], [-3, 0], [0, -7], [2**53 + 1, -(2**62)]],
+        [[0.5, -1e-300], [1e308, -2.5], [3.0, 4.0], [-0.0, -0.0]],
+        [[1, 0.25], [-2, 3], [0.0, -0.0], [2**63 + 1, -1]],
+        [[True, False], [False, True], [True, 2], [0.5, True]],
+        [[2**63, 2**64 - 1], [1, 2], [3, 4], [5, 6]],
+    ],
+    ids=["ints", "floats", "mixed", "bools", "beyond-int64"],
+)
+def test_matrix_json_decodes_like_the_per_entry_loop(data):
+    d = {"rows": 2, "cols": 2, "data": data}
+    assert_same_bits(matrix_from_json_dict(d), per_entry_matrix(d))
+    assert_same_bits(matrix_from_json_dict(json.loads(json.dumps(d))), per_entry_matrix(d))
+
+
+_scalars = st.one_of(
+    st.booleans(),
+    st.integers(-(2**70), 2**70),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@given(st.lists(st.tuples(_scalars, _scalars).map(list), min_size=1, max_size=12))
+@settings(max_examples=200, deadline=None)
+def test_matrix_json_decode_matches_the_loop_on_any_scalars(data):
+    d = {"rows": 1, "cols": len(data), "data": data}
+    assert_same_bits(matrix_from_json_dict(d), per_entry_matrix(d))
+
+
+def test_matrix_json_encodes_like_the_per_entry_loop():
+    rng = np.random.default_rng(5)
+    base = random_complex(rng, 6, 7)
+    base[0, 0] = complex(-0.0, -0.0)
+    for m in (base, base[::2, ::-3], base.T, base[1:4].real):
+        expected = [[float(z.real), float(z.imag)] for z in np.asarray(m, dtype=complex).ravel(order="C")]
+        d = matrix_to_json_dict(m)
+        assert json.dumps(d["data"]) == json.dumps(expected)
+        assert all(type(x) is float for pair in d["data"] for x in pair)
+        assert (d["rows"], d["cols"]) == np.shape(m)
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ([[1, 0], [0, 1], ["1", 0], [0, 1]], "data[2] must be a [re, im] pair"),
+        ([[1, 0], [0, 1], [0, 1], None], "data[3] must be a [re, im] pair"),
+        ([[1, 0], [0, None], [0, 1], [0, 1]], "data[1] must be a [re, im] pair"),
+        ([[1, 0], [0, 1, 2], [0, 1], [0, 1]], "data[1] must be a [re, im] pair"),
+        ([[1, 0], [0, 1], [[0, 1], [1, 0]], [0, 1]], "data[2] must be a [re, im] pair"),
+        ([[[1, 0], [0, 1]]] * 4, "data[0] must be a [re, im] pair"),
+        ([[1, 0], [0], [0, 1], [0, 1]], "data[1] must be a [re, im] pair"),
+        (json.loads("[[1, 0], [0, 1], [0, NaN], [0, 1]]"), "data[2] is not finite"),
+        (json.loads("[[1, 0], [0, 1], [0, 1], [-Infinity, 1]]"), "data[3] is not finite"),
+        ([[1, 0], [10**400, 1], [0, 1], [0, 1]], "data[1] is not finite"),
+        ([[1, 0], [0.5, 1], [0, 1], [0, -(10**400)]], "data[3] is not finite"),
+        ([[1, 0], [0, 1], [0, 1]], "data length 3 does not match rows*cols=4"),
+        ([[1, 0]] * 5, "data length 5 does not match rows*cols=4"),
+    ],
+)
+def test_matrix_json_malformed_messages(data, message):
+    with pytest.raises(MatrixFormatError) as info:
+        matrix_from_json_dict({"rows": 2, "cols": 2, "data": data}, name="S")
+    assert str(info.value) == f"S: {message}"
+
+
 @pytest.mark.parametrize(
     "payload",
     [

@@ -31,6 +31,8 @@ from opslab import (
 from opslab import suites
 from opslab.gen import (
     derive_rng,
+    gen_1c_isometry,
+    gen_jordan,
     gen_left_m_pair,
     gen_power_bounded,
     gen_similar_isometry,
@@ -121,6 +123,84 @@ def test_certify_cluster_edge_and_witness_window():
     assert report.to_json_dict()["horizon"] == 64
     wide = certify_power_bounded(near_defective(1e-3), horizon=4000)
     assert wide.m1_estimate == pytest.approx(2000.0, abs=1e-3)
+
+
+def per_power_m1(t, horizon):
+    """The power-norm witness one ``operator_norm`` per power: the oracle."""
+    m1, power = 0.0, np.eye(t.shape[0], dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(horizon):
+            power = power @ t
+            if not np.isfinite(power).all():
+                return np.inf
+            m1 = max(m1, operator_norm(power))
+    return m1
+
+
+@pytest.mark.parametrize("horizon", [1, 63, 64, 65, 200])
+def test_m1_estimate_equals_the_per_power_norms(horizon):
+    schur_forms = [certify_power_bounded(gen_power_bounded(n, seed=n)).schur[0] for n in (2, 5, 8)]
+    schur_forms += [
+        certify_power_bounded(gen_jordan(k, lam)).schur[0]
+        for k, lam in [(2, 1.0), (3, np.exp(0.4j)), (4, 0.9), (3, 1.02)]
+    ]
+    for t in schur_forms:
+        report = certify_power_bounded(t, horizon=horizon)
+        assert report.m1_estimate == per_power_m1(report.schur[0], horizon)
+
+
+def test_m1_estimate_overflows_to_inf_without_a_warning():
+    # 1.5^n overflows near n = 1750, in the 28th chunk; the pytest
+    # configuration turns any numpy warning into an error.
+    report = certify_power_bounded(np.array([[1.5, 1.0], [0.0, -1.5]]), horizon=4000)
+    assert report.m1_estimate == np.inf
+    assert certify_power_bounded(np.diag([1e300, 1.0]), horizon=3).m1_estimate == np.inf
+
+
+def test_m1_estimate_takes_one_batched_svd_per_chunk(monkeypatch):
+    batches = []
+    svd = np.linalg.svd
+
+    def recording_svd(a, *args, **kwargs):
+        batches.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    s = np.array([[1.0, 1.0], [0.0, np.exp(1e-3j)]])
+    report = certify_power_bounded(s, horizon=4000)
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    m1 = report.m1_estimate
+    assert batches == [(64, 2, 2)] * 62 + [(32, 2, 2)]
+    monkeypatch.undo()
+    assert m1 == pytest.approx(2000.0, abs=1e-3)
+    assert m1 == per_power_m1(report.schur[0], 4000)
+
+
+def test_certify_names_a_rounding_split_jordan_block():
+    # w J2(lam) w^-1 with |lam| = 1: rounding splits the double eigenvalue
+    # by about sqrt(eps), often past the unimodular band 1 + 1e-8.
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        w = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        lam = np.exp(2j * np.pi * rng.random())
+        report = certify_power_bounded(w @ gen_jordan(2, lam) @ np.linalg.inv(w))
+        assert not report.bounded
+        assert report.witness[1] == "unimodular eigenvalue is not semisimple"
+        assert report.witness[0] == pytest.approx(lam, abs=1e-6)
+        assert not report.unimodular_semisimple
+
+
+def test_certify_keeps_the_radius_reason_off_the_circle():
+    simple = certify_power_bounded(np.diag([1.05, 1.0, 0.5]))
+    assert simple.witness == (1.05, "spectral radius exceeds 1")
+    assert simple.unimodular_semisimple
+    # A semisimple double eigenvalue just past the band is not a defect.
+    double = certify_power_bounded(np.diag([1.0 + 1e-7, 1.0 + 1e-7]))
+    assert double.witness[1] == "spectral radius exceeds 1"
+    for t in (0.5, 1.0, 2.0):
+        s, _ = gen_1c_isometry(2, seed=3, hyperbolic=True, t=t)
+        report = certify_power_bounded(s)
+        assert report.witness[1] == "spectral radius exceeds 1"
+        assert abs(report.witness[0]) == pytest.approx(np.exp(t))
 
 
 def test_certify_generated_corpus():
