@@ -62,11 +62,8 @@ from .metric import (
 )
 from .minv import (
     LeftInvPair,
-    LinearMatrixMap,
     ascent,
     defect,
-    elementary_operator,
-    generalized_derivation,
     is_left_m_inverse,
     kernel_included,
     minimal_defect_order,

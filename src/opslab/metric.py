@@ -18,9 +18,10 @@ Around that core this module provides:
 * the splitting of a power-bounded matrix into its asymptotically
   vanishing and norm-preserving parts, read off that Schur form reordered;
 * the Putnam-Fuglede check for the elementary operator ``X -> A X V* - X``
-  against its adjoint-side companion, decided exactly in O(n^3) on the
-  n x n unimodular eigenspaces of A, and the ascent bound, which still
-  builds the n^2 x n^2 vectorized maps;
+  against its adjoint-side companion, and the ascent bound of that map and
+  of the derivation ``X -> A X - X V*``, both decided exactly in O(n^3) on
+  the n x n eigenspaces of ``A - nu I`` by one helper, with no n^2 x n^2
+  map;
 * the rigidity consequences: a power-bounded m-isometry is isometric, and
   a power-bounded pair (S, T) with vanishing defect is simultaneously
   similar to a conjugate pair of unitaries.
@@ -599,6 +600,47 @@ class PFReport:
         return out
 
 
+def _phases(eigenvalues: np.ndarray) -> list[complex]:
+    """The distinct phases ``lam / |lam|`` of nonzero ``eigenvalues``, merged within 1e-12."""
+    phases: list[complex] = []
+    for lam in eigenvalues.tolist():
+        mu = lam / abs(lam)
+        if all(abs(mu - u) > 1e-12 for u in phases):
+            phases.append(mu)
+    return phases
+
+
+def _eigenspaces(
+    a: np.ndarray, phases: list[complex], tol: ToleranceConfig
+) -> tuple[float, list[tuple[np.ndarray, np.ndarray | None]]]:
+    """Decide ``ker(A - nu) <= ker(A* - conj(nu))`` for each unimodular ``nu`` in ``phases``.
+
+    For a unitary V with these eigenvalues, ``X -> A X V* - X`` is
+    ``conj(V) (x) A - I``, unitarily block diagonal with blocks
+    ``conj(nu) A - I``; its singular values are those of the ``A - nu I``
+    together, and its rank cutoff is ``zero_threshold(max ||A - nu I||)``.
+    Its kernel lies in that of ``X -> A* X V - X`` (blocks ``nu A* - I``,
+    with the same singular values) exactly when each numerical null space
+    E of ``A - nu I`` has an image under ``nu A* - I`` within the cutoff.
+    Returns the cutoff and, for each phase, the singular values of
+    ``A - nu I`` and ``None``, or the unit vector of E that ``nu A* - I``
+    stretches most when that image exceeds the cutoff.
+    """
+    eye = np.eye(a.shape[0], dtype=complex)
+    _, sv, vh = np.linalg.svd(a - np.multiply.outer(phases, eye))
+    cutoff = tol.zero_threshold(float(sv[:, 0].max()))
+    out = []
+    for nu, s, v in zip(phases, sv, vh):
+        x = None
+        if s[-1] <= cutoff:
+            eigenspace = adjoint(v[s <= cutoff])
+            _, image_sv, image_vh = np.linalg.svd((nu * adjoint(a) - eye) @ eigenspace)
+            if image_sv[0] > cutoff:
+                x = eigenspace @ image_vh[0].conj()
+        out.append((s, x))
+    return cutoff, out
+
+
 def pf_property_check(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> PFReport:
     """Test whether solutions of ``A X V* = X`` also solve ``A* X V = X``.
 
@@ -610,10 +652,10 @@ def pf_property_check(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> PFRe
     distinct phase mu on the diagonal of the unimodular block, the image of
     the numerical null space E of ``A - mu I`` under ``mu A* - I`` must
     vanish below ``zero_threshold(||A - mu I||)``: the rank cutoff and
-    threshold of the vectorized maps, whose singular values are those of
-    ``A - mu I``, each repeated n times.  A failure is witnessed by
-    ``(mu I, x x*)``, with x the unit vector of E that ``mu A* - I``
-    stretches most (``x x*`` does not depend on the phase of x).
+    threshold of the vectorized maps at ``V = mu I``, whose singular values
+    are those of ``A - mu I``, each repeated n times.  A failure is
+    witnessed by ``(mu I, x x*)``, with x the unit vector of E that
+    ``mu A* - I`` stretches most (``x x*`` does not depend on the phase of x).
 
     The structural criterion: the unimodular/vanishing splitting of A is
     orthogonal and the unimodular block is unitary (equivalently, A is an
@@ -630,21 +672,11 @@ def pf_property_check(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> PFRe
     # block_c0 holds the eigenvalues below 1 - band, so its powers vanish.
     structural = dec.orthogonal and c1_unitary
 
-    eye = np.eye(a.shape[0], dtype=complex)
-    seen: list[complex] = []
     counterexample = None
-    for lam in np.diag(c1).tolist():
-        mu = lam / abs(lam)
-        if any(abs(mu - u) <= 1e-12 for u in seen):
-            continue
-        seen.append(mu)
-        _, sv, vh = np.linalg.svd(a - mu * eye)
-        threshold = tol.zero_threshold(float(sv[0]))
-        eigenspace = adjoint(vh[sv <= threshold])
-        _, image_sv, image_vh = np.linalg.svd((mu * adjoint(a) - eye) @ eigenspace)
-        if image_sv.size and image_sv[0] > threshold:
-            x = eigenspace @ image_vh[0].conj()
-            counterexample = (mu * eye, np.outer(x, x.conj()))
+    for mu in _phases(np.diag(c1)):
+        _, [(_, x)] = _eigenspaces(a, [mu], tol)
+        if x is not None:
+            counterexample = (mu * np.eye(a.shape[0], dtype=complex), np.outer(x, x.conj()))
             break
     satisfies_pf = counterexample is None
 
@@ -659,15 +691,36 @@ def pf_property_check(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> PFRe
     )
 
 
+def _index(b: np.ndarray, sv: np.ndarray, cutoff: float) -> int:
+    """Least k with ``rank B^k = rank B^(k+1)`` at ``cutoff``, given the singular values of B.
+
+    In exact arithmetic the ranks of the powers of an n x n matrix settle
+    by the n-th power, so at most n powers past the first are formed.
+    """
+    n = b.shape[0]
+    ranks = [n, int(np.sum(sv > cutoff))]
+    power = b
+    while ranks[-1] != ranks[-2] and len(ranks) <= n + 1:
+        power = power @ b
+        ranks.append(numerical_rank(power, cutoff=cutoff))
+    return len(ranks) - 2
+
+
 def ascent_bound_check(
     a: np.ndarray, v: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL
-) -> tuple[bool, int]:
+) -> tuple[tuple[bool, int], tuple[bool, int]]:
     """Kernel inclusion forces ascent at most 1 for ``X -> A X V* - X``.
 
-    Returns ``(inclusion, ascent)`` for the elementary operator and runs
-    the same contract for the derivation ``X -> A X - X V*`` against its
-    adjoint-side companion.  Requires V to be an isometry; a violation of
-    either implication raises ``IdentityCheckError``.
+    Returns the ``(inclusion, ascent)`` pair of the elementary operator
+    ``X -> A X V* - X`` against ``X -> A* X V - X``, then that of the
+    derivation ``X -> A X - X V*`` against ``X -> A* X - X V``, both
+    decided on the n x n eigenspaces of ``_eigenspaces``.  The elementary
+    operator's ascent is the largest index of ``A - nu I`` over the
+    eigenvalues nu of V, and its inclusion is ``ker(A - nu) <=
+    ker(A* - conj(nu))`` for each; the derivation, with blocks
+    ``A - conj(nu) I``, gives the same at ``conj(nu)``.  Requires V to be
+    an isometry; a violation of either implication raises
+    ``IdentityCheckError``.
     """
     a = as_matrix(a, square=True, name="A")
     v = as_matrix(v, square=True, name="V")
@@ -676,20 +729,19 @@ def ascent_bound_check(
     if iso_res > tol.zero_threshold(tol.scale_of(v) ** 2):
         raise AssumptionError(f"V is not an isometry (residual {iso_res:.3e})")
 
-    results = None
-    for make in (minv.elementary_operator, minv.generalized_derivation):
-        forward = make(a, adjoint(v))
-        backward = make(adjoint(a), v)
-        included, _ = minv.kernel_included(forward, backward, tol)
-        asc = minv.ascent(forward, tol=tol)
-        if included and (asc is None or asc > 1):
+    spectrum = _phases(np.linalg.eigvals(v))
+    eye = np.eye(a.shape[0], dtype=complex)
+    results = []
+    for name, phases in (("elementary operator", spectrum), ("derivation", np.conj(spectrum).tolist())):
+        cutoff, blocks = _eigenspaces(a, phases, tol)
+        included = all(x is None for _, x in blocks)
+        asc = max(_index(a - nu * eye, s, cutoff) for nu, (s, _) in zip(phases, blocks))
+        if included and asc > 1:
             raise IdentityCheckError(
-                f"kernel inclusion holds but ascent is {asc} for "
-                f"{make.__name__}; expected at most 1"
+                f"kernel inclusion holds but ascent is {asc} for the {name}; expected at most 1"
             )
-        if results is None:
-            results = (included, asc if asc is not None else -1)
-    return results
+        results.append((included, asc))
+    return tuple(results)
 
 
 def similar_to_unitary(

@@ -1,4 +1,4 @@
-"""Left m-inverse algebra and elementary operators on matrix space.
+"""Left m-inverse algebra, and the vectorized reference for maps on matrix space.
 
 An operator ``T`` is a left m-inverse of ``S`` when the defect
 
@@ -6,16 +6,18 @@ An operator ``T`` is a left m-inverse of ``S`` when the defect
 
 vanishes; m = 1 recovers ``T S = I``.  With ``T = S*`` the same defect
 decides m-isometry.  This module evaluates the defect through the
-recursion ``P_k = T P_(k-1) S - P_(k-1)``, builds the explicit left
-inverses ``Z_n`` of the matrix powers ``S^n``, and vectorizes the two
-workhorse maps on matrix space (``X -> A X B - X`` and ``X -> A X - X B``)
-so kernels, kernel inclusions and ascents reduce to numerical rank
-computations.
+recursion ``P_k = T P_(k-1) S - P_(k-1)`` and builds the explicit left
+inverses ``Z_n`` of the matrix powers ``S^n``.  ``ascent`` and
+``kernel_included`` take linear maps on matrix space as their n^2 x n^2
+matrices (such as ``np.kron(B.T, A) - I`` for ``X -> A X B - X``) and
+decide by numerical rank; they are the reference that the pf-ascent sweep
+holds the n x n decisions of ``metric`` against, and no library decision
+calls them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb
 
 import numpy as np
@@ -26,6 +28,8 @@ from .matcore import (
     ToleranceConfig,
     as_matrix,
     frobenius,
+    null_space,
+    numerical_rank,
     operator_norm,
     require_same_shape,
 )
@@ -37,9 +41,6 @@ __all__ = [
     "minimal_defect_order",
     "z_inverse",
     "z_norm_bound",
-    "LinearMatrixMap",
-    "elementary_operator",
-    "generalized_derivation",
     "ascent",
     "kernel_included",
 ]
@@ -153,127 +154,49 @@ def z_norm_bound(m: int, m1: float) -> float:
     return (2.0 ** m) * float(m1) ** 2
 
 
-# ---------------------------------------------------------------------------
-# Vectorized maps on matrix space (column-stacking convention)
-# ---------------------------------------------------------------------------
-
-def _vec(x: np.ndarray) -> np.ndarray:
-    return x.flatten(order="F")
-
-
-def _unvec(v: np.ndarray, n: int) -> np.ndarray:
-    return v.reshape((n, n), order="F")
-
-
-@dataclass(frozen=True, eq=False)
-class LinearMatrixMap:
-    """A linear map on n x n matrices, stored as its n^2 x n^2 matrix.
-
-    ``matrix_rep`` acts on column-stacked matrices: applying the map to X
-    is ``unvec(matrix_rep @ vec(X))``.
-    """
-
-    dimension: int
-    matrix_rep: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        n = self.dimension
-        if n < 1:
-            raise ArgumentError("dimension must be positive")
-        rep = as_matrix(self.matrix_rep, square=True, name="matrix_rep")
-        if rep.shape[0] != n * n:
-            raise ArgumentError(
-                f"matrix_rep must be {n * n}x{n * n} for dimension {n}, got {rep.shape}"
-            )
-        object.__setattr__(self, "matrix_rep", rep)
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        x = as_matrix(x, square=True, name="map argument")
-        if x.shape[0] != self.dimension:
-            raise ArgumentError(
-                f"map argument must be {self.dimension}x{self.dimension}, got {x.shape}"
-            )
-        return _unvec(self.matrix_rep @ _vec(x), self.dimension)
-
-    def kernel_matrices(self, tol: ToleranceConfig = DEFAULT_TOL) -> list[np.ndarray]:
-        """Orthonormal (Frobenius) basis of the numerical kernel, as matrices."""
-        from .matcore import null_space
-
-        basis = null_space(self.matrix_rep, tol)
-        return [_unvec(basis[:, i], self.dimension) for i in range(basis.shape[1])]
-
-
-def elementary_operator(a: np.ndarray, b: np.ndarray) -> LinearMatrixMap:
-    """The map ``X -> A X B - X`` in vectorized form."""
-    a = as_matrix(a, square=True, name="A")
-    b = as_matrix(b, square=True, name="B")
-    require_same_shape(a, b, "A and B")
-    n = a.shape[0]
-    rep = np.kron(b.T, a) - np.eye(n * n, dtype=complex)
-    return LinearMatrixMap(dimension=n, matrix_rep=rep)
-
-
-def generalized_derivation(a: np.ndarray, b: np.ndarray) -> LinearMatrixMap:
-    """The map ``X -> A X - X B`` in vectorized form."""
-    a = as_matrix(a, square=True, name="A")
-    b = as_matrix(b, square=True, name="B")
-    require_same_shape(a, b, "A and B")
-    n = a.shape[0]
-    eye = np.eye(n, dtype=complex)
-    rep = np.kron(eye, a) - np.kron(b.T, eye)
-    return LinearMatrixMap(dimension=n, matrix_rep=rep)
-
-
 def ascent(
-    lin_map: LinearMatrixMap,
+    rep: np.ndarray,
     max_k: int | None = None,
     tol: ToleranceConfig = DEFAULT_TOL,
 ) -> int | None:
-    """Least k with ker(L^k) = ker(L^(k+1)), via stabilizing numerical rank.
+    """Least k with ker(L^k) = ker(L^(k+1)) for the square matrix ``rep`` of L.
 
     Ranks of successive powers all use the singular-value cutoff of the
-    first power, keeping the kernel comparison consistent.  The default
-    cap ``dimension^2 + 1`` cannot be exceeded by a map whose kernels
-    stabilize on matrix space; returns None if no stabilization is seen
-    within the cap.
+    first power, keeping the kernel comparison consistent; the singular
+    values of the first power give both the cutoff and its rank.  The
+    default cap ``size + 1`` cannot be exceeded by a matrix whose kernels
+    stabilize; returns None if no stabilization is seen within the cap.
     """
+    rep = as_matrix(rep, square=True, name="map matrix")
+    size = rep.shape[0]
     if max_k is None:
-        max_k = lin_map.dimension ** 2 + 1
+        max_k = size + 1
     if max_k < 1:
         raise ArgumentError(f"max_k must be >= 1, got {max_k}")
-    rep = lin_map.matrix_rep
-    size = rep.shape[0]
-    s_first = np.linalg.svd(rep, compute_uv=False)
-    cutoff = tol.zero_threshold(float(s_first[0]) if s_first.size else 0.0)
-    prev_rank = size  # rank of L^0 = I
-    power = np.eye(size, dtype=complex)
-    for k in range(1, max_k + 2):
+    sv = np.linalg.svd(rep, compute_uv=False)
+    cutoff = tol.zero_threshold(float(sv[0]))
+    ranks = [size, int(np.sum(sv > cutoff))]  # ranks of L^0 = I and L
+    power = rep
+    while ranks[-1] != ranks[-2]:
+        if len(ranks) > max_k + 1:
+            return None
         power = power @ rep
-        sv = np.linalg.svd(power, compute_uv=False)
-        rank = int(np.sum(sv > cutoff))
-        if rank == prev_rank:
-            return k - 1
-        if k > max_k:
-            break
-        prev_rank = rank
-    return None
+        ranks.append(numerical_rank(power, cutoff=cutoff))
+    return len(ranks) - 2
 
 
 def kernel_included(
-    inner: LinearMatrixMap,
-    outer: LinearMatrixMap,
-    tol: ToleranceConfig = DEFAULT_TOL,
-) -> tuple[bool, np.ndarray | None]:
-    """Whether ker(inner) is contained in ker(outer), with a witness.
+    inner: np.ndarray, outer: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL
+) -> bool:
+    """Whether ker(inner) is contained in ker(outer), for square matrices of one size.
 
-    Tests every (unit Frobenius) kernel basis matrix of ``inner`` against
-    ``outer``; returns ``(True, None)`` on inclusion, otherwise
-    ``(False, X)`` for the first basis matrix with a nonzero image.
+    Each vector of an orthonormal basis of the numerical kernel of
+    ``inner`` must have an image under ``outer`` within
+    ``zero_threshold(||outer||_2)``.
     """
-    if inner.dimension != outer.dimension:
-        raise ArgumentError("maps must act on the same matrix space")
-    threshold = tol.zero_threshold(operator_norm(outer.matrix_rep))
-    for x in inner.kernel_matrices(tol):
-        if frobenius(outer.apply(x)) > threshold:
-            return False, x
-    return True, None
+    inner = as_matrix(inner, square=True, name="inner")
+    outer = as_matrix(outer, square=True, name="outer")
+    require_same_shape(inner, outer, "inner and outer")
+    images = outer @ null_space(inner, tol)
+    threshold = tol.zero_threshold(operator_norm(outer))
+    return bool(np.all(np.linalg.norm(images, axis=0) <= threshold))

@@ -326,17 +326,35 @@ def run_c_isometry_rigidity(
     return result
 
 
-def run_pf_ascent(seed: int = 0, count: int = 50, dim_max: int = 5) -> SuiteResult:
-    """Putnam-Fuglede verdicts against the vectorized maps, plus the ascent bound.
+def _kronecker_maps(a: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The n^2 x n^2 matrices, on column-stacked X, of ``X -> A X V* - X``,
+    ``X -> A* X V - X``, ``X -> A X - X V*`` and ``X -> A* X - X V``.
 
-    The oracle is kernel inclusion of the n^2 x n^2 maps at the identity, a
-    Haar unitary and ``V = mu I`` for every distinct unimodular phase mu of
-    A's own eigenvalues: the library verdict must equal it, and each
-    counterexample must solve ``A X V* = X`` (1e-8) but not ``A* X V = X``
-    (1e-6) when the maps are applied to it.
+    The second and fourth maps are the Frobenius adjoints of the first and
+    third, so their matrices are the conjugate transposes.
+    """
+    n = a.shape[0]
+    eye = np.eye(n, dtype=complex)
+    elementary = np.kron(v.conj(), a) - np.eye(n * n, dtype=complex)
+    derivation = np.kron(eye, a) - np.kron(v.conj(), eye)
+    return elementary, adjoint(elementary), derivation, adjoint(derivation)
+
+
+def run_pf_ascent(seed: int = 0, count: int = 50, dim_max: int = 5) -> SuiteResult:
+    """Putnam-Fuglede verdicts and the ascent bound against the vectorized maps.
+
+    The oracle is ``minv.kernel_included`` and ``minv.ascent`` on the
+    n^2 x n^2 Kronecker matrices of the elementary operator and the
+    derivation, at the identity, a Haar unitary and ``V = mu I`` for every
+    distinct unimodular phase mu of A's own eigenvalues.  Both
+    ``(inclusion, ascent)`` pairs of ``metric.ascent_bound_check`` must
+    equal the oracle's, whose inclusion must force ascent at most 1; the
+    PF verdict must be true exactly when the elementary operator's
+    inclusion holds at every probe, and each counterexample must solve ``A X V* = X`` (1e-8) but
+    not ``A* X V = X`` (1e-6).  The oracle's SVDs have n^2 rows, so its
+    cost grows as n^6.
     """
     result = SuiteResult("pf-ascent")
-    dim_max = _capped(result, "dim_max", dim_max, 5)  # matrix-space maps stay at most 25x25
     for i in range(count):
         rng = gen.derive_rng(seed, i)
         n = int(rng.integers(2, dim_max + 1))
@@ -361,14 +379,23 @@ def run_pf_ascent(seed: int = 0, count: int = 50, dim_max: int = 5) -> SuiteResu
         probes = [eye, gen.haar_unitary(n, rng), *(mu * eye for mu in phases)]
         all_included = True
         for v in probes:
+            e_fwd, e_bwd, d_fwd, d_bwd = _kronecker_maps(a, v)
+            reference = (
+                (minv.kernel_included(e_fwd, e_bwd), minv.ascent(e_fwd)),
+                (minv.kernel_included(d_fwd, d_bwd), minv.ascent(d_fwd)),
+            )
+            for included, asc in reference:
+                if included and (asc is None or asc > 1):
+                    result.violations.append(f"{tag}: oracle inclusion holds but ascent {asc} > 1")
             try:
-                included, asc = metric.ascent_bound_check(a, v)
-                all_included = all_included and included
-                if included and asc > 1:
-                    result.violations.append(f"{tag}: inclusion holds but ascent {asc} > 1")
-                result.record("max_ascent", float(asc))
+                pairs = metric.ascent_bound_check(a, v)
             except IdentityCheckError as exc:
                 result.violations.append(f"{tag}: {exc}")
+                continue
+            if pairs != reference:
+                result.violations.append(f"{tag}: (inclusion, ascent) pairs {pairs}, oracle {reference}")
+            all_included = all_included and pairs[0][0]
+            result.record("max_ascent", float(pairs[0][1]))
 
         try:
             report = metric.pf_property_check(a)
@@ -378,8 +405,8 @@ def run_pf_ascent(seed: int = 0, count: int = 50, dim_max: int = 5) -> SuiteResu
                 result.violations.append(f"{tag}: negative verdict without witness")
             elif not report.satisfies_pf:
                 v, x = report.counterexample
-                forward = frobenius(minv.elementary_operator(a, adjoint(v)).apply(x))
-                backward = frobenius(minv.elementary_operator(adjoint(a), v).apply(x))
+                forward = frobenius(a @ x @ adjoint(v) - x)
+                backward = frobenius(adjoint(a) @ x @ v - x)
                 if forward > 1e-8 or backward <= 1e-6:
                     result.violations.append(f"{tag}: witness residuals {forward:.3e} and {backward:.3e}")
         except OpslabError as exc:

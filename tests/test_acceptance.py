@@ -81,6 +81,8 @@ def test_pf_and_ascent():
     # and non-orthogonal couplings, n <= 5): the eigenspace verdict agrees
     # with the structural criterion and with kernel inclusion of the
     # vectorized maps at V = I, a Haar unitary and every mu I (mu a
-    # unimodular eigenvalue phase); each witness solves A X V* = X but not
+    # unimodular eigenvalue phase); at each probe the n x n (inclusion,
+    # ascent) pairs of the elementary operator and the derivation equal
+    # those of the vectorized maps; each witness solves A X V* = X but not
     # A* X V = X; kernel inclusion forces ascent <= 1.
     _gate("pf-ascent", suites.run_pf_ascent(seed=SEED, count=50, dim_max=5))

@@ -456,11 +456,11 @@ def test_check_and_solve_take_no_seed_or_samples_flags(tmp_path, capsys):
 
 
 def test_suite_reports_the_caps_that_take_effect(capsys):
-    # pf-ascent builds n^2 x n^2 maps and runs at dim_max <= 5.
-    code, out, _ = run(capsys, "suite", "pf-ascent", "--count", "1", "--json")
+    # defect-agreement runs at dim_max <= 6.
+    capped = suites.run_defect_agreement(count=1, dim_max=8).to_json_dict()
+    assert capped["caps"] == {"dim_max": {"requested": 8, "used": 6}}
+    assert "caps" not in suites.run_defect_agreement(count=1, dim_max=4).to_json_dict()
+    # pf-ascent decides on n x n eigenspaces and runs at the requested size.
+    code, out, _ = run(capsys, "suite", "pf-ascent", "--count", "2", "--dim-max", "8", "--json")
     assert code == 0
-    suite = json.loads(out)["artifacts"]["pf-ascent"]
-    assert suite["caps"] == {"dim_max": {"requested": 8, "used": 5}}
-    code, out, _ = run(capsys, "suite", "pf-ascent", "--count", "1", "--dim-max", "4", "--json")
     assert "caps" not in json.loads(out)["artifacts"]["pf-ascent"]
-    assert suites.run_defect_agreement(count=1, dim_max=8).caps == {"dim_max": {"requested": 8, "used": 6}}

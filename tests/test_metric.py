@@ -8,13 +8,13 @@ from numpy.testing import assert_allclose
 from opslab import (
     AssumptionError,
     adjoint,
+    ascent,
     ascent_bound_check,
     c0_c1_decompose,
     canonical_left_m_inverse,
     certify_power_bounded,
     douglas_factor,
     douglas_mu,
-    elementary_operator,
     extract_isometry,
     frobenius,
     invariant_metric,
@@ -558,9 +558,8 @@ def _pf_oracle(a):
     eigs = np.linalg.eigvals(a)
     included = []
     for lam in eigs[np.abs(np.abs(eigs) - 1.0) < 1e-8]:
-        v = lam / abs(lam) * np.eye(a.shape[0], dtype=complex)
-        ok, _ = kernel_included(elementary_operator(a, adjoint(v)), elementary_operator(adjoint(a), v))
-        included.append(ok)
+        forward, backward, *_ = suites._kronecker_maps(a, lam / abs(lam) * np.eye(a.shape[0]))
+        included.append(kernel_included(forward, backward))
     return all(included)
 
 
@@ -569,8 +568,8 @@ def _assert_pf_matches_oracle(a):
     assert report.satisfies_pf == _pf_oracle(a)
     if report.counterexample is not None:
         v, x = report.counterexample
-        assert frobenius(elementary_operator(a, adjoint(v)).apply(x)) <= 1e-8
-        assert frobenius(elementary_operator(adjoint(a), v).apply(x)) > 1e-6
+        assert frobenius(a @ x @ adjoint(v) - x) <= 1e-8
+        assert frobenius(adjoint(a) @ x @ v - x) > 1e-6
     return report.satisfies_pf
 
 
@@ -641,24 +640,85 @@ def test_ascent_bound_unitary_pair():
     rng = derive_rng(18)
     a = haar_unitary(3, rng)
     v = haar_unitary(3, rng)
-    included, asc = ascent_bound_check(a, v)
-    assert included
-    assert asc <= 1
+    for included, asc in ascent_bound_check(a, v):
+        assert included
+        assert asc <= 1
 
 
 def test_ascent_bound_contractive():
     a = 0.5 * haar_unitary(3, derive_rng(19))
     v = haar_unitary(3, derive_rng(20))
-    included, asc = ascent_bound_check(a, v)
-    assert included  # trivial kernel
-    assert asc == 0
+    # Trivial kernels for both maps.
+    assert ascent_bound_check(a, v) == ((True, 0), (True, 0))
 
 
 def test_ascent_bound_zero_operator():
     a = np.zeros((2, 2), dtype=complex)
-    included, asc = ascent_bound_check(a, np.eye(2, dtype=complex))
-    assert included
-    assert asc == 0
+    assert ascent_bound_check(a, np.eye(2, dtype=complex)) == ((True, 0), (True, 0))
+
+
+def _ascent_reference(a, v):
+    """``(kernel_included, ascent)`` of the n^2 x n^2 elementary operator and derivation."""
+    e_fwd, e_bwd, d_fwd, d_bwd = suites._kronecker_maps(a, v)
+    return (
+        (kernel_included(e_fwd, e_bwd), ascent(e_fwd)),
+        (kernel_included(d_fwd, d_bwd), ascent(d_fwd)),
+    )
+
+
+def _ascent_corpus():
+    """Jordan blocks on the circle, and non-normal similar-to-unitary matrices at
+    one of their phases and its conjugate, where the inclusion of each map fails."""
+    for k in range(1, 5):
+        yield gen_jordan(k, 1.0), np.eye(k, dtype=complex)
+    for k in range(1, 4):
+        for mu in (1.0, 1j, -1j):
+            yield gen_jordan(k, 1j), mu * np.eye(k, dtype=complex)
+    for seed in range(20):
+        n = 2 + seed % 4
+        s = gen_similar_isometry(n, seed=900 + seed)[0]
+        lam = np.linalg.eigvals(s)[0]
+        yield s, lam / abs(lam) * np.eye(n)
+        yield s, np.conj(lam) / abs(lam) * np.eye(n)
+
+
+def test_ascent_bound_matches_the_kronecker_reference():
+    failed = [0, 0]
+    for a, v in _ascent_corpus():
+        pairs = ascent_bound_check(a, v)
+        assert pairs == _ascent_reference(a, v)
+        for j, (included, _) in enumerate(pairs):
+            failed[j] += not included
+    # Inclusion fails for the elementary operator at the phase and for the
+    # derivation at its conjugate.
+    assert min(failed) > 0
+
+
+@pytest.mark.parametrize("seed", range(1, 4))
+def test_pf_ascent_agrees_with_the_kronecker_reference_beyond_the_gate_seed(seed):
+    # The suite compares both pairs with the reference at every probe; the
+    # acceptance gate runs seed 0.
+    result = suites.run_pf_ascent(seed=seed, count=50, dim_max=5)
+    assert result.passed, result.violations
+
+
+def test_ascent_bound_of_a_jordan_block_is_its_size():
+    for k in range(2, 5):
+        elementary, derivation = ascent_bound_check(gen_jordan(k, 1.0), np.eye(k, dtype=complex))
+        assert elementary == (False, k)
+        assert derivation == (False, k)
+
+
+def test_ascent_bound_builds_no_kronecker_map(monkeypatch):
+    kron = _count_calls(monkeypatch, np, "kron")
+    rows = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda m, *a, **k: rows.append(m.shape[-2]) or svd(m, *a, **k))
+    a = gen_power_bounded(8, seed=5)
+    ascent_bound_check(a, haar_unitary(8, derive_rng(6)))
+    ascent_bound_check(a, np.eye(8, dtype=complex))
+    assert kron == []
+    assert max(rows) == 8
 
 
 def test_ascent_bound_rejects_non_isometry():
