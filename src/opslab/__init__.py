@@ -13,10 +13,9 @@ from .conj import (
     conjugate_operator,
     entrywise_conjugation,
     hyperbolic_orthogonal_example,
-    is_1c_isometric,
+    is_mc_isometric,
     make_conjugation,
     mc_isometry_defect,
-    verify_prop_mc,
 )
 from .errors import (
     ArgumentError,
@@ -38,8 +37,6 @@ from .matcore import (
     numerical_rank,
     operator_norm,
     psd_sqrt,
-    pseudo_inverse,
-    range_basis,
     save_matrix,
 )
 from .metric import (
@@ -52,7 +49,6 @@ from .metric import (
     canonical_left_m_inverse,
     certify_power_bounded,
     douglas_factor,
-    douglas_mu,
     extract_isometry,
     invariant_metric,
     pf_property_check,

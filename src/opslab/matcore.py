@@ -4,8 +4,8 @@ Every operator handled by this library is a dense square complex matrix
 stored as a ``numpy.ndarray`` with dtype ``complex128``.  This module
 supplies the numerical primitives the rest of the package is built on:
 adjoints, the spectral norm, positive-semidefinite square roots,
-Moore-Penrose pseudoinverses, numerical ranks and bases, and the
-tolerance model governing every approximate comparison.
+numerical ranks and null spaces, and the tolerance model governing every
+approximate comparison.
 
 Tolerance model
 ---------------
@@ -36,10 +36,8 @@ __all__ = [
     "frobenius",
     "operator_norm",
     "psd_sqrt",
-    "pseudo_inverse",
     "numerical_rank",
     "null_space",
-    "range_basis",
     "matrix_to_json_dict",
     "matrix_from_json_dict",
     "save_matrix",
@@ -148,20 +146,6 @@ def psd_sqrt(h: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     return 0.5 * (root + adjoint(root))
 
 
-def pseudo_inverse(m: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Moore-Penrose pseudoinverse via SVD.
-
-    Singular values at or below ``abs_tol + rel_tol * sigma_max`` are
-    truncated, so the result of a rank-deficient input is the minimal-norm
-    pseudoinverse under the library-wide rank convention.
-    """
-    m = as_matrix(m, name="pseudo_inverse input")
-    u, s, vh = np.linalg.svd(m, full_matrices=False)
-    cutoff = tol.zero_threshold(s[0] if s.size else 0.0)
-    inv = np.where(s > cutoff, 1.0 / np.where(s > cutoff, s, 1.0), 0.0)
-    return adjoint(vh) @ (inv[:, None] * adjoint(u))
-
-
 def _svd_cutoff(s: np.ndarray, tol: ToleranceConfig, cutoff: float | None) -> float:
     if cutoff is not None:
         return float(cutoff)
@@ -186,17 +170,6 @@ def null_space(
     c = _svd_cutoff(s, tol, cutoff)
     rank = int(np.sum(s > c))
     return adjoint(vh)[:, rank:]
-
-
-def range_basis(
-    m: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL, cutoff: float | None = None
-) -> np.ndarray:
-    """Orthonormal basis (columns) of the numerical column space."""
-    m = as_matrix(m, name="range_basis input")
-    u, s, _ = np.linalg.svd(m)
-    c = _svd_cutoff(s, tol, cutoff)
-    rank = int(np.sum(s > c))
-    return u[:, :rank]
 
 
 # ---------------------------------------------------------------------------

@@ -51,8 +51,8 @@ def test_z_inverse_contract():
 
 def test_douglas_factorization():
     # 200 seeded instances A = B C0 with rank-deficient B mixed in: factor
-    # residual 1e-8, |‖C‖^2 - mu2| <= 1e-6, kernel equality and range
-    # orthogonality rank checks.
+    # residual 1e-8, ‖C‖ <= ‖C0‖, mu2 = ‖C‖^2 within 1e-6 of the pencil
+    # (A A*, B B*) on ran(B), ker C = ker A by ranks, C orthogonal to ker B.
     _gate("douglas", suites.run_douglas(seed=SEED, count=200, dim_max=8))
 
 

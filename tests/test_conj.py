@@ -4,17 +4,15 @@ from numpy.testing import assert_allclose
 
 from opslab import (
     ArgumentError,
-    AssumptionError,
     adjoint,
     certify_power_bounded,
     conjugate_operator,
     defect,
     entrywise_conjugation,
     hyperbolic_orthogonal_example,
-    is_1c_isometric,
+    is_mc_isometric,
     make_conjugation,
     mc_isometry_defect,
-    verify_prop_mc,
 )
 from opslab.conj import _mc_defect_antilinear
 from opslab.gen import gen_1c_isometry, gen_conjugation
@@ -106,7 +104,7 @@ def test_one_c_implies_higher_orders():
     for trial in range(20):
         n = int(rng.integers(1, 7))
         s, c = gen_1c_isometry(n, trial)
-        assert is_1c_isometric(s, c)
+        assert is_mc_isometric(s, c, 1)[0]
         for m in range(1, 5):
             res = np.linalg.norm(mc_isometry_defect(s, c, m))
             assert res < 1e-10 * max(1.0, np.linalg.norm(s) ** m)
@@ -114,22 +112,20 @@ def test_one_c_implies_higher_orders():
 
 def test_is_1c_isometric_examples():
     c = entrywise_conjugation(2)
-    assert is_1c_isometric(np.eye(2, dtype=complex), c)
-    assert is_1c_isometric(rotation(1.1), c)
-    assert not is_1c_isometric(1j * np.eye(2), c)
+    assert is_mc_isometric(np.eye(2, dtype=complex), c, 1) == (True, 0.0)
+    assert is_mc_isometric(rotation(1.1), c, 1)[0]
+    ok, residual = is_mc_isometric(1j * np.eye(2), c, 1)
+    assert not ok
+    assert residual == pytest.approx(2.0 * np.sqrt(2.0))
 
 
 def test_verify_prop_mc_positive():
+    # Power bounded and (m,C)-isometric, hence (1,C)-isometric.
     s, c = gen_1c_isometry(3, seed=4)
-    assert verify_prop_mc(s, c, 3) == (True, True)
+    assert certify_power_bounded(s).bounded
+    assert is_mc_isometric(s, c, 3)[0] and is_mc_isometric(s, c, 1)[0]
     cid = entrywise_conjugation(2)
-    assert verify_prop_mc(np.eye(2, dtype=complex), cid, 4) == (True, True)
-
-
-def test_verify_prop_mc_requires_power_bounded():
-    s, c = gen_1c_isometry(2, seed=0, hyperbolic=True, t=1.0)
-    with pytest.raises(AssumptionError):
-        verify_prop_mc(s, c, 2)
+    assert is_mc_isometric(np.eye(2, dtype=complex), cid, 4) == (True, 0.0)
 
 
 def test_hyperbolic_family():

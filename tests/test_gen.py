@@ -6,7 +6,7 @@ from opslab import (
     ArgumentError,
     adjoint,
     certify_power_bounded,
-    is_1c_isometric,
+    is_mc_isometric,
     is_left_m_inverse,
     make_conjugation,
     minimal_defect_order,
@@ -96,9 +96,9 @@ def test_gen_1c_isometry():
     for seed in range(8):
         n = 1 + seed % 5
         s, c = gen_1c_isometry(n, seed)
-        assert is_1c_isometric(s, c)
+        assert is_mc_isometric(s, c, 1)[0]
         assert certify_power_bounded(s).bounded
     s, c = gen_1c_isometry(3, 0, hyperbolic=True, t=1.0)
-    assert is_1c_isometric(s, c)
+    assert is_mc_isometric(s, c, 1)[0]
     assert not certify_power_bounded(s).bounded
 

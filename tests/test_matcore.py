@@ -19,7 +19,6 @@ from opslab import (
     matrix_to_json_dict,
     operator_norm,
     psd_sqrt,
-    pseudo_inverse,
 )
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
@@ -102,35 +101,6 @@ def test_psd_sqrt_roundtrip_on_random_gram_matrices():
         r = psd_sqrt(h)
         assert_allclose(r @ r, h, atol=1e-10 * max(1.0, np.linalg.norm(h)))
         assert np.linalg.norm(r @ h - h @ r) < 1e-10 * max(1.0, np.linalg.norm(h) ** 1.5)
-
-
-def test_pseudo_inverse_examples():
-    rng = np.random.default_rng(11)
-    m = random_complex(rng, 3, 3) + 3 * np.eye(3)
-    assert_allclose(pseudo_inverse(m), np.linalg.inv(m), atol=1e-10)
-    z = np.zeros((2, 2))
-    assert_allclose(pseudo_inverse(z), z)
-    proj = np.array([[1.0, 0.0], [0.0, 0.0]])
-    assert_allclose(pseudo_inverse(proj), proj, atol=1e-14)
-
-
-def test_pseudo_inverse_penrose_identities():
-    rng = np.random.default_rng(17)
-    for _ in range(200):
-        rows = int(rng.integers(1, 7))
-        cols = int(rng.integers(1, 7))
-        m = random_complex(rng, rows, cols)
-        if rng.uniform() < 0.4:  # rank-deficient case
-            u, s, vh = np.linalg.svd(m)
-            k = min(rows, cols)
-            s[int(rng.integers(0, k)):] = 0.0
-            m = (u[:, :k] * s) @ vh[:k, :]
-        p = pseudo_inverse(m)
-        scale = max(1.0, np.linalg.norm(m) ** 3)
-        assert np.linalg.norm(m @ p @ m - m) < 1e-9 * scale
-        assert np.linalg.norm(p @ m @ p - p) < 1e-9 * scale
-        assert np.linalg.norm(adjoint(m @ p) - m @ p) < 1e-9 * scale
-        assert np.linalg.norm(adjoint(p @ m) - p @ m) < 1e-9 * scale
 
 
 @settings(max_examples=60, deadline=None)

@@ -6,6 +6,7 @@ import scipy.linalg
 from numpy.testing import assert_allclose
 
 from opslab import (
+    DEFAULT_TOL,
     AssumptionError,
     adjoint,
     ascent,
@@ -14,7 +15,6 @@ from opslab import (
     canonical_left_m_inverse,
     certify_power_bounded,
     douglas_factor,
-    douglas_mu,
     extract_isometry,
     frobenius,
     invariant_metric,
@@ -410,11 +410,13 @@ def test_douglas_factor_rank_one_example():
 def test_douglas_mu_scaling():
     rng = np.random.default_rng(5)
     b = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    assert douglas_mu(2.0 * b, b) == pytest.approx(4.0, rel=1e-8)
-    assert douglas_mu(b, b) == pytest.approx(1.0, rel=1e-8)
+    assert douglas_factor(2.0 * b, b)[1] == pytest.approx(4.0, rel=1e-8)
+    assert douglas_factor(b, b)[1] == pytest.approx(1.0, rel=1e-8)
 
 
 def test_douglas_mu_matches_factor_norm():
+    # mu2 = ||C||^2 by construction; the pencil (A A*, B B*) on ran(B) is
+    # the independent value of inf {lam : A A* <= lam B B*}.
     rng = np.random.default_rng(6)
     for trial in range(50):
         n = int(rng.integers(2, 7))
@@ -426,7 +428,9 @@ def test_douglas_mu_matches_factor_norm():
         c0 = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         a = b @ c0
         c, mu2 = douglas_factor(a, b)
-        assert operator_norm(c) ** 2 == pytest.approx(mu2, rel=1e-6, abs=1e-8)
+        assert_allclose(c, np.linalg.pinv(b) @ a, atol=1e-10 * max(1.0, np.linalg.norm(c)))
+        assert operator_norm(c) ** 2 == pytest.approx(mu2, rel=1e-10)
+        assert suites._pencil_top(a, b, DEFAULT_TOL) == pytest.approx(mu2, rel=1e-6, abs=1e-8)
         assert operator_norm(c) <= operator_norm(c0) + 1e-8
 
 
@@ -435,20 +439,67 @@ def test_douglas_rejects_range_violation():
     b = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
     with pytest.raises(AssumptionError, match="no factor exists .*witness"):
         douglas_factor(a, b)
-    with pytest.raises(AssumptionError, match="no finite bound exists"):
-        douglas_mu(a, b)
 
 
 def test_douglas_factor_checks_range_inclusion_once(monkeypatch):
+    # One SVD of B decides; mu2 is the 2-norm of an r x n block.  No
+    # [B A] stack, no pencil.
     rng = np.random.default_rng(7)
     b = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
     a = b @ (rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
     calls = []
-    check = metric._range_inclusion_witness
-    monkeypatch.setattr(metric, "_range_inclusion_witness", lambda *a: calls.append(1) or check(*a))
-    _, mu2 = douglas_factor(a, b)
+    svd, norm = np.linalg.svd, metric.operator_norm
+    monkeypatch.setattr(np.linalg, "svd", lambda m, *a, **k: calls.append(m.shape) or svd(m, *a, **k))
+    monkeypatch.setattr(metric, "operator_norm", lambda m: calls.append(m.shape) or norm(m))
+    monkeypatch.setattr(scipy.linalg, "eigh", None)
+    douglas_factor(a, b)
+    assert len(calls) <= 2 and all(shape[1] == 6 for shape in calls)
+    calls.clear()
+    with pytest.raises(AssumptionError):
+        douglas_factor(rng.standard_normal((6, 6)), b[:, :3] @ b[:3])
     assert len(calls) == 1
-    assert mu2 == douglas_mu(a, b)
+
+
+@pytest.mark.parametrize(
+    "a_diag, b_diag, mu2",
+    [
+        # rank B = 1: ||BC - A||_F = delta against 1e-10 + 1e-8 * max(||A||_F, ||B||_F)
+        ([1.0, 9e-9], [1.0, 0.0], 1.0),
+        ([1.0, 1.2e-8], [1.0, 0.0], None),
+        ([1.0, 2e-8], [1.0, 0.0], None),
+        # s_2 = 2e-8 is above the rank cutoff, so ||C|| reaches 5e7; it must
+        # not enter the scale, or the residual 0.3 in ker B* would pass.
+        ([0.0, 1.0, 0.3], [1.0, 2e-8, 0.0], None),
+        ([0.0, 1.0, 0.0], [1.0, 2e-8, 0.0], 2.5e15),
+    ],
+)
+def test_douglas_decides_at_the_tolerance_edge(a_diag, b_diag, mu2):
+    a = np.diag(a_diag).astype(complex)
+    b = np.diag(b_diag).astype(complex)
+    if mu2 is None:
+        with pytest.raises(AssumptionError, match="no factor exists"):
+            douglas_factor(a, b)
+    else:
+        c, got = douglas_factor(a, b)
+        assert frobenius(b @ c - a) <= 1e-8
+        assert got == pytest.approx(mu2, rel=1e-12)
+
+
+def test_douglas_perturbed_gate_corpus_raises_no_internal_error():
+    # Each gate pair of seeds 0-9 with A + N(0,1) 10^U(-12,-6): a factor or
+    # an AssumptionError, never an IdentityCheckError.
+    outcomes = {"factored": 0, "refused": 0}
+    for seed in range(10):
+        for i in range(200):
+            a, b, _ = suites._douglas_instance(seed, i, 8)
+            rng = np.random.default_rng([seed, i, 7])
+            a = a + rng.standard_normal(a.shape) * 10.0 ** rng.uniform(-12, -6)
+            try:
+                douglas_factor(a, b)
+                outcomes["factored"] += 1
+            except AssumptionError:
+                outcomes["refused"] += 1
+    assert outcomes["factored"] > 0 and outcomes["refused"] > 0
 
 
 # ---------------------------------------------------------------------------
