@@ -40,12 +40,10 @@ from .matcore import (
     save_matrix,
 )
 from .metric import (
-    C01Decomposition,
     PFReport,
     PowerBoundReport,
     SimilarityCertificate,
     ascent_bound_check,
-    c0_c1_decompose,
     canonical_left_m_inverse,
     certify_power_bounded,
     douglas_factor,
@@ -54,7 +52,6 @@ from .metric import (
     pf_property_check,
     similar_to_unitary,
     similarity_certificate,
-    verify_prop_isometric,
 )
 from .minv import (
     LeftInvPair,

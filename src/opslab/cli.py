@@ -299,6 +299,10 @@ def _cmd_generate(args) -> Report:
 
 def _cmd_suite(args) -> Report:
     report = Report(command=f"suite {args.name}", tolerances=None, seed=args.seed)
+    if args.count < 1:
+        raise ArgumentError("--count must be >= 1")
+    if args.dim_max < 2:
+        raise ArgumentError("--dim-max must be >= 2")
     for runner in SUITES[args.name]:
         kwargs = {}
         if runner is not suites.run_jordan_strictness:

@@ -4,10 +4,13 @@
 shape, negative order, unparsable file).  ``AssumptionError`` flags inputs
 that are well formed but fail a mathematical hypothesis discovered during
 the computation (not power bounded, range inclusion fails, no positive
-definite fixed point).  ``IdentityCheckError`` is reserved for internal
-cross-checks of identities that are supposed to hold for every valid
-input; seeing one means a bug or a genuinely inconsistent input, never a
-routine user error.
+definite fixed point).  ``IdentityCheckError`` means a certificate's own
+residual check failed: ``invariant_metric``, ``extract_isometry``,
+``canonical_left_m_inverse`` and ``similar_to_unitary`` check the residual
+they return, and raise it when that residual exceeds its bound.  Seeing one
+means a bug or a genuinely inconsistent input, never a routine user error;
+the cross-checks between two decisions of one claim live in the sweeps of
+``suites`` and the tests.
 """
 
 
@@ -24,7 +27,7 @@ class AssumptionError(OpslabError):
 
 
 class IdentityCheckError(OpslabError):
-    """Raised when an internal identity cross-check fails."""
+    """Raised when a certificate's own residual check fails."""
 
 
 class MatrixFormatError(ArgumentError):

@@ -11,21 +11,26 @@ Around that core this module provides:
 * a power-boundedness certificate based on the exact finite-dimensional
   criterion (spectral radius at most 1, unimodular eigenvalues
   semisimple), read off the one complex Schur form of S that its report
-  hands on to the metric, the splitting and the Putnam-Fuglede probes,
-  with the sup of power norms as a witness computed only when read;
+  hands on to the metric and the Putnam-Fuglede check, with the sup of
+  power norms as a witness computed only when read;
 * Douglas factorization ``A = B C`` from one SVD of B: the minimal-norm
   factor, range inclusion decided once by its residual, and the
   optimality value ``inf {lam : A A* <= lam B B*} = ||C||^2``;
-* the splitting of a power-bounded matrix into its asymptotically
-  vanishing and norm-preserving parts, read off that Schur form reordered;
 * the Putnam-Fuglede check for the elementary operator ``X -> A X V* - X``
-  against its adjoint-side companion, and the ascent bound of that map and
-  of the derivation ``X -> A X - X V*``, both decided exactly in O(n^3) on
-  the n x n eigenspaces of ``A - nu I`` by one helper, with no n^2 x n^2
-  map;
-* the rigidity consequences: a power-bounded m-isometry is isometric, and
-  a power-bounded pair (S, T) with vanishing defect is simultaneously
-  similar to a conjugate pair of unitaries.
+  against its adjoint-side companion, and the ``(inclusion, ascent)``
+  pairs of that map and of the derivation ``X -> A X - X V*``, both
+  decided exactly in O(n^3) on the n x n eigenspaces of ``A - nu I`` by
+  one helper, with no n^2 x n^2 map;
+* the simultaneous similarity of a power-bounded pair (S, T) with
+  vanishing defect to a conjugate pair of unitaries.
+
+Each call decides its claim once.  The independent cross-checks of the
+paper's implications (the structural Putnam-Fuglede criterion, the
+Kronecker reference of the ascent bound, the rigidity of power-bounded
+m-isometries) are the oracles of the sweeps in ``suites``.  A certificate
+(``invariant_metric``, ``extract_isometry``, ``canonical_left_m_inverse``,
+``similar_to_unitary``) raises ``IdentityCheckError`` only when the
+residual it returns fails its own check.
 """
 
 from __future__ import annotations
@@ -60,13 +65,10 @@ __all__ = [
     "SimilarityCertificate",
     "similarity_certificate",
     "douglas_factor",
-    "C01Decomposition",
-    "c0_c1_decompose",
     "PFReport",
     "pf_property_check",
     "ascent_bound_check",
     "similar_to_unitary",
-    "verify_prop_isometric",
 ]
 
 # Eigenvalues closer than this (relative to max(1, ||S||)) are treated as
@@ -463,76 +465,24 @@ def douglas_factor(
 
 
 # ---------------------------------------------------------------------------
-# Asymptotic splitting, Putnam-Fuglede
+# Putnam-Fuglede
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class C01Decomposition:
-    """Triangular splitting of a power-bounded matrix at the unit circle.
-
-    In the unitary basis ``w`` the matrix becomes
-    ``[[block_c0, coupling], [0, block_c1]]`` with ``block_c0`` the part
-    whose powers vanish and ``block_c1`` the part with unimodular
-    spectrum.  ``orthogonal`` records whether the coupling is numerically
-    zero, i.e. whether the two parts split as an orthogonal direct sum.
-    """
-
-    w: np.ndarray
-    block_c0: np.ndarray
-    block_c1: np.ndarray
-    coupling: np.ndarray
-    orthogonal: bool
-
-
-def c0_c1_decompose(
-    s: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL
-) -> C01Decomposition:
-    """Split a power-bounded matrix into vanishing and unimodular parts.
-
-    The complex Schur form of the ``certify_power_bounded`` report is
-    reordered (LAPACK ``ztrsen``) so that eigenvalues with
-    ``|lambda| < 1 - band`` lead, where ``band = rel_tol * max(1, rho)`` is
-    the report's unimodular band; the two diagonal blocks and the coupling
-    are read off that triangular form.  A matrix that is not power bounded
-    raises ``AssumptionError``.
-    """
-    s = as_matrix(s, square=True, name="S")
-    report = certify_power_bounded(s, tol=tol)
-    if not report.bounded:
-        raise AssumptionError("c0_c1_decompose requires a power bounded matrix")
-    t, w = report.schur
-    lead = np.abs(np.diag(t)) < 1.0 - report.band
-    k = int(np.count_nonzero(lead))
-    if not lead[:k].all():
-        t, w, *_ = scipy.linalg.lapack.ztrsen(lead.astype(np.int32), t, w, job="N")
-    coupling = t[:k, k:]
-    orthogonal = frobenius(coupling) <= tol.zero_threshold(tol.scale_of(s))
-    return C01Decomposition(
-        w=w,
-        block_c0=t[:k, :k],
-        block_c1=t[k:, k:],
-        coupling=coupling,
-        orthogonal=orthogonal,
-    )
-
 
 @dataclass(frozen=True)
 class PFReport:
     """Outcome of the Putnam-Fuglede check for the elementary operator.
 
-    ``structural`` is the decomposition criterion (orthogonal splitting
-    with unitary unimodular part); ``satisfies_pf`` is the kernel-inclusion
-    verdict over isometries V, decided on the unimodular eigenspaces of A.
-    The two must agree; a counterexample ``(V, X)`` with ``A X V* = X`` but
-    ``A* X V != X`` is attached whenever the verdict is negative.
+    ``satisfies_pf`` is the kernel-inclusion verdict over isometries V,
+    decided on the unimodular eigenspaces of A.  A counterexample
+    ``(V, X)`` with ``A X V* = X`` but ``A* X V != X`` is attached whenever
+    the verdict is negative.
     """
 
     satisfies_pf: bool
-    structural: bool
     counterexample: tuple[np.ndarray, np.ndarray] | None = None
 
     def to_json_dict(self) -> dict:
-        out = {"satisfies_pf": self.satisfies_pf, "structural": self.structural}
+        out = {"satisfies_pf": self.satisfies_pf}
         if self.counterexample is not None:
             v, x = self.counterexample
             out["counterexample"] = {
@@ -590,47 +540,35 @@ def pf_property_check(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> PFRe
     ``x w*`` with ``A x = mu x`` and ``V w = mu w`` for a unimodular mu that
     A and V share, so the property holds for every isometry V exactly when
     ``ker(A - mu) <= ker(A* - conj(mu))`` at each unimodular eigenvalue mu
-    of A; the probe ``V = mu I`` reaches that whole eigenspace.  For each
-    distinct phase mu on the diagonal of the unimodular block, the image of
-    the numerical null space E of ``A - mu I`` under ``mu A* - I`` must
-    vanish below ``zero_threshold(||A - mu I||)``: the rank cutoff and
+    of A; the probe ``V = mu I`` reaches that whole eigenspace.  A is
+    certified once by ``certify_power_bounded`` (a matrix that is not power
+    bounded raises ``AssumptionError``), and for each distinct phase mu of
+    the diagonal of its report's Schur form at the unimodular clusters, the
+    image of the numerical null space E of ``A - mu I`` under ``mu A* - I``
+    must vanish below ``zero_threshold(||A - mu I||)``: the rank cutoff and
     threshold of the vectorized maps at ``V = mu I``, whose singular values
     are those of ``A - mu I``, each repeated n times.  A failure is
     witnessed by ``(mu I, x x*)``, with x the unit vector of E that
     ``mu A* - I`` stretches most (``x x*`` does not depend on the phase of x).
-
-    The structural criterion: the unimodular/vanishing splitting of A is
-    orthogonal and the unimodular block is unitary (equivalently, A is an
-    orthogonal direct sum of a unitary and a matrix of spectral radius
-    below 1).  The two verdicts are asserted to agree; disagreement raises
-    ``IdentityCheckError`` with diagnostics.
+    The structural criterion (A is the orthogonal sum of a unitary and a
+    matrix of spectral radius below 1) is the oracle of
+    ``suites.run_pf_ascent``.
     """
     a = as_matrix(a, square=True, name="A")
-    dec = c0_c1_decompose(a, tol)
-    c1 = dec.block_c1
-    c1_unitary = frobenius(adjoint(c1) @ c1 - np.eye(c1.shape[0])) <= tol.zero_threshold(
-        tol.scale_of(a) ** 2
-    )
-    # block_c0 holds the eigenvalues below 1 - band, so its powers vanish.
-    structural = dec.orthogonal and c1_unitary
-
+    report = certify_power_bounded(a, tol=tol)
+    if not report.bounded:
+        lam, reason = report.witness
+        raise AssumptionError(
+            f"pf_property_check requires a power bounded matrix ({reason}, eigenvalue {lam:.6g})"
+        )
+    unimodular = sorted(i for cluster in report.clusters for i in cluster)
     counterexample = None
-    for mu in _phases(np.diag(c1)):
+    for mu in _phases(np.diag(report.schur[0])[unimodular]):
         _, [(_, x)] = _eigenspaces(a, [mu], tol)
         if x is not None:
             counterexample = (mu * np.eye(a.shape[0], dtype=complex), np.outer(x, x.conj()))
             break
-    satisfies_pf = counterexample is None
-
-    if satisfies_pf != structural:
-        raise IdentityCheckError(
-            "Putnam-Fuglede eigenspace verdict "
-            f"({satisfies_pf}) disagrees with the structural criterion ({structural}); "
-            f"orthogonal={dec.orthogonal}, unimodular_block_unitary={c1_unitary}"
-        )
-    return PFReport(
-        satisfies_pf=satisfies_pf, structural=structural, counterexample=counterexample
-    )
+    return PFReport(satisfies_pf=counterexample is None, counterexample=counterexample)
 
 
 def _index(b: np.ndarray, sv: np.ndarray, cutoff: float) -> int:
@@ -651,7 +589,7 @@ def _index(b: np.ndarray, sv: np.ndarray, cutoff: float) -> int:
 def ascent_bound_check(
     a: np.ndarray, v: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL
 ) -> tuple[tuple[bool, int], tuple[bool, int]]:
-    """Kernel inclusion forces ascent at most 1 for ``X -> A X V* - X``.
+    """Kernel inclusion and ascent of ``X -> A X V* - X`` and of ``X -> A X - X V*``.
 
     Returns the ``(inclusion, ascent)`` pair of the elementary operator
     ``X -> A X V* - X`` against ``X -> A* X V - X``, then that of the
@@ -661,8 +599,9 @@ def ascent_bound_check(
     eigenvalues nu of V, and its inclusion is ``ker(A - nu) <=
     ker(A* - conj(nu))`` for each; the derivation, with blocks
     ``A - conj(nu) I``, gives the same at ``conj(nu)``.  Requires V to be
-    an isometry; a violation of either implication raises
-    ``IdentityCheckError``.
+    an isometry.  The paper's bound, that inclusion forces ascent at most
+    1, is checked by ``suites.run_pf_ascent`` against the Kronecker
+    reference.
     """
     a = as_matrix(a, square=True, name="A")
     v = as_matrix(v, square=True, name="V")
@@ -674,14 +613,10 @@ def ascent_bound_check(
     spectrum = _phases(np.linalg.eigvals(v))
     eye = np.eye(a.shape[0], dtype=complex)
     results = []
-    for name, phases in (("elementary operator", spectrum), ("derivation", np.conj(spectrum).tolist())):
+    for phases in (spectrum, np.conj(spectrum).tolist()):
         cutoff, blocks = _eigenspaces(a, phases, tol)
         included = all(x is None for _, x in blocks)
         asc = max(_index(a - nu * eye, s, cutoff) for nu, (s, _) in zip(phases, blocks))
-        if included and asc > 1:
-            raise IdentityCheckError(
-                f"kernel inclusion holds but ascent is {asc} for the {name}; expected at most 1"
-            )
         results.append((included, asc))
     return tuple(results)
 
@@ -729,32 +664,3 @@ def similar_to_unitary(
         )
     return u1, u2, p, conj_res
 
-
-def verify_prop_isometric(
-    s: np.ndarray, m: int, tol: ToleranceConfig = DEFAULT_TOL
-) -> tuple[bool, bool]:
-    """Rigidity of power-bounded m-isometries.
-
-    Returns ``(is_m_isometric, is_isometric)``.  For power-bounded input
-    the first implies the second (and an isometric matrix is unitary);
-    violations of either implication raise ``IdentityCheckError``.
-    """
-    s = as_matrix(s, square=True, name="S")
-    if not certify_power_bounded(s, tol=tol).bounded:
-        raise AssumptionError("verify_prop_isometric requires a power bounded matrix")
-    ok, _ = minv.is_left_m_inverse(s, adjoint(s), m, tol)
-    eye = np.eye(s.shape[0])
-    iso_res = frobenius(adjoint(s) @ s - eye)
-    is_isometric = iso_res <= tol.zero_threshold(tol.scale_of(s) ** 2)
-    if ok and not is_isometric:
-        raise IdentityCheckError(
-            f"power bounded {m}-isometric matrix is not isometric "
-            f"(residual {iso_res:.3e})"
-        )
-    if is_isometric:
-        unit_res = frobenius(s @ adjoint(s) - eye)
-        if unit_res > tol.zero_threshold(tol.scale_of(s) ** 2):
-            raise IdentityCheckError(
-                f"isometric matrix is not unitary (residual {unit_res:.3e})"
-            )
-    return ok, is_isometric

@@ -57,8 +57,10 @@ def test_douglas_factorization():
 
 
 def test_isometry_rigidity_sweep():
-    # 500 seeded power-bounded matrices: none may be m-isometric (m <= 4,
-    # residual 1e-8) while failing ‖S*S - I‖ <= 1e-6.
+    # 500 seeded power-bounded matrices, each certified power bounded, with
+    # one defect residual per order m <= 4: none may be m-isometric at
+    # residual 1e-8 while failing ‖S*S - I‖ <= 1e-6, a 4-isometry at the
+    # default tolerance must be isometric there, and an isometry unitary.
     _gate(
         "isometry-rigidity",
         suites.run_isometry_rigidity(seed=SEED, count=500, dim_max=8),
@@ -79,10 +81,11 @@ def test_c_isometry_rigidity_sweep():
 def test_pf_and_ascent():
     # 50 power-bounded instances (orthogonal unitary (+) contraction sums
     # and non-orthogonal couplings, n <= 5): the eigenspace verdict agrees
-    # with the structural criterion and with kernel inclusion of the
+    # with the structural criterion (zero coupling and a unitary unimodular
+    # block in LAPACK's sorted Schur form) and with kernel inclusion of the
     # vectorized maps at V = I, a Haar unitary and every mu I (mu a
     # unimodular eigenvalue phase); at each probe the n x n (inclusion,
     # ascent) pairs of the elementary operator and the derivation equal
     # those of the vectorized maps; each witness solves A X V* = X but not
-    # A* X V = X; kernel inclusion forces ascent <= 1.
+    # A* X V = X; the vectorized maps' kernel inclusion forces ascent <= 1.
     _gate("pf-ascent", suites.run_pf_ascent(seed=SEED, count=50, dim_max=5))

@@ -426,9 +426,24 @@ def test_suite_small_smoke(capsys):
     assert payload["verdicts"]["z-inverse-contract"]["pass"]
 
 
-def test_suite_scalar_sanity(capsys):
-    code, _, _ = run(capsys, "suite", "thm24", "--count", "1", "--dim-max", "1")
+def test_suite_scalar_sanity():
+    # The thm24 sweeps draw n from 1..dim_max; at dim_max 1 every instance is scalar.
+    assert suites.run_similarity_roundtrip(count=5, dim_max=1).passed
+    assert suites.run_z_inverse_contract(count=5, dim_max=1).passed
+
+
+@pytest.mark.parametrize("name", ["thm24", "prop26", "prop28", "douglas", "pf-ascent"])
+def test_suite_refuses_counts_and_sizes_out_of_range(capsys, name):
+    for flag, value, message in (
+        ("--count", "0", "--count must be >= 1"),
+        ("--count", "-3", "--count must be >= 1"),
+        ("--dim-max", "1", "--dim-max must be >= 2"),
+    ):
+        code, out, err = run(capsys, "suite", name, flag, value)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+    code, out, _ = run(capsys, "suite", name, "--count", "1", "--dim-max", "2", "--json")
     assert code == 0
+    assert all(entry["pass"] for entry in json.loads(out)["verdicts"].values())
 
 
 def test_suite_and_generate_take_no_tolerance_flags(capsys):
@@ -440,11 +455,26 @@ def test_suite_and_generate_take_no_tolerance_flags(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["generate", "jordan", "--k", "2", "--lambda", "1", "--rel-tol", "0.5"])
     assert exc.value.code == 2
-    code, out, _ = run(capsys, "suite", "thm24", "--count", "1", "--dim-max", "1", "--json")
+    code, out, _ = run(capsys, "suite", "thm24", "--count", "1", "--dim-max", "2", "--json")
     assert code == 0
     assert json.loads(out)["tolerances"] is None
-    code, out, _ = run(capsys, "suite", "thm24", "--count", "1", "--dim-max", "1")
+    code, out, _ = run(capsys, "suite", "thm24", "--count", "1", "--dim-max", "2")
     assert "tolerances" not in out
+
+
+def test_check_pf_property_reports_one_verdict(tmp_path, capsys):
+    coupled = write_matrix(tmp_path / "coupled.json", [[1.0, 1.0], [0.0, 0.5]])
+    code, out, _ = run(capsys, "check", "pf-property", "--s", coupled, "--json")
+    assert code == 1
+    report = json.loads(out)["artifacts"]["report"]
+    assert sorted(report) == ["counterexample", "satisfies_pf"]
+    j2 = write_matrix(tmp_path / "j2.json", gen_jordan(2, 1.0))
+    code, out, err = run(capsys, "check", "pf-property", "--s", j2)
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: pf_property_check requires a power bounded matrix "
+        "(unimodular eigenvalue is not semisimple, eigenvalue 1+0j)\n"
+    )
 
 
 def test_check_and_solve_take_no_seed_or_samples_flags(tmp_path, capsys):

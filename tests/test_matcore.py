@@ -13,7 +13,6 @@ from opslab import (
     ToleranceConfig,
     adjoint,
     as_matrix,
-    c0_c1_decompose,
     certify_power_bounded,
     matrix_from_json_dict,
     matrix_to_json_dict,
@@ -113,35 +112,6 @@ def test_norm_properties(n, seed):
     m = random_complex(rng, n, n)
     assert operator_norm(m) == pytest.approx(operator_norm(adjoint(m)), rel=1e-8)
     assert spectral_radius(m) <= operator_norm(m) + 1e-10
-
-
-def test_spectral_split_diagonal():
-    dec = c0_c1_decompose(np.diag([1.0, 0.5]))
-    assert_allclose(dec.block_c0, [[0.5]], atol=1e-12)
-    assert_allclose(np.abs(dec.block_c1), [[1.0]], atol=1e-12)
-
-
-def test_spectral_split_unitary_has_empty_interior():
-    rng = np.random.default_rng(2)
-    z = random_complex(rng, 4, 4)
-    q, _ = np.linalg.qr(z)
-    dec = c0_c1_decompose(q)
-    assert dec.block_c0.shape == (0, 0)
-    assert dec.block_c1.shape == (4, 4)
-
-
-def test_spectral_split_coupled():
-    s = np.array([[0.5, 1.0], [0.0, 1.0]])
-    dec = c0_c1_decompose(s)
-    t = adjoint(dec.w) @ s @ dec.w
-    assert_allclose(dec.block_c0, [[0.5]], atol=1e-12)
-    assert abs(t[0, 1]) > 0.1  # genuine coupling survives the basis change
-    assert np.linalg.norm(np.tril(t, -1)) < 1e-12
-
-
-def test_spectral_split_rejects_expanding():
-    with pytest.raises(AssumptionError):
-        c0_c1_decompose(np.diag([2.0, 0.5]))
 
 
 def test_matrix_json_roundtrip():
