@@ -54,12 +54,11 @@ from .metric import (
     similarity_certificate,
 )
 from .minv import (
-    LeftInvPair,
     ascent,
     defect,
+    defect_profile,
     is_left_m_inverse,
     kernel_included,
-    minimal_defect_order,
     z_inverse,
     z_norm_bound,
 )

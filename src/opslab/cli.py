@@ -236,12 +236,13 @@ def _generate_one(args, seed: int) -> tuple[dict, dict]:
             {"n": args.n},
         )
     if args.generator == "left-m-pair":
-        pair = gen.gen_left_m_pair(_require_n(args), _require_m(args), seed)
+        n, m = _require_n(args), _require_m(args)  # the pair is a left m-inverse at every m
+        s, t = gen.gen_left_m_pair(n, seed)
         return (
             {
-                "m": pair.m,
-                "S": matrix_to_json_dict(pair.s),
-                "T": matrix_to_json_dict(pair.t),
+                "m": m,
+                "S": matrix_to_json_dict(s),
+                "T": matrix_to_json_dict(t),
             },
             {"n": args.n, "m": args.m},
         )

@@ -8,17 +8,18 @@ here to ordinary matrix algebra plus entrywise conjugation.  The defect
     sum_{j=0}^m (-1)^(m-j) C(m,j) S*^j C S^j C
 
 collapses to the plain left-inverse defect of the pair ``(C S C, S*)``
-because ``C^2 = I``; ``mc_isometry_defect`` evaluates that collapsed
-form, and ``is_mc_isometric`` is the one decision on it that the CLI and
-the C-isometry rigidity suite share.  The direct antilinear evaluation is
-kept here as the oracle that the suite and the tests compare the collapse
-against.
+because ``C^2 = I``.  So ``mc_isometry_defect`` is ``minv.defect`` and the
+(m,C)-isometry decision ``is_mc_isometric`` is ``minv.is_left_m_inverse``
+on that pair, threshold included; a sweep that needs several orders reads
+one ``minv.defect_profile`` of it.  The direct antilinear evaluation is
+the oracle of ``suites.run_c_isometry_rigidity`` and the tests.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
-from math import comb
 
 import numpy as np
 
@@ -104,41 +105,15 @@ def conjugate_operator(c: Conjugation, s: np.ndarray) -> np.ndarray:
     return c.j @ np.conj(s) @ adjoint(c.j)
 
 
-def _mc_defect_antilinear(s: np.ndarray, c: Conjugation, m: int) -> np.ndarray:
-    # Direct route: assemble each S*^j C S^j C columnwise, applying C as an
-    # antilinear map; serves as the oracle for the algebraic collapse.
-    n = s.shape[0]
-    out = np.zeros((n, n), dtype=complex)
-    sa = adjoint(s)
-    for j in range(m + 1):
-        sj = np.linalg.matrix_power(s, j)
-        saj = np.linalg.matrix_power(sa, j)
-        term = np.empty((n, n), dtype=complex)
-        for k in range(n):
-            e = np.zeros(n, dtype=complex)
-            e[k] = 1.0
-            term[:, k] = saj @ c.apply(sj @ c.apply(e))
-        out += ((-1) ** (m - j)) * comb(m, j) * term
-    return out
-
-
-def mc_isometry_defect(
-    s: np.ndarray,
-    c: Conjugation,
-    m: int,
-    tol: ToleranceConfig = DEFAULT_TOL,
-) -> np.ndarray:
+def mc_isometry_defect(s: np.ndarray, c: Conjugation, m: int) -> np.ndarray:
     """C-twisted isometry defect ``sum_j (-1)^(m-j) C(m,j) S*^j (CSC)^j``.
 
-    Evaluated through the linear matrix ``CSC`` so the plain defect
-    evaluator is reused.  The conjugation must be valid, as
-    ``make_conjugation`` and ``entrywise_conjugation`` guarantee; the
-    direct antilinear evaluation is not run here but in
-    ``suites.run_c_isometry_rigidity`` and the tests.
+    Evaluated as ``minv.defect`` of the pair ``(CSC, S*)``.  The
+    conjugation must be valid, as ``make_conjugation`` and
+    ``entrywise_conjugation`` guarantee; the direct antilinear evaluation
+    is not run here but in ``suites.run_c_isometry_rigidity`` and the
+    tests.
     """
-    s = as_matrix(s, square=True, name="S")
-    if m < 1:
-        raise ArgumentError(f"m must be >= 1, got {m}")
     return minv.defect(conjugate_operator(c, s), adjoint(s), m)
 
 
@@ -147,16 +122,18 @@ def is_mc_isometric(
 ) -> tuple[bool, float]:
     """Whether S is (m,C)-isometric, with the defect's Frobenius norm.
 
-    The one (m,C)-isometry decision: ``||mc_isometry_defect(S, C, m)||_F``
-    at most ``zero_threshold(max(||S||_F, ||I||_F))``.  At m = 1 it decides
-    ``S* C S C = I``.  For power-bounded S the paper's rigidity makes every
-    (m,C)-isometry a (1,C)-isometry; ``suites.run_c_isometry_rigidity``
-    sweeps for counterexamples.
+    ``minv.is_left_m_inverse`` of ``(CSC, S*)`` at order m: the residual
+    is ``||mc_isometry_defect(S, C, m)||_F`` and the threshold
+    ``zero_threshold(max(||CSC||_F, ||S*||_F, ||I||_F))``.  At m = 1 it
+    decides ``S* C S C = I``.  For power-bounded S the paper's rigidity
+    makes every (m,C)-isometry a (1,C)-isometry;
+    ``suites.run_c_isometry_rigidity`` sweeps for counterexamples.
     """
-    s = as_matrix(s, square=True, name="S")
-    residual = frobenius(mc_isometry_defect(s, c, m, tol))
-    scale = max(frobenius(s), np.sqrt(s.shape[0]))  # ||I||_F = sqrt(n)
-    return residual <= tol.zero_threshold(scale), residual
+    return minv.is_left_m_inverse(conjugate_operator(c, s), adjoint(s), m, tol)
+
+
+# Largest |t| at which cosh t and sinh t are finite doubles.
+_HYPERBOLIC_T_MAX = math.acosh(sys.float_info.max)
 
 
 def hyperbolic_orthogonal_example(t: float) -> np.ndarray:
@@ -167,11 +144,15 @@ def hyperbolic_orthogonal_example(t: float) -> np.ndarray:
     ``M(t)^T M(t) = I`` for every t, so M(t) is (1,C)-isometric for the
     entrywise conjugation, while its eigenvalues ``e^(+-t)`` defeat power
     boundedness for t != 0.  The identity is checked by
-    ``suites.run_c_isometry_rigidity`` and the tests, not here.
+    ``suites.run_c_isometry_rigidity`` and the tests, not here.  Beyond
+    ``|t| = arccosh(max float)`` cosh and sinh overflow, so such t (and
+    nan) raise ``ArgumentError``.
     """
     t = float(t)
-    if not np.isfinite(t):
-        raise ArgumentError("t must be finite")
+    if not abs(t) <= _HYPERBOLIC_T_MAX:
+        raise ArgumentError(
+            f"t must satisfy |t| <= {_HYPERBOLIC_T_MAX!r} (cosh t overflows beyond), got {t!r}"
+        )
     return np.array(
         [
             [np.cosh(t), 1j * np.sinh(t)],

@@ -5,7 +5,8 @@ identical seeds reproduce identical matrices bit for bit on one platform.
 Condition numbers of the random similarities are clipped so that the
 certified residual tolerances stay meaningful in double precision: the
 invariant-metric pipeline amplifies errors by up to the fourth power of
-the similarity's condition number.
+the similarity's condition number.  A parameter that would make a matrix
+non-finite raises ``ArgumentError`` naming it.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import numpy as np
 from .conj import Conjugation, entrywise_conjugation, hyperbolic_orthogonal_example, make_conjugation
 from .errors import ArgumentError
 from .matcore import adjoint
-from .minv import LeftInvPair
 
 __all__ = [
     "derive_rng",
@@ -82,7 +82,10 @@ def gen_jordan(k: int, lam: complex) -> np.ndarray:
     """
     if k < 1:
         raise ArgumentError("k must be >= 1")
-    j = np.eye(k, dtype=complex) * complex(lam)
+    lam = complex(lam)
+    if not np.isfinite(lam):
+        raise ArgumentError(f"lambda must be a finite complex number (both parts finite), got {lam!r}")
+    j = np.eye(k, dtype=complex) * lam
     j += np.eye(k, k=1, dtype=complex)
     return j
 
@@ -102,14 +105,11 @@ def gen_similar_isometry(n: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.
     return s, p0, u
 
 
-def gen_left_m_pair(n: int, m: int, seed: int) -> LeftInvPair:
-    """Power-bounded pair (S, T) with vanishing defect at every order."""
-    if m < 1:
-        raise ArgumentError("m must be >= 1")
+def gen_left_m_pair(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Power-bounded pair (S, T) with vanishing defect at every order, hence no order of its own."""
     s, p0, _ = gen_similar_isometry(n, seed)
     p2 = p0 @ p0
-    t = np.linalg.solve(p2, adjoint(s) @ p2)
-    return LeftInvPair(s=s, t=t, m=m)
+    return s, np.linalg.solve(p2, adjoint(s) @ p2)
 
 
 def gen_power_bounded(n: int, seed: int) -> np.ndarray:

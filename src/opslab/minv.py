@@ -4,20 +4,22 @@ An operator ``T`` is a left m-inverse of ``S`` when the defect
 
     P_m(S, T) = sum_{j=0}^m (-1)^(m-j) C(m, j) T^j S^j
 
-vanishes; m = 1 recovers ``T S = I``.  With ``T = S*`` the same defect
-decides m-isometry.  This module evaluates the defect through the
-recursion ``P_k = T P_(k-1) S - P_(k-1)`` and builds the explicit left
-inverses ``Z_n`` of the matrix powers ``S^n``.  ``ascent`` and
-``kernel_included`` take linear maps on matrix space as their n^2 x n^2
-matrices (such as ``np.kron(B.T, A) - I`` for ``X -> A X B - X``) and
-decide by numerical rank; they are the reference that the pf-ascent sweep
-holds the n x n decisions of ``metric`` against, and no library decision
-calls them.
+vanishes; m = 1 recovers ``T S = I``.  With ``T = S*`` it decides
+m-isometry, and with ``(C S C, S*)`` (m,C)-isometry.  One pass of the
+recursion ``P_k = T P_(k-1) S - P_(k-1)`` over a pair validated once gives
+``defect`` its last matrix and ``defect_profile`` the verdict and residual
+at every order 1..m; ``is_left_m_inverse`` is the last of those.
+``z_inverse`` builds the explicit left inverses ``Z_n`` of ``S^n``.
+``ascent`` and ``kernel_included`` take linear maps on matrix space as
+their n^2 x n^2 matrices (such as ``np.kron(B.T, A) - I`` for
+``X -> A X B - X``) and decide by numerical rank; they are the reference
+that the pf-ascent sweep holds the n x n decisions of ``metric`` against,
+and no library decision calls them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterator
 from math import comb
 
 import numpy as np
@@ -35,10 +37,9 @@ from .matcore import (
 )
 
 __all__ = [
-    "LeftInvPair",
     "defect",
+    "defect_profile",
     "is_left_m_inverse",
-    "minimal_defect_order",
     "z_inverse",
     "z_norm_bound",
     "ascent",
@@ -46,42 +47,55 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class LeftInvPair:
-    """A candidate pair (S, T) with inversion order m."""
-
-    s: np.ndarray
-    t: np.ndarray
-    m: int
-
-    def __post_init__(self):
-        s = as_matrix(self.s, square=True, name="S")
-        t = as_matrix(self.t, square=True, name="T")
-        require_same_shape(s, t, "S and T")
-        if self.m < 1:
-            raise ArgumentError(f"m must be >= 1, got {self.m}")
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "t", t)
+def _validated(s, t, m) -> tuple[np.ndarray, np.ndarray, int]:
+    """Square complex S and T of one shape, and an order m >= 1."""
+    s = as_matrix(s, square=True, name="S")
+    t = as_matrix(t, square=True, name="T")
+    require_same_shape(s, t, "S and T")
+    m = int(m)
+    if m < 1:
+        raise ArgumentError(f"m must be >= 1, got {m}")
+    return s, t, m
 
 
-def _validated_pair(s, t, m) -> tuple[np.ndarray, np.ndarray, int]:
-    pair = LeftInvPair(s, t, int(m))
-    return pair.s, pair.t, pair.m
+def _defects(s: np.ndarray, t: np.ndarray, m: int) -> Iterator[np.ndarray]:
+    """``P_1, ..., P_m`` of a validated pair, by ``P_0 = I``,
+    ``P_k = T P_(k-1) S - P_(k-1)``: 2m matrix products in all."""
+    p = np.eye(s.shape[0], dtype=complex)
+    for _ in range(m):
+        p = t @ p @ s - p
+        yield p
+
+
+def _profile(s: np.ndarray, t: np.ndarray, m: int, tol: ToleranceConfig) -> list[tuple[bool, float]]:
+    threshold = tol.zero_threshold(tol.scale_of(s, t, np.eye(s.shape[0])))
+    return [(residual <= threshold, residual) for residual in map(frobenius, _defects(s, t, m))]
 
 
 def defect(s: np.ndarray, t: np.ndarray, m: int) -> np.ndarray:
     """Alternating binomial sum ``sum_j (-1)^(m-j) C(m,j) T^j S^j``.
 
-    Evaluated by the recursion ``P_0 = I``, ``P_k = T P_(k-1) S - P_(k-1)``,
+    The last matrix of the recursion ``P_k = T P_(k-1) S - P_(k-1)``,
     which reproduces the binomial sum in 2m matrix products.  The
     term-by-term sum with exact integer coefficients is kept as the oracle
     in ``suites.run_defect_agreement`` and the tests.
     """
-    s, t, m = _validated_pair(s, t, m)
-    out = np.eye(s.shape[0], dtype=complex)
-    for _ in range(m):
-        out = t @ out @ s - out
-    return out
+    for p in _defects(*_validated(s, t, m)):
+        pass
+    return p
+
+
+def defect_profile(
+    s: np.ndarray, t: np.ndarray, m: int, tol: ToleranceConfig = DEFAULT_TOL
+) -> list[tuple[bool, float]]:
+    """``(verdict, residual)`` of the defect at each order k = 1..m, from one pass.
+
+    ``residual`` is the Frobenius norm of ``P_k(S, T)``; the verdict
+    compares it with ``zero_threshold(max(||S||_F, ||T||_F, ||I||_F))``,
+    the one threshold of every order.  The first passing order of the
+    profile is the minimal order at which T is a left inverse of S.
+    """
+    return _profile(*_validated(s, t, m), tol)
 
 
 def is_left_m_inverse(
@@ -89,29 +103,10 @@ def is_left_m_inverse(
 ) -> tuple[bool, float]:
     """Decide whether ``t`` is a left m-inverse of ``s``.
 
-    Returns ``(verdict, residual)`` where ``residual`` is the Frobenius
-    norm of the defect and the verdict compares it against the tolerance
-    at the scale of the inputs.
+    Returns ``(verdict, residual)``, the order-m entry of
+    ``defect_profile(s, t, m, tol)``.
     """
-    s, t, m = _validated_pair(s, t, m)
-    residual = frobenius(defect(s, t, m))
-    return residual <= tol.zero_threshold(tol.scale_of(s, t, np.eye(s.shape[0]))), residual
-
-
-def minimal_defect_order(
-    s: np.ndarray,
-    t: np.ndarray,
-    m_max: int,
-    tol: ToleranceConfig = DEFAULT_TOL,
-) -> int | None:
-    """Smallest m <= m_max whose defect vanishes, or None."""
-    if m_max < 1:
-        raise ArgumentError(f"m_max must be >= 1, got {m_max}")
-    for m in range(1, m_max + 1):
-        ok, _ = is_left_m_inverse(s, t, m, tol)
-        if ok:
-            return m
-    return None
+    return defect_profile(s, t, m, tol)[-1]
 
 
 def z_inverse(
@@ -130,10 +125,10 @@ def z_inverse(
     involve a negative power of S.  Requires the pair to be a left
     m-inverse within tolerance; raises ``AssumptionError`` otherwise.
     """
-    s, t, m = _validated_pair(s, t, m)
+    s, t, m = _validated(s, t, m)
     if n < 1:
         raise ArgumentError(f"n must be >= 1, got {n}")
-    ok, residual = is_left_m_inverse(s, t, m, tol)
+    ok, residual = _profile(s, t, m, tol)[-1]
     if not ok:
         raise AssumptionError(
             f"z_inverse requires a left {m}-inverse pair; defect residual {residual:.3e}"

@@ -95,7 +95,8 @@ def run_jordan_strictness(k_max: int = 4) -> SuiteResult:
     for k in range(1, k_max + 1):
         for lam in (1.0, -1.0, 1j, np.exp(0.7j)):
             j = gen.gen_jordan(k, lam)
-            order = minv.minimal_defect_order(j, adjoint(j), 2 * k, decision_tol)
+            profile = minv.defect_profile(j, adjoint(j), 2 * k, decision_tol)
+            order = next((m for m, (ok, _) in enumerate(profile, start=1) if ok), None)
             if order != 2 * k - 1:
                 result.violations.append(
                     f"J_{k}({lam}): minimal defect order {order}, expected {2 * k - 1}"
@@ -193,9 +194,9 @@ def run_z_inverse_contract(
         rng = gen.derive_rng(seed, i)
         n = int(rng.integers(1, dim_max + 1))
         m = int(rng.integers(1, 4))
-        pair = gen.gen_left_m_pair(n, m, int(rng.integers(0, 2**63)))
+        s, t = gen.gen_left_m_pair(n, int(rng.integers(0, 2**63)))
         try:
-            check_pair(pair.s, pair.t, pair.m, f"pair {i} (n={n}, m={m})", True)
+            check_pair(s, t, m, f"pair {i} (n={n}, m={m})", True)
         except OpslabError as exc:
             result.violations.append(f"pair {i}: {type(exc).__name__}: {exc}")
         result.instances += 1
@@ -285,10 +286,10 @@ def run_douglas(seed: int = 0, count: int = 200, dim_max: int = 8) -> SuiteResul
 def _isometry_rigidity_violations(s: np.ndarray) -> list[str]:
     """What S contradicts of "power bounded and m-isometric => isometric => unitary".
 
-    S must be certified power bounded.  One defect residual of ``(S, S*)``
-    per order m = 1..4 is read twice: an m-isometry at an absolute 1e-8
-    must have ``||S*S - I||_F <= 1e-6``, and a 4-isometry at ``DEFAULT_TOL``
-    must be isometric at ``DEFAULT_TOL``, that is
+    S must be certified power bounded.  One ``minv.defect_profile`` of
+    ``(S, S*)`` gives the residual at each order m = 1..4, read twice: an
+    m-isometry at an absolute 1e-8 must have ``||S*S - I||_F <= 1e-6``, and
+    a 4-isometry at ``DEFAULT_TOL`` must be isometric at ``DEFAULT_TOL``, that is
     ``||S*S - I||_F <= zero_threshold(||S||_F^2)``.  An isometric S must be
     unitary at the same threshold.
     """
@@ -296,7 +297,7 @@ def _isometry_rigidity_violations(s: np.ndarray) -> list[str]:
         return ["not certified power bounded"]
     eye = np.eye(s.shape[0])
     iso_gap = frobenius(adjoint(s) @ s - eye)
-    verdicts = [minv.is_left_m_inverse(s, adjoint(s), m, DEFAULT_TOL) for m in range(1, 5)]
+    verdicts = minv.defect_profile(s, adjoint(s), 4, DEFAULT_TOL)
     out = [
         f"{m}-isometric (residual {residual:.3e}) but ‖S*S - I‖ = {iso_gap:.3e}"
         for m, (_, residual) in enumerate(verdicts, start=1)
@@ -328,10 +329,29 @@ def run_isometry_rigidity(
     return result
 
 
+def _mc_defect_antilinear(s: np.ndarray, c: conj_mod.Conjugation, m: int) -> np.ndarray:
+    # Direct route: assemble each S*^j C S^j C columnwise, applying C as an
+    # antilinear map; serves as the oracle for the algebraic collapse.
+    n = s.shape[0]
+    out = np.zeros((n, n), dtype=complex)
+    sa = adjoint(s)
+    for j in range(m + 1):
+        sj = np.linalg.matrix_power(s, j)
+        saj = np.linalg.matrix_power(sa, j)
+        term = np.empty((n, n), dtype=complex)
+        for k in range(n):
+            e = np.zeros(n, dtype=complex)
+            e[k] = 1.0
+            term[:, k] = saj @ c.apply(sj @ c.apply(e))
+        out += ((-1) ** (m - j)) * comb(m, j) * term
+    return out
+
+
 def run_c_isometry_rigidity(
     seed: int = 0, count: int = 500, dim_max: int = 8
 ) -> SuiteResult:
-    """Falsification sweep for the conjugation-twisted rigidity."""
+    """Falsification sweep for the conjugation-twisted rigidity, on one
+    ``minv.defect_profile`` of ``(CSC, S*)`` per instance at an absolute 1e-8."""
     result = SuiteResult("c-isometry-rigidity")
     decision_tol = ToleranceConfig(abs_tol=1e-8, rel_tol=0.0)
     for i in range(count):
@@ -344,7 +364,7 @@ def run_c_isometry_rigidity(
         else:
             s, c = gen.gen_1c_isometry(n, sub_seed)
         tag = f"instance {i} (n={n})"
-        verdicts = [conj_mod.is_mc_isometric(s, c, m, decision_tol) for m in range(1, 5)]
+        verdicts = minv.defect_profile(conj_mod.conjugate_operator(c, s), adjoint(s), 4, decision_tol)
         is_1c = verdicts[0][0]
         for m, (is_mc, residual) in enumerate(verdicts, start=1):
             if is_mc and not is_1c:
@@ -356,9 +376,10 @@ def run_c_isometry_rigidity(
                     f"{tag}: orthogonal positive failed ({m},C) (residual {residual:.3e})"
                 )
         # Oracle for the collapsed evaluation, on the (4,C) defect.
+        residual_4 = verdicts[-1][1]
         collapsed = conj_mod.mc_isometry_defect(s, c, 4)
-        direct = conj_mod._mc_defect_antilinear(s, c, 4)
-        gap = frobenius(collapsed - direct) / max(1.0, residual, frobenius(direct))
+        direct = _mc_defect_antilinear(s, c, 4)
+        gap = frobenius(collapsed - direct) / max(1.0, residual_4, frobenius(direct))
         result.record("antilinear_relative_gap", gap)
         if gap > 1e-10:
             result.violations.append(

@@ -24,8 +24,9 @@ def test_defect_algebra_agreement():
 
 
 def test_jordan_strictness():
-    # Unimodular Jordan blocks k = 1..4: minimal defect order exactly 2k-1
-    # at residual threshold 1e-8; power boundedness fails for k >= 2.
+    # Unimodular Jordan blocks k = 1..4: the first passing order of one
+    # defect profile of (J, J*) up to order 2k is exactly 2k-1 at residual
+    # threshold 1e-8; power boundedness fails for k >= 2.
     _gate("jordan-strictness", suites.run_jordan_strictness(k_max=4))
 
 

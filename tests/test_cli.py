@@ -230,10 +230,10 @@ def test_solve_similarity(tmp_path, capsys):
 
 
 def test_solve_canonical_inverse_evaluates_the_defect_once(tmp_path, capsys, monkeypatch):
-    s_path = write_matrix(tmp_path / "s.json", gen_left_m_pair(4, 2, seed=3).s)
+    s_path = write_matrix(tmp_path / "s.json", gen_left_m_pair(4, seed=3)[0])
     calls = []
-    defect = minv.defect
-    monkeypatch.setattr(minv, "defect", lambda *a: calls.append(1) or defect(*a))
+    defects = minv._defects  # the one pass of the defect recursion
+    monkeypatch.setattr(minv, "_defects", lambda *a: calls.append(1) or defects(*a))
     code, out, _ = run(capsys, "solve", "canonical-inverse", "--s", s_path, "--m", "2", "--json")
     assert code == 0
     assert len(calls) == 1
@@ -241,7 +241,7 @@ def test_solve_canonical_inverse_evaluates_the_defect_once(tmp_path, capsys, mon
 
 
 def test_solve_canonical_inverse_certifies_once(tmp_path, capsys, monkeypatch):
-    s = gen_left_m_pair(4, 2, seed=3).s
+    s, _ = gen_left_m_pair(4, seed=3)
     calls = []
     certify = metric.certify_power_bounded
     monkeypatch.setattr(metric, "certify_power_bounded", lambda *a, **k: calls.append(1) or certify(*a, **k))
@@ -265,25 +265,25 @@ def test_solve_canonical_inverse_rejects_a_singular_p(tmp_path, capsys):
 
 
 def test_solve_similarity_reports_the_solver_residual(tmp_path, capsys, monkeypatch):
-    pair = gen_left_m_pair(3, 2, seed=11)
+    s, t = gen_left_m_pair(3, seed=11)
     solve = metric.similar_to_unitary
     monkeypatch.setattr(metric, "similar_to_unitary", lambda *a: (*solve(*a)[:3], 0.125))
     code, out, _ = run(
-        capsys, "solve", "similarity", "--s", write_matrix(tmp_path / "s.json", pair.s),
-        "--t", write_matrix(tmp_path / "t.json", pair.t), "--m", "2", "--json",
+        capsys, "solve", "similarity", "--s", write_matrix(tmp_path / "s.json", s),
+        "--t", write_matrix(tmp_path / "t.json", t), "--m", "2", "--json",
     )
     assert code == 0
     assert json.loads(out)["verdicts"]["unitary-models"]["residual"] == 0.125
 
 
 def test_solve_similarity_certifies_each_operator_once(tmp_path, capsys, monkeypatch):
-    pair = gen_left_m_pair(4, 2, seed=3)
+    s, t = gen_left_m_pair(4, seed=3)
     calls = []
     certify = metric.certify_power_bounded
     monkeypatch.setattr(metric, "certify_power_bounded", lambda *a, **k: calls.append(1) or certify(*a, **k))
     code, _, _ = run(
-        capsys, "solve", "similarity", "--s", write_matrix(tmp_path / "s.json", pair.s),
-        "--t", write_matrix(tmp_path / "t.json", pair.t), "--m", "2", "--json",
+        capsys, "solve", "similarity", "--s", write_matrix(tmp_path / "s.json", s),
+        "--t", write_matrix(tmp_path / "t.json", t), "--m", "2", "--json",
     )
     assert code == 0
     assert len(calls) == 2  # S and T*
@@ -291,10 +291,10 @@ def test_solve_similarity_certifies_each_operator_once(tmp_path, capsys, monkeyp
 
 @pytest.mark.parametrize("kind", ["invariant-metric", "similarity"])
 def test_solve_at_n64(tmp_path, capsys, kind):
-    pair = gen_left_m_pair(64, 2, seed=1)  # S from gen_similar_isometry(64, 1)
-    argv = ["solve", kind, "--s", write_matrix(tmp_path / "s.json", pair.s), "--json"]
+    s, t = gen_left_m_pair(64, seed=1)  # S from gen_similar_isometry(64, 1)
+    argv = ["solve", kind, "--s", write_matrix(tmp_path / "s.json", s), "--json"]
     if kind == "similarity":
-        argv += ["--t", write_matrix(tmp_path / "t.json", pair.t), "--m", "2"]
+        argv += ["--t", write_matrix(tmp_path / "t.json", t), "--m", "2"]
     code, out, _ = run(capsys, *argv)
     assert code == 0
     verdicts = json.loads(out)["verdicts"]
@@ -368,6 +368,49 @@ def test_generate_one_c_isometry_hyperbolic(tmp_path, capsys):
     payload = json.loads(out_file.read_text())
     s = matrix_from_json_dict(payload["S"])
     np.testing.assert_allclose(s.T @ s, np.eye(2), atol=1e-12)
+
+
+@pytest.mark.parametrize("t", ["700", "-700"])
+def test_generate_one_c_isometry_hyperbolic_at_large_t(tmp_path, capsys, t):
+    out_file = tmp_path / "hyp.json"
+    code, _, err = run(
+        capsys, "generate", "one-c-isometry", "--n", "2", "--hyperbolic", "--t", t, "--out", str(out_file),
+    )
+    assert code == 0 and err == ""
+    assert np.all(np.isfinite(matrix_from_json_dict(json.loads(out_file.read_text())["S"])))
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["one-c-isometry", "--n", "2", "--hyperbolic", "--t", "800"],
+         "error: t must satisfy |t| <= 710.4758600739439 (cosh t overflows beyond), got 800.0"),
+        (["one-c-isometry", "--n", "3", "--hyperbolic", "--t", "nan"],
+         "error: t must satisfy |t| <= 710.4758600739439 (cosh t overflows beyond), got nan"),
+        (["jordan", "--k", "2", "--lambda", "nan"],
+         "error: lambda must be a finite complex number (both parts finite), got (nan+0j)"),
+        (["jordan", "--k", "2", "--lambda", "1e400+0i"],
+         "error: lambda must be a finite complex number (both parts finite), got (inf+0j)"),
+    ],
+)
+def test_generate_refuses_parameters_that_overflow(capsys, argv, message):
+    # Before the check, t = 800 overflowed cosh with RuntimeWarnings and the
+    # JSON writer then refused a non-finite matrix without naming t.
+    code, out, err = run(capsys, "generate", *argv)
+    assert code == 2 and out == ""
+    assert err.strip() == message
+
+
+def test_generate_left_m_pair_requires_and_writes_m(tmp_path, capsys):
+    code, _, err = run(capsys, "generate", "left-m-pair", "--n", "3")
+    assert code == 2 and "--m" in err
+    out_file = tmp_path / "pair.json"
+    code, _, _ = run(capsys, "generate", "left-m-pair", "--n", "3", "--m", "4", "--seed", "2", "--out", str(out_file))
+    payload = json.loads(out_file.read_text())
+    assert code == 0 and payload["m"] == 4 and payload["parameters"] == {"n": 3, "m": 4}
+    s, t = gen_left_m_pair(3, seed=2)
+    assert np.array_equal(matrix_from_json_dict(payload["S"]), s)
+    assert np.array_equal(matrix_from_json_dict(payload["T"]), t)
 
 
 def test_report_determinism(tmp_path, capsys):

@@ -4,18 +4,20 @@ from numpy.testing import assert_allclose
 
 from opslab import (
     ArgumentError,
+    ToleranceConfig,
     adjoint,
     certify_power_bounded,
     conjugate_operator,
     defect,
     entrywise_conjugation,
     hyperbolic_orthogonal_example,
+    is_left_m_inverse,
     is_mc_isometric,
     make_conjugation,
     mc_isometry_defect,
 )
-from opslab.conj import _mc_defect_antilinear
-from opslab.gen import gen_1c_isometry, gen_conjugation
+from opslab.gen import gen_1c_isometry, gen_conjugation, gen_power_bounded
+from opslab.suites import _mc_defect_antilinear
 
 
 def rotation(theta):
@@ -117,6 +119,26 @@ def test_is_1c_isometric_examples():
     ok, residual = is_mc_isometric(1j * np.eye(2), c, 1)
     assert not ok
     assert residual == pytest.approx(2.0 * np.sqrt(2.0))
+
+
+def test_is_mc_isometric_is_the_left_inverse_decision_on_csc():
+    # Same verdict and residual as is_left_m_inverse on (CSC, S*), bit for
+    # bit, at the default tolerance and at an absolute 1e-8.
+    rng = np.random.default_rng(17)
+    absolute = ToleranceConfig(abs_tol=1e-8, rel_tol=0.0)
+    for trial in range(60):
+        n = int(rng.integers(2, 7))
+        m = int(rng.integers(1, 5))
+        c = gen_conjugation(n, 300 + trial)
+        if trial % 3 == 0:
+            s = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(n)
+        elif trial % 3 == 1:
+            s = gen_power_bounded(n, 400 + trial)
+        else:
+            s, c = gen_1c_isometry(n, trial)
+        for tol in (ToleranceConfig(), absolute):
+            expected = is_left_m_inverse(conjugate_operator(c, s), adjoint(s), m, tol)
+            assert is_mc_isometric(s, c, m, tol) == expected
 
 
 def test_verify_prop_mc_positive():

@@ -6,10 +6,10 @@ from opslab import (
     ArgumentError,
     adjoint,
     certify_power_bounded,
+    defect_profile,
     is_mc_isometric,
     is_left_m_inverse,
     make_conjugation,
-    minimal_defect_order,
     similarity_certificate,
 )
 from opslab.gen import (
@@ -34,7 +34,8 @@ def test_gen_jordan_shapes():
 def test_gen_jordan_defect_order(k):
     lam = np.exp(0.3j)
     j = gen_jordan(k, lam)
-    assert minimal_defect_order(j, adjoint(j), 2 * k) == 2 * k - 1
+    verdicts = [ok for ok, _ in defect_profile(j, adjoint(j), 2 * k)]
+    assert verdicts.index(True) + 1 == 2 * k - 1
     assert certify_power_bounded(j).bounded == (k == 1)
 
 
@@ -67,13 +68,23 @@ def test_gen_similar_isometry_full_certificate():
 
 
 def test_gen_left_m_pair_defect_all_orders():
-    pair = gen_left_m_pair(4, 3, seed=6)
+    s, t = gen_left_m_pair(4, seed=6)
     for m in (1, 2, 3, 4):
-        ok, _ = is_left_m_inverse(pair.s, pair.t, m)
+        ok, _ = is_left_m_inverse(s, t, m)
         assert ok
-    assert minimal_defect_order(pair.s, pair.t, 4) == 1
-    scalar = gen_left_m_pair(1, 2, seed=1)
-    assert abs(scalar.s[0, 0] * scalar.t[0, 0] - 1.0) < 1e-12
+    verdicts = [ok for ok, _ in defect_profile(s, t, 4)]
+    assert verdicts.index(True) + 1 == 1 and all(verdicts)
+    s, t = gen_left_m_pair(1, seed=1)
+    assert abs(s[0, 0] * t[0, 0] - 1.0) < 1e-12
+
+
+def test_generators_refuse_parameters_that_overflow():
+    for lam in (complex("nan"), complex(1e400, 0.0), complex(0.0, float("inf"))):
+        with pytest.raises(ArgumentError, match="lambda must be a finite"):
+            gen_jordan(2, lam)
+    for t in (800.0, -710.5, float("nan"), float("inf")):
+        with pytest.raises(ArgumentError, match=r"t must satisfy \|t\| <= 710\.4758"):
+            gen_1c_isometry(2, 0, hyperbolic=True, t=t)
 
 
 def test_gen_power_bounded_always_certifies():

@@ -7,17 +7,20 @@ from numpy.testing import assert_allclose
 from opslab import (
     ArgumentError,
     AssumptionError,
+    ToleranceConfig,
     adjoint,
     ascent,
     defect,
+    defect_profile,
+    frobenius,
     is_left_m_inverse,
     kernel_included,
-    minimal_defect_order,
     null_space,
     operator_norm,
     z_inverse,
     z_norm_bound,
 )
+from opslab import minv
 from opslab.gen import derive_rng, gen_left_m_pair, haar_unitary
 from opslab.suites import _kronecker_maps
 
@@ -90,9 +93,9 @@ def test_is_left_m_inverse_unitary():
 
 
 def test_is_left_m_inverse_metric_pair_all_orders():
-    pair = gen_left_m_pair(4, 1, seed=5)
+    s, t = gen_left_m_pair(4, seed=5)
     for m in range(1, 5):
-        ok, _ = is_left_m_inverse(pair.s, pair.t, m)
+        ok, _ = is_left_m_inverse(s, t, m)
         assert ok
 
 
@@ -102,12 +105,46 @@ def test_is_left_m_inverse_jordan_strict():
     assert residual == pytest.approx(2.0, rel=1e-12)
 
 
-def test_minimal_defect_order():
+def _first_passing_order(profile):
+    return next((k for k, (ok, _) in enumerate(profile, start=1) if ok), None)
+
+
+def test_defect_profile_first_passing_order():
     u = haar_unitary(3, derive_rng(2))
-    assert minimal_defect_order(u, adjoint(u), 4) == 1
-    assert minimal_defect_order(J2, adjoint(J2), 4) == 3
+    assert _first_passing_order(defect_profile(u, adjoint(u), 4)) == 1
+    assert _first_passing_order(defect_profile(J2, adjoint(J2), 4)) == 3
     half = np.array([[0.5]], dtype=complex)
-    assert minimal_defect_order(half, half, 4) is None
+    assert _first_passing_order(defect_profile(half, half, 4)) is None
+
+
+def test_defect_profile_is_every_order_of_one_pass():
+    # Each residual is the Frobenius norm of defect(s, t, k) bit for bit,
+    # and the last entry is the order-m decision, at both tolerances.
+    rng = np.random.default_rng(31)
+    absolute = ToleranceConfig(abs_tol=1e-8, rel_tol=0.0)
+    for _ in range(100):
+        n = int(rng.integers(1, 9))
+        m = int(rng.integers(1, 7))
+        s = random_complex(rng, n)
+        t = random_complex(rng, n) if rng.uniform() < 0.5 else np.linalg.inv(s)
+        for tol in (absolute, ToleranceConfig()):
+            profile = defect_profile(s, t, m, tol)
+            assert len(profile) == m
+            assert [residual for _, residual in profile] == [frobenius(defect(s, t, k)) for k in range(1, m + 1)]
+            assert profile[-1] == is_left_m_inverse(s, t, m, tol)
+    with pytest.raises(ArgumentError):
+        defect_profile(np.eye(2), np.eye(2), 0)
+
+
+def test_defect_profile_validates_once_and_runs_the_recursion_once(monkeypatch):
+    validations, passes = [], []
+    validated, defects = minv._validated, minv._defects
+    monkeypatch.setattr(minv, "_validated", lambda *a: validations.append(1) or validated(*a))
+    monkeypatch.setattr(minv, "_defects", lambda *a: passes.append(1) or defects(*a))
+    s, t = gen_left_m_pair(3, seed=7)
+    assert all(ok for ok, _ in defect_profile(s, t, 5))
+    z_inverse(s, t, 3, 2)
+    assert validations == passes == [1, 1]
 
 
 def test_z_inverse_first_order_is_power_of_t():
@@ -129,9 +166,9 @@ def test_z_inverse_jordan_matches_expansion():
 
 
 def test_z_inverse_metric_pair():
-    pair = gen_left_m_pair(4, 2, seed=3)
-    s3 = np.linalg.matrix_power(pair.s, 3)
-    z3 = z_inverse(pair.s, pair.t, 2, 3)
+    s, t = gen_left_m_pair(4, seed=3)
+    s3 = np.linalg.matrix_power(s, 3)
+    z3 = z_inverse(s, t, 2, 3)
     assert np.linalg.norm(z3 @ s3 - np.eye(4)) < 1e-9 * max(1.0, np.linalg.norm(s3))
 
 
