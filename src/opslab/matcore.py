@@ -239,10 +239,21 @@ def save_matrix(path, m: np.ndarray) -> None:
         fh.write(json.dumps(matrix_to_json_dict(m)))
 
 
-def load_matrix(path, name: str = "matrix") -> np.ndarray:
+def load_json(path, name: str):
+    """The JSON document in the file at ``path``.
+
+    A file that is not UTF-8 text or not JSON raises ``MatrixFormatError``
+    naming the operand ``name``; a file that cannot be opened or read
+    raises the ``OSError``.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            d = json.load(fh)
+            return json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise MatrixFormatError(f"{name}: not UTF-8 text ({exc})") from exc
         except json.JSONDecodeError as exc:
             raise MatrixFormatError(f"{name}: invalid JSON ({exc})") from exc
-    return matrix_from_json_dict(d, name=name)
+
+
+def load_matrix(path, name: str = "matrix") -> np.ndarray:
+    return matrix_from_json_dict(load_json(path, name), name=name)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -9,6 +10,9 @@ import pytest
 
 import opslab
 from opslab import (
+    cli,
+    entrywise_conjugation,
+    is_mc_isometric,
     matrix_from_json_dict,
     matrix_to_json_dict,
     metric,
@@ -147,6 +151,99 @@ def test_check_mc_isometry(tmp_path, capsys):
         capsys, "check", "mc-isometry", "--s", rot, "--conj", str(conj_path), "--m", "1"
     )
     assert code == 0
+
+
+def test_check_mc_isometry_takes_one_recursion_pass(tmp_path, capsys, monkeypatch):
+    s = np.eye(3, dtype=complex)
+    s_path = write_matrix(tmp_path / "s.json", s)
+    conj_path = tmp_path / "conj.json"
+    conj_path.write_text(json.dumps({"J": matrix_to_json_dict(np.eye(3, dtype=complex))}))
+    calls = []
+    defects = minv._defects  # the one pass of the defect recursion
+    monkeypatch.setattr(minv, "_defects", lambda *a: calls.append(1) or defects(*a))
+    argv = ["check", "mc-isometry", "--s", s_path, "--conj", str(conj_path), "--m", "3", "--json"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert len(calls) == 1
+    monkeypatch.undo()
+    # The report of one is_mc_isometric call per order, as two passes gave it.
+    c = entrywise_conjugation(3)
+    passed, residual = is_mc_isometric(s, c, 3)
+    expected = {
+        "command": "check mc-isometry",
+        "tolerances": {"abs_tol": 1e-10, "rel_tol": 1e-8},
+        "seed": None,
+        "verdicts": {"mc-isometry": {"pass": passed, "residual": residual}},
+        "artifacts": {"one_c_isometric": is_mc_isometric(s, c, 1)[0]},
+        "exit_code": 0,
+    }
+    assert out == json.dumps(expected, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("operand", ["--s", "--t", "--conj"])
+@pytest.mark.parametrize("unreadable", ["directory", "not-utf8"])
+def test_check_reports_an_unreadable_input_file(tmp_path, capsys, operand, unreadable):
+    bad = tmp_path / "bad.json"
+    if unreadable == "directory":
+        bad.mkdir()
+    else:
+        bad.write_bytes(b"\xff\xfe")
+    good = write_matrix(tmp_path / "eye.json", np.eye(2))
+    conj_path = tmp_path / "conj.json"
+    conj_path.write_text(json.dumps({"J": matrix_to_json_dict(np.eye(2, dtype=complex))}))
+    kind, operands = {
+        "--s": ("power-bounded", {"--s": good}),
+        "--t": ("left-m-inverse", {"--s": good, "--t": good, "--m": "1"}),
+        "--conj": ("mc-isometry", {"--s": good, "--conj": str(conj_path), "--m": "1"}),
+    }[operand]
+    operands[operand] = str(bad)
+    code, out, err = run(capsys, "check", kind, *[x for pair in operands.items() for x in pair])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    if unreadable == "not-utf8":
+        name = {"--s": "S", "--t": "T", "--conj": "conjugation file"}[operand]
+        assert err.startswith(f"error: {name}: not UTF-8 text")
+
+
+def test_main_reuses_one_parser(tmp_path, capsys, monkeypatch):
+    j3 = write_matrix(tmp_path / "j3.json", gen_jordan(3, 1.0))
+    s_path = write_matrix(tmp_path / "s.json", gen_left_m_pair(4, seed=3)[0])
+    sequence = [
+        ["check", "no-such-kind", "--s", j3],  # usage error
+        ["check", "m-isometry", "--s", j3, "--m", "3", "--json"],
+        ["solve", "canonical-inverse", "--s", s_path],  # m = 1 by default
+        ["check", "power-bounded", "--s", j3, "--json"],
+        ["check", "power-bounded", "--s", j3],  # text mode after --json
+    ]
+
+    def outcome(argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    fresh = []
+    for argv in sequence:
+        cli._parser.cache_clear()
+        fresh.append(outcome(argv))
+    assert fresh[0][0] == 2 and fresh[1][0] == 1 and fresh[2][0] == 0
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def recording_init(self, *args, **kwargs):
+        if kwargs.get("prog") == "opslab":
+            built.append(self)
+        init(self, *args, **kwargs)
+
+    cli._parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", recording_init)
+    assert [outcome(argv) for argv in sequence] == fresh
+    assert len(built) == 1
+    assert cli._parser().parse_args(["solve", "canonical-inverse", "--s", s_path]).m == 1
 
 
 def test_solve_invariant_metric_on_generated_instance(tmp_path, capsys):

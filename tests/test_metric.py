@@ -18,6 +18,7 @@ from opslab import (
     douglas_factor,
     extract_isometry,
     frobenius,
+    hyperbolic_orthogonal_example,
     invariant_metric,
     is_left_m_inverse,
     kernel_included,
@@ -137,15 +138,31 @@ def per_power_m1(t, horizon):
     return m1
 
 
+def conjugated(m, seed):
+    w = haar_unitary(m.shape[0], derive_rng(seed)) + 2.0 * np.eye(m.shape[0])
+    return w @ m @ np.linalg.inv(w)
+
+
+TRANSIENT = np.array([[0.5, 10.0], [0.0, 0.5]], dtype=complex)
+
+
 @pytest.mark.parametrize("horizon", [1, 63, 64, 65, 200])
 def test_m1_estimate_equals_the_per_power_norms(horizon):
-    schur_forms = [certify_power_bounded(gen_power_bounded(n, seed=n)).schur[0] for n in (2, 5, 8)]
-    schur_forms += [
-        certify_power_bounded(gen_jordan(k, lam)).schur[0]
-        for k, lam in [(2, 1.0), (3, np.exp(0.4j)), (4, 0.9), (3, 1.02)]
+    operators = [gen_power_bounded(n, seed=n) for n in (2, 5, 8)]
+    operators += [gen_jordan(k, lam) for k, lam in [(2, 1.0), (3, np.exp(0.4j)), (4, 0.9), (3, 1.02)]]
+    rng = derive_rng(11)
+    growing = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    operators += [
+        1.05 * growing / np.max(np.abs(np.linalg.eigvals(growing))),  # radius > 1
+        conjugated(gen_jordan(3, np.exp(0.7j)), seed=5),  # unimodular Jordan block
+        hyperbolic_orthogonal_example(1.0),
+        TRANSIENT,
+        1e-170 * TRANSIENT,  # Frobenius squares underflow
+        haar_unitary(6, derive_rng(12)),  # every power ties
+        np.array([[0.0, 2.0], [0.5, 0.0]]),  # S^2 = I: the odd powers share the max
     ]
-    for t in schur_forms:
-        report = certify_power_bounded(t, horizon=horizon)
+    for s in operators:
+        report = certify_power_bounded(s, horizon=horizon)
         assert report.m1_estimate == per_power_m1(report.schur[0], horizon)
 
 
@@ -157,22 +174,36 @@ def test_m1_estimate_overflows_to_inf_without_a_warning():
     assert certify_power_bounded(np.diag([1e300, 1.0]), horizon=3).m1_estimate == np.inf
 
 
-def test_m1_estimate_takes_one_batched_svd_per_chunk(monkeypatch):
+def svd_batches(monkeypatch, report):
+    """``report.m1_estimate`` and the number of matrices of each SVD it takes."""
     batches = []
     svd = np.linalg.svd
 
     def recording_svd(a, *args, **kwargs):
-        batches.append(np.shape(a))
+        batches.append(1 if np.ndim(a) == 2 else len(a))
         return svd(a, *args, **kwargs)
 
-    s = np.array([[1.0, 1.0], [0.0, np.exp(1e-3j)]])
-    report = certify_power_bounded(s, horizon=4000)
     monkeypatch.setattr(np.linalg, "svd", recording_svd)
     m1 = report.m1_estimate
-    assert batches == [(64, 2, 2)] * 62 + [(32, 2, 2)]
     monkeypatch.undo()
+    return m1, batches
+
+
+def test_m1_estimate_svds_only_the_powers_that_can_set_the_max(monkeypatch):
+    s = np.array([[1.0, 1.0], [0.0, np.exp(1e-3j)]])
+    report = certify_power_bounded(s, horizon=4000)
+    m1, batches = svd_batches(monkeypatch, report)
     assert m1 == pytest.approx(2000.0, abs=1e-3)
     assert m1 == per_power_m1(report.schur[0], 4000)
+    assert max(batches) <= 64
+    # e^n grows so fast that the SVD of the last power settles the max.
+    _, batches = svd_batches(monkeypatch, certify_power_bounded(hyperbolic_orthogonal_example(1.0)))
+    assert batches == [1]
+    # A decaying transient reaches its max in the first chunk; the later
+    # chunks of a horizon of ten chunks take no SVD.
+    _, first = svd_batches(monkeypatch, certify_power_bounded(TRANSIENT, horizon=64))
+    _, ten = svd_batches(monkeypatch, certify_power_bounded(TRANSIENT, horizon=640))
+    assert first and ten == first
 
 
 def test_certify_names_a_rounding_split_jordan_block():
