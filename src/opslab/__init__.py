@@ -59,7 +59,7 @@ from .minv import (
     defect_profile,
     is_left_m_inverse,
     kernel_included,
-    z_inverse,
+    z_inverses,
     z_norm_bound,
 )
 

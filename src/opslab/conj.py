@@ -57,7 +57,8 @@ class Conjugation:
         return self.j.shape[0]
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """Apply the conjugation to a vector (antilinear action)."""
+        """Apply the conjugation to a vector, or to each column of a matrix
+        (antilinear action)."""
         return self.j @ np.conj(np.asarray(x, dtype=complex))
 
     def to_json_dict(self) -> dict:

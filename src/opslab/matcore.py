@@ -113,11 +113,16 @@ def frobenius(m: np.ndarray) -> float:
 
 
 def operator_norm(m: np.ndarray) -> float:
-    """Spectral norm: the largest singular value of ``m``."""
+    """Spectral norm: the largest singular value of ``m`` (0 for empty blocks).
+
+    The leading value of one ``np.linalg.svd``, the same LAPACK call that
+    ``np.linalg.norm(m, 2)`` makes, without its axis handling; the result
+    is bit-equal.  It is the one spectral-norm route of the package.
+    """
     m = np.asarray(m, dtype=complex)
     if m.size == 0:
         return 0.0
-    return float(np.linalg.norm(m, 2))
+    return float(np.linalg.svd(m, compute_uv=False)[0])
 
 
 def psd_sqrt(h: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:

@@ -139,12 +139,16 @@ class PowerBoundReport:
         Since ``sigma_max(A) <= ||A||_F``, a power whose Frobenius norm F
         satisfies ``F * (1 + delta) <= m1``, the running max, cannot raise
         it, and its SVD is skipped.  Each chunk takes the Frobenius norms
-        of all its powers in one pass, then the SVD of its power of
-        largest F, then one batched SVD of the contiguous run of the chunk
-        that holds every other power still able to raise the max.  The run
-        is a view of the chunk, never a copy: a chunk whose powers all
-        survive is taken in place, and one whose powers all fall below the
-        max takes no SVD.
+        of all its powers in one pass.  A power whose squares overflow
+        (entries past about 1e154) has its F taken again, scaled by the
+        power of two that brings its largest real or imaginary part into
+        [0.5, 1) and scaled back after the square root; both scalings are
+        exact, so its bound stays finite and rigorous.  Then it takes the
+        SVD of its power of largest F, then one batched SVD of the
+        contiguous run of the chunk that holds every other power still
+        able to raise the max.  The run is a view of the chunk, never a
+        copy: a chunk whose powers all survive is taken in place, and one
+        whose powers all fall below the max takes no SVD.
 
         ``delta = _FRO_SLACK = 1e-10`` covers rounding, with unit roundoff
         ``u = 2^-53``.  A backward-stable SVD gives the sigma of a power
@@ -152,10 +156,11 @@ class PowerBoundReport:
         multiple of n.  The computed F sums ``2 n^2`` nonnegative rounded
         squares and takes a square root, so it is within ``(n^2 + 1) u``
         of the exact F relatively, as long as underflow does not enter:
-        no SVD is skipped while ``m1 < _FRO_FLOOR = 1e-150``.  The two
-        errors together stay below delta for n up to about 900, with a
-        margin above 10 at n = 256, so a skipped power has a computed sigma
-        of at most m1.  The result is bit-equal to the max of one SVD per
+        no SVD is skipped while ``m1 < _FRO_FLOOR = 1e-150``, and in a
+        scaled power only squares below ``2^-1000`` of the largest
+        underflow.  The two errors together stay below delta for n up to
+        about 900, with a margin above 10 at n = 256, so a skipped power
+        has a computed sigma of at most m1.  The result is bit-equal to the max of one SVD per
         power: a max is exact, and every sigma comes from the same
         per-matrix LAPACK call, batched or not.
         """
@@ -171,7 +176,13 @@ class PowerBoundReport:
                 if not np.isfinite(stack).all():
                     return np.inf
                 flat = stack.view(np.float64).reshape(len(stack), -1)
-                bound = np.sqrt(np.einsum("ij,ij->i", flat, flat)) * (1.0 + _FRO_SLACK)
+                fro = np.sqrt(np.einsum("ij,ij->i", flat, flat))
+                huge = np.flatnonzero(fro == np.inf)
+                if huge.size:
+                    _, exp = np.frexp(np.abs(flat[huge]).max(axis=1))
+                    scaled = np.ldexp(flat[huge], -exp[:, None])
+                    fro[huge] = np.ldexp(np.sqrt(np.einsum("ij,ij->i", scaled, scaled)), exp)
+                bound = fro * (1.0 + _FRO_SLACK)
                 top = int(np.argmax(bound))
                 if m1 >= _FRO_FLOOR and bound[top] <= m1:
                     continue

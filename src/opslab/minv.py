@@ -9,7 +9,8 @@ m-isometry, and with ``(C S C, S*)`` (m,C)-isometry.  One pass of the
 recursion ``P_k = T P_(k-1) S - P_(k-1)`` over a pair validated once gives
 ``defect`` its last matrix and ``defect_profile`` the verdict and residual
 at every order 1..m; ``is_left_m_inverse`` is the last of those.
-``z_inverse`` builds the explicit left inverses ``Z_n`` of ``S^n``.
+``z_inverses`` builds the explicit left inverses ``Z_1, ..., Z_N`` of
+the powers of S in one pass.
 ``ascent`` and ``kernel_included`` take linear maps on matrix space as
 their n^2 x n^2 matrices (such as ``np.kron(B.T, A) - I`` for
 ``X -> A X B - X``) and decide by numerical rank; they are the reference
@@ -40,7 +41,7 @@ __all__ = [
     "defect",
     "defect_profile",
     "is_left_m_inverse",
-    "z_inverse",
+    "z_inverses",
     "z_norm_bound",
     "ascent",
     "kernel_included",
@@ -109,14 +110,14 @@ def is_left_m_inverse(
     return defect_profile(s, t, m, tol)[-1]
 
 
-def z_inverse(
+def z_inverses(
     s: np.ndarray,
     t: np.ndarray,
     m: int,
-    n: int,
+    n_max: int,
     tol: ToleranceConfig = DEFAULT_TOL,
-) -> np.ndarray:
-    """Explicit left inverse of ``S^n`` built from the defect identity.
+) -> list[np.ndarray]:
+    """Explicit left inverses ``[Z_1, ..., Z_n_max]`` of the powers of S.
 
         Z_n = (-1)^(m+1) * sum_{j=1}^m (-1)^(m-j) C(m,j) T^(nj) S^(n(j-1))
 
@@ -124,20 +125,34 @@ def z_inverse(
     moved to the other side of ``Z_n S^n = I``, and would otherwise
     involve a negative power of S.  Requires the pair to be a left
     m-inverse within tolerance; raises ``AssumptionError`` otherwise.
+
+    One pass over a pair validated and profiled once: ``T^n`` and ``S^n``
+    advance by one product per n, and the terms ``T^(nj) S^(n(j-1))``
+    by two products per j.
     """
     s, t, m = _validated(s, t, m)
-    if n < 1:
-        raise ArgumentError(f"n must be >= 1, got {n}")
+    n_max = int(n_max)
+    if n_max < 1:
+        raise ArgumentError(f"n_max must be >= 1, got {n_max}")
     ok, residual = _profile(s, t, m, tol)[-1]
     if not ok:
         raise AssumptionError(
-            f"z_inverse requires a left {m}-inverse pair; defect residual {residual:.3e}"
+            f"z_inverses requires a left {m}-inverse pair; defect residual {residual:.3e}"
         )
-    out = np.zeros_like(s)
-    for j in range(1, m + 1):
-        term = np.linalg.matrix_power(t, n * j) @ np.linalg.matrix_power(s, n * (j - 1))
-        out += ((-1) ** (m - j)) * comb(m, j) * term
-    return ((-1) ** (m + 1)) * out
+    sign = (-1) ** (m + 1)
+    coefficients = [sign * (-1) ** (m - j) * comb(m, j) for j in range(1, m + 1)]
+    out = []
+    t_n, s_n = t, s
+    for n in range(1, n_max + 1):
+        if n > 1:
+            t_n, s_n = t_n @ t, s_n @ s
+        term = t_n
+        z = coefficients[0] * term
+        for c in coefficients[1:]:
+            term = t_n @ term @ s_n
+            z += c * term
+        out.append(z)
+    return out
 
 
 def z_norm_bound(m: int, m1: float) -> float:

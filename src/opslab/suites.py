@@ -175,8 +175,7 @@ def run_z_inverse_contract(
                     result.violations.append(f"{tag}: {label} is not power bounded")
                 m1 = max(m1, report.m1_estimate)
             bound = minv.z_norm_bound(m, m1) + 1e-6
-        for n_pow in range(1, 7):
-            z = minv.z_inverse(s, t, m, n_pow, tol)
+        for n_pow, z in enumerate(minv.z_inverses(s, t, m, 6, tol), start=1):
             s_pow = np.linalg.matrix_power(s, n_pow)
             res = frobenius(z @ s_pow - np.eye(n_dim))
             result.record("z_residual", res)
@@ -330,19 +329,17 @@ def run_isometry_rigidity(
 
 
 def _mc_defect_antilinear(s: np.ndarray, c: conj_mod.Conjugation, m: int) -> np.ndarray:
-    # Direct route: assemble each S*^j C S^j C columnwise, applying C as an
-    # antilinear map; serves as the oracle for the algebraic collapse.
+    # Direct route: apply each S*^j C S^j C to the identity's columns, C
+    # acting antilinearly on each column of the basis at once; serves as
+    # the oracle for the algebraic collapse.
     n = s.shape[0]
     out = np.zeros((n, n), dtype=complex)
     sa = adjoint(s)
+    basis = np.eye(n, dtype=complex)
     for j in range(m + 1):
         sj = np.linalg.matrix_power(s, j)
         saj = np.linalg.matrix_power(sa, j)
-        term = np.empty((n, n), dtype=complex)
-        for k in range(n):
-            e = np.zeros(n, dtype=complex)
-            e[k] = 1.0
-            term[:, k] = saj @ c.apply(sj @ c.apply(e))
+        term = saj @ c.apply(sj @ c.apply(basis))
         out += ((-1) ** (m - j)) * comb(m, j) * term
     return out
 

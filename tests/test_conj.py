@@ -89,16 +89,22 @@ def test_mc_defect_complex_orthogonal():
 
 
 def test_mc_defect_collapse_identity():
+    # The oracle applies C to all basis columns in one call.  On a complex
+    # S and a non-real J it must give the collapsed defect, and not the
+    # same sum with the linear J S J* in place of C S C.
     rng = np.random.default_rng(3)
     for trial in range(30):
         n = int(rng.integers(1, 7))
         m = int(rng.integers(1, 5))
         c = gen_conjugation(n, 200 + trial)
+        assert np.abs(c.j.imag).max() > 0.1
         s = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(n)
-        collapsed = defect(conjugate_operator(c, s), adjoint(s), m)
+        collapsed = mc_isometry_defect(s, c, m)
         direct = _mc_defect_antilinear(s, c, m)
+        linear = defect(c.j @ s @ adjoint(c.j), adjoint(s), m)
         scale = max(1.0, np.abs(collapsed).max())
         assert np.abs(collapsed - direct).max() < 1e-12 * scale
+        assert np.abs(linear - direct).max() > 1e-3 * scale
 
 
 def test_one_c_implies_higher_orders():

@@ -1,4 +1,6 @@
+import ast
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import opslab
 from opslab import (
     ArgumentError,
     AssumptionError,
@@ -59,6 +62,36 @@ def test_operator_norm_examples():
     # Largest singular value of the standard 2x2 Jordan block: sqrt of the
     # top eigenvalue (3 + sqrt 5)/2 of its Gram matrix, i.e. the golden ratio.
     assert_allclose(operator_norm(np.array([[1, 1], [0, 1]])), GOLDEN, rtol=1e-12)
+
+
+def test_operator_norm_is_bit_equal_to_the_numpy_2_norm():
+    rng = np.random.default_rng(17)
+    matrices = [random_complex(rng, n, n) for n in (1, 2, 5, 8, 32)]
+    matrices += [random_complex(rng, r, 6) for r in (1, 3, 6)]  # r x n, as douglas_factor takes
+    matrices += [random_complex(rng, 7, 2), rng.standard_normal((4, 4)), np.array([[-2.5]])]
+    matrices += [np.zeros((1, 1)), np.zeros((3, 3)), np.zeros((2, 5))]
+    for m in matrices:
+        assert operator_norm(m) == np.linalg.norm(m.astype(complex), 2)
+    assert operator_norm(np.zeros((0, 3))) == 0.0
+
+
+def _calls_the_numpy_2_norm(node):
+    """Whether the call node is ``np.linalg.norm(x, 2)`` or ``...norm(x, ord=2)``."""
+    func = node.func
+    if not (isinstance(func, ast.Attribute) and func.attr == "norm"):
+        return False
+    ords = node.args[1:2] + [k.value for k in node.keywords if k.arg == "ord"]
+    return any(isinstance(o, ast.Constant) and o.value == 2 for o in ords)
+
+
+def test_operator_norm_is_the_one_spectral_norm_route():
+    offenders = [
+        f"{path.name}:{node.lineno}"
+        for path in Path(opslab.__file__).parent.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and _calls_the_numpy_2_norm(node)
+    ]
+    assert offenders == []
 
 
 def spectral_radius(m):

@@ -17,7 +17,7 @@ from opslab import (
     kernel_included,
     null_space,
     operator_norm,
-    z_inverse,
+    z_inverses,
     z_norm_bound,
 )
 from opslab import minv
@@ -143,24 +143,48 @@ def test_defect_profile_validates_once_and_runs_the_recursion_once(monkeypatch):
     monkeypatch.setattr(minv, "_defects", lambda *a: passes.append(1) or defects(*a))
     s, t = gen_left_m_pair(3, seed=7)
     assert all(ok for ok, _ in defect_profile(s, t, 5))
-    z_inverse(s, t, 3, 2)
+    assert len(z_inverses(s, t, 3, 6)) == 6  # one pass for the whole family
     assert validations == passes == [1, 1]
+
+
+def z_expansion(s, t, m, n):
+    """``Z_n`` term by term from ``np.linalg.matrix_power``."""
+    return ((-1) ** (m + 1)) * sum(
+        ((-1) ** (m - j)) * comb(m, j)
+        * (np.linalg.matrix_power(t, n * j) @ np.linalg.matrix_power(s, n * (j - 1)))
+        for j in range(1, m + 1)
+    )
+
+
+def test_z_inverses_match_the_binomial_expansion():
+    # The one pass and matrix_power associate the products differently.
+    # On a non-normal pair the two roundings part by up to about
+    # ||S|| ||T|| ulps of the result (2.5e-14 of it at most, measured over
+    # 30 seeds per matrix size up to 8), so the 1e-12 relative gap is
+    # scaled by ||S|| ||T||, which is 1 on the unitaries.
+    pairs = [gen_left_m_pair(n, seed=n) for n in (1, 3, 5, 8)]
+    pairs += [(u, adjoint(u)) for u in (haar_unitary(n, derive_rng(n)) for n in (2, 4, 7))]
+    for s, t in pairs:
+        conditioning = operator_norm(s) * operator_norm(t)
+        for m in (1, 2, 3):
+            family = z_inverses(s, t, m, 6)
+            assert len(family) == 6
+            for n, z in enumerate(family, start=1):
+                expected = z_expansion(s, t, m, n)
+                scale = max(1.0, np.abs(expected).max()) * conditioning
+                assert np.abs(z - expected).max() <= 1e-12 * scale
 
 
 def test_z_inverse_first_order_is_power_of_t():
     u = haar_unitary(3, derive_rng(4))
-    for n in (1, 2, 3):
-        assert_allclose(
-            z_inverse(u, adjoint(u), 1, n),
-            np.linalg.matrix_power(adjoint(u), n),
-            atol=1e-13,
-        )
+    for n, z in enumerate(z_inverses(u, adjoint(u), 1, 3), start=1):
+        assert_allclose(z, np.linalg.matrix_power(adjoint(u), n), atol=1e-13)
 
 
 def test_z_inverse_jordan_matches_expansion():
     s, t = J2, adjoint(J2)
     expected = 3 * t - 3 * (t @ t) @ s + np.linalg.matrix_power(t, 3) @ (s @ s)
-    z1 = z_inverse(s, t, 3, 1)
+    z1 = z_inverses(s, t, 3, 1)[0]
     assert_allclose(z1, expected, atol=1e-13)
     assert_allclose(z1 @ s, np.eye(2), atol=1e-12)
 
@@ -168,20 +192,22 @@ def test_z_inverse_jordan_matches_expansion():
 def test_z_inverse_metric_pair():
     s, t = gen_left_m_pair(4, seed=3)
     s3 = np.linalg.matrix_power(s, 3)
-    z3 = z_inverse(s, t, 2, 3)
+    z3 = z_inverses(s, t, 2, 3)[2]
     assert np.linalg.norm(z3 @ s3 - np.eye(4)) < 1e-9 * max(1.0, np.linalg.norm(s3))
 
 
 def test_z_inverse_requires_defect_pair():
     with pytest.raises(AssumptionError):
-        z_inverse(J2, adjoint(J2), 2, 1)
+        z_inverses(J2, adjoint(J2), 2, 1)
+    with pytest.raises(ArgumentError):
+        z_inverses(J2, adjoint(J2), 3, 0)
 
 
 def test_z_norm_bound_values():
     assert z_norm_bound(1, 1.0) == 2.0
     assert z_norm_bound(3, 2.0) == 32.0
     u = haar_unitary(3, derive_rng(8))
-    assert operator_norm(z_inverse(u, adjoint(u), 1, 2)) <= z_norm_bound(1, 1.0)
+    assert operator_norm(z_inverses(u, adjoint(u), 1, 2)[1]) <= z_norm_bound(1, 1.0)
     with pytest.raises(ArgumentError):
         z_norm_bound(1, 0.0)
 
