@@ -36,8 +36,6 @@ from .matcore import (
     null_space,
     numerical_rank,
     operator_norm,
-    psd_sqrt,
-    save_matrix,
 )
 from .metric import (
     PFReport,

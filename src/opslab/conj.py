@@ -10,9 +10,9 @@ here to ordinary matrix algebra plus entrywise conjugation.  The defect
 collapses to the plain left-inverse defect of the pair ``(C S C, S*)``
 because ``C^2 = I``.  So ``mc_isometry_defect`` is ``minv.defect`` and the
 (m,C)-isometry decision ``is_mc_isometric`` is ``minv.is_left_m_inverse``
-on that pair, threshold included; a sweep that needs several orders reads
-one ``minv.defect_profile`` of it.  The direct antilinear evaluation is
-the oracle of ``suites.run_c_isometry_rigidity`` and the tests.
+on that pair, threshold included; a sweep reads several orders, and the
+last matrix, from one pass.  The direct antilinear evaluation is the
+oracle of ``suites.run_c_isometry_rigidity`` and the tests.
 """
 
 from __future__ import annotations

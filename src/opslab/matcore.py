@@ -3,9 +3,9 @@
 Every operator handled by this library is a dense square complex matrix
 stored as a ``numpy.ndarray`` with dtype ``complex128``.  This module
 supplies the numerical primitives the rest of the package is built on:
-adjoints, the spectral norm, positive-semidefinite square roots,
-numerical ranks and null spaces, and the tolerance model governing every
-approximate comparison.
+adjoints, the spectral norm, numerical ranks and null spaces, the JSON
+matrix schema, and the tolerance model governing every approximate
+comparison.
 
 Tolerance model
 ---------------
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentError, AssumptionError, MatrixFormatError
+from .errors import ArgumentError, MatrixFormatError
 
 __all__ = [
     "ToleranceConfig",
@@ -35,12 +35,10 @@ __all__ = [
     "adjoint",
     "frobenius",
     "operator_norm",
-    "psd_sqrt",
     "numerical_rank",
     "null_space",
     "matrix_to_json_dict",
     "matrix_from_json_dict",
-    "save_matrix",
     "load_matrix",
 ]
 
@@ -123,32 +121,6 @@ def operator_norm(m: np.ndarray) -> float:
     if m.size == 0:
         return 0.0
     return float(np.linalg.svd(m, compute_uv=False)[0])
-
-
-def psd_sqrt(h: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Hermitian PSD square root of a Hermitian PSD matrix.
-
-    Eigenvalues in ``[-abs_tol, 0]`` are clamped to zero; these arise from
-    Gram-type constructions rounded in floating point.  An eigenvalue
-    below ``-abs_tol`` or a non-Hermitian input raises.
-
-    Returns a Hermitian ``R`` with ``R @ R`` equal to ``h`` up to the
-    eigendecomposition's accuracy, commuting with ``h``.
-    """
-    h = as_matrix(h, square=True, name="psd_sqrt input")
-    herm_defect = frobenius(h - adjoint(h))
-    if herm_defect > tol.zero_threshold(frobenius(h)):
-        raise ArgumentError(
-            f"psd_sqrt requires a Hermitian matrix (defect {herm_defect:.3e})"
-        )
-    w, v = np.linalg.eigh(0.5 * (h + adjoint(h)))
-    if np.any(w < -tol.abs_tol):
-        raise AssumptionError(
-            f"psd_sqrt input has eigenvalue {w.min():.3e} below -abs_tol"
-        )
-    w = np.clip(w, 0.0, None)
-    root = (v * np.sqrt(w)) @ adjoint(v)
-    return 0.5 * (root + adjoint(root))
 
 
 def _svd_cutoff(s: np.ndarray, tol: ToleranceConfig, cutoff: float | None) -> float:
@@ -237,11 +209,6 @@ def matrix_from_json_dict(d: dict, name: str = "matrix") -> np.ndarray:
             raise MatrixFormatError(f"{name}: data[{i}] is not finite")
         out[i] = complex(re, im)
     return out.reshape(rows, cols)
-
-
-def save_matrix(path, m: np.ndarray) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(matrix_to_json_dict(m)))
 
 
 def load_json(path, name: str):

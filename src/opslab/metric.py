@@ -3,9 +3,9 @@
 The central objects are invariant metrics: Hermitian positive definite
 solutions X of ``S* X S = X``, built in O(n^3) from the Riesz spectral
 projectors of S on the Schur form of its certificate.  When one exists,
-``P = psd_sqrt(X)`` conjugates S to an isometry (``P S P^{-1}`` has
-orthonormal columns), and ``P^{-2} S* P^{2}`` is a power-bounded left
-m-inverse of S for every m.
+its square root P (with ``P^{-1}``, from one eigendecomposition of X)
+conjugates S to an isometry (``P S P^{-1}`` has orthonormal columns), and
+``P^{-2} S* P^{2}`` is a power-bounded left m-inverse of S for every m.
 Around that core this module provides:
 
 * a power-boundedness certificate based on the exact finite-dimensional
@@ -30,7 +30,8 @@ Kronecker reference of the ascent bound, the rigidity of power-bounded
 m-isometries) are the oracles of the sweeps in ``suites``.  A certificate
 (``invariant_metric``, ``extract_isometry``, ``canonical_left_m_inverse``,
 ``similar_to_unitary``) raises ``IdentityCheckError`` only when the
-residual it returns fails its own check.
+residual it returns fails its own check; the first two hold theirs in
+``_metric_eigh`` and ``_conjugate``, shared with ``similarity_certificate``.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ from .matcore import (
     matrix_to_json_dict,
     numerical_rank,
     operator_norm,
-    psd_sqrt,
     require_same_shape,
 )
 
@@ -304,14 +304,19 @@ def invariant_metric(
     ``1e-12 * max(1, ||S||)`` is split into its (distinct) eigenvalues, and
     Sylvester solves against the trailing part of T (``ztrsyl``) give
     ``T = V D V^{-1}`` with D block diagonal.  Then
-    ``X = Q V^{-*} blockdiag((V* V)_ii) V^{-1} Q*``, hermitized and normalized.
+    ``X = Q V^{-*} blockdiag((V* V)_ii) V^{-1} Q*``, hermitized; one ``eigh``
+    gives its norm and decides its positivity.
 
     Raises ``AssumptionError`` when S is not power bounded, has eigenvalues
     inside the unit disc (all: zero is the only fixed point; some: every
     fixed point is singular) or X is not positive definite at tolerance, and
     ``IdentityCheckError`` when ``||S* X S - X||_F > zero_threshold(||S||_F^2)``.
     """
-    s = as_matrix(s, square=True, name="S")
+    return _metric_eigh(as_matrix(s, square=True, name="S"), tol)[0]
+
+
+def _metric_eigh(s: np.ndarray, tol: ToleranceConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``invariant_metric`` of a validated S, with ``w, U`` of ``X = U diag(w) U*``."""
     n = s.shape[0]
     report = certify_power_bounded(s, tol=tol)
     if not report.bounded:
@@ -362,19 +367,20 @@ def invariant_metric(
     qw = q @ adjoint(w)
     x = qw @ gram @ adjoint(qw)
     x = 0.5 * (x + adjoint(x))
-    x = x / operator_norm(x)
-    lam_min = float(np.linalg.eigvalsh(x).min())
-    if lam_min <= tol.zero_threshold(1.0):
+    w, u = np.linalg.eigh(x)
+    norm = max(w[-1], -w[0])  # the spectral norm of a Hermitian matrix
+    x, w = x / norm, w / norm
+    if w[0] <= tol.zero_threshold(1.0):
         raise AssumptionError(
             f"invariant fixed point is not positive definite "
-            f"(smallest eigenvalue {lam_min:.3e}); S is not similar to an isometry"
+            f"(smallest eigenvalue {w[0]:.3e}); S is not similar to an isometry"
         )
     residual = frobenius(adjoint(s) @ x @ s - x)
     if residual > tol.zero_threshold(tol.scale_of(s) ** 2):
         raise IdentityCheckError(
             f"invariant metric has residual {residual:.3e}"
         )
-    return x
+    return x, w, u
 
 
 @dataclass(frozen=True)
@@ -384,8 +390,9 @@ class SimilarityCertificate:
     ``p`` is Hermitian positive definite, ``v = P S P^{-1}`` is the
     conjugated isometry, and the residuals record how well
     ``S* P^2 S = P^2``, ``V* V = I`` and ``P S = V P`` hold.  ``s`` is a
-    copy of S (not in repr, equality or JSON), so the certificate can stand
-    in for S; it also proves S power bounded: ``||S^n|| <= cond(P)``.
+    copy of S and ``p_inv`` is ``P^{-1}`` (neither in repr, equality or JSON),
+    so the certificate can stand in for S and no consumer inverts P; it
+    also proves S power bounded: ``||S^n|| <= cond(P)``.
     """
 
     p: np.ndarray
@@ -394,6 +401,7 @@ class SimilarityCertificate:
     residual_isometry: float
     residual_similarity: float
     s: np.ndarray = field(repr=False, compare=False)
+    p_inv: np.ndarray = field(repr=False, compare=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -413,25 +421,31 @@ def extract_isometry(
     """Conjugate S by a metric square root: ``V = P S P^{-1}``.
 
     Requires P Hermitian positive definite with ``S* P^2 S = P^2`` within
-    tolerance; V then satisfies ``V* V = I`` at the same accuracy amplified
-    by the conditioning of P.  Returns the certificate with the metric and
-    isometry residuals that were checked.
+    tolerance; one ``eigh`` of its Hermitian part decides positivity and
+    gives ``P^{-1}``.  V then satisfies ``V* V = I`` at the same accuracy
+    amplified by the conditioning of P.  Returns the certificate with the
+    metric and isometry residuals that were checked.
     """
     s = as_matrix(s, square=True, name="S")
     p = as_matrix(p, square=True, name="P")
     require_same_shape(s, p, "S and P")
     if frobenius(p - adjoint(p)) > tol.zero_threshold(frobenius(p)):
         raise ArgumentError("P must be Hermitian")
-    eigs = np.linalg.eigvalsh(0.5 * (p + adjoint(p)))
-    if eigs.min() <= tol.zero_threshold(1.0) * max(1.0, eigs.max()):
+    w, u = np.linalg.eigh(0.5 * (p + adjoint(p)))
+    if w[0] <= tol.zero_threshold(1.0) * max(1.0, w[-1]):
         raise ArgumentError("P must be positive definite")
+    return _conjugate(s, p, (u / w) @ adjoint(u), tol)
+
+
+def _conjugate(s: np.ndarray, p: np.ndarray, p_inv: np.ndarray, tol: ToleranceConfig) -> SimilarityCertificate:
+    """The certificate of ``V = P S P^{-1}`` for validated S and P, given ``p_inv = P^{-1}``."""
     p2 = p @ p
     metric_res = frobenius(adjoint(s) @ p2 @ s - p2)
     if metric_res > tol.zero_threshold(tol.scale_of(s) ** 2 * tol.scale_of(p2)):
         raise AssumptionError(
             f"P^2 is not an invariant metric for S (residual {metric_res:.3e})"
         )
-    v = p @ s @ np.linalg.inv(p)
+    v = p @ s @ p_inv
     iso_res = frobenius(adjoint(v) @ v - np.eye(s.shape[0]))
     if iso_res > tol.zero_threshold(tol.scale_of(v) ** 2):
         raise IdentityCheckError(
@@ -444,14 +458,24 @@ def extract_isometry(
         residual_isometry=iso_res,
         residual_similarity=frobenius(p @ s - v @ p),
         s=s.copy(),
+        p_inv=p_inv,
     )
 
 
 def similarity_certificate(
     s: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL
 ) -> SimilarityCertificate:
-    """Certify S by ``X = invariant_metric(S)``, ``P = psd_sqrt(X)``, ``V = P S P^{-1}``."""
-    return extract_isometry(s, psd_sqrt(invariant_metric(s, tol), tol), tol)
+    """Certify S by ``X = invariant_metric(S)``, ``P = X^(1/2)``, ``V = P S P^{-1}``.
+
+    The ``eigh`` ``X = U diag(w) U*`` of ``invariant_metric`` gives P and
+    ``P^{-1}`` as ``U diag(w^(+-1/2)) U*``, hermitized.
+    """
+    s = as_matrix(s, square=True, name="S")
+    _, w, u = _metric_eigh(s, tol)
+    root = np.sqrt(w)
+    p = (u * root) @ adjoint(u)
+    p_inv = (u / root) @ adjoint(u)
+    return _conjugate(s, 0.5 * (p + adjoint(p)), 0.5 * (p_inv + adjoint(p_inv)), tol)
 
 
 def canonical_left_m_inverse(
@@ -463,12 +487,13 @@ def canonical_left_m_inverse(
     ``S* P^2 S = P^2``.  That identity makes ``T^j S^j = I`` for every j,
     so the defect of (S, T) vanishes at every order, and
     ``T = P^{-1} V* P`` with V unitary gives ``||T^n|| <= cond(P)``: T is
-    power bounded.  T is verified to be a left m-inverse before
-    ``(T, residual)`` is returned, with ``residual`` the Frobenius norm of
-    the order-m defect that was checked.
+    power bounded.  T is formed as ``P^{-1} (P^{-1} S* P) P``, whose inner
+    factor is near the unitary V*, not through ``P^{-2}`` and ``P^2``.  T is
+    verified to be a left m-inverse before ``(T, residual)`` is returned,
+    with ``residual`` the Frobenius norm of the order-m defect that was
+    checked.
     """
-    p2 = cert.p @ cert.p
-    t = np.linalg.solve(p2, adjoint(cert.s) @ p2)
+    t = cert.p_inv @ (cert.p_inv @ adjoint(cert.s) @ cert.p) @ cert.p
     ok, residual = minv.is_left_m_inverse(cert.s, t, m, tol)
     if not ok:
         raise IdentityCheckError(
@@ -690,8 +715,8 @@ def similar_to_unitary(
     with ``G = cert.p`` and ``R`` the ``p`` of
     ``similarity_certificate(T*)``; each ``V* V = I`` is checked by
     ``extract_isometry``.  The two models are conjugate:
-    ``U1 = P U2 P^{-1}`` for ``P = G^{-1} R^{-1}``, which is verified
-    before returning ``(U1, U2, P, residual)``, with ``residual`` the
+    ``U1 = P U2 P^{-1}`` for ``P = G^{-1} R^{-1}`` and ``P^{-1} = R G``,
+    which is verified before returning ``(U1, U2, P, residual)``, with ``residual`` the
     spectral norm of ``U1 - P U2 P^{-1}`` that was checked.
     """
     t = as_matrix(t, square=True, name="T")
@@ -710,8 +735,8 @@ def similar_to_unitary(
             f"similar_to_unitary requires power bounded T; T* is not similar to an isometry ({exc})"
         ) from exc
     u1, u2 = cert.v, cert_t.v
-    p = np.linalg.inv(cert.p) @ np.linalg.inv(cert_t.p)
-    conj_res = operator_norm(u1 - p @ u2 @ np.linalg.inv(p))
+    p = cert.p_inv @ cert_t.p_inv
+    conj_res = operator_norm(u1 - p @ u2 @ (cert_t.p @ cert.p))
     if conj_res > 1e-7 * max(1.0, operator_norm(u1)):
         raise IdentityCheckError(
             f"unitary models are not conjugate through P (residual {conj_res:.3e})"

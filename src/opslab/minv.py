@@ -68,9 +68,10 @@ def _defects(s: np.ndarray, t: np.ndarray, m: int) -> Iterator[np.ndarray]:
         yield p
 
 
-def _profile(s: np.ndarray, t: np.ndarray, m: int, tol: ToleranceConfig) -> list[tuple[bool, float]]:
+def _profile(s: np.ndarray, t: np.ndarray, defects, tol: ToleranceConfig) -> list[tuple[bool, float]]:
+    """``(verdict, residual)`` of each matrix of ``defects``, of a validated pair."""
     threshold = tol.zero_threshold(tol.scale_of(s, t, np.eye(s.shape[0])))
-    return [(residual <= threshold, residual) for residual in map(frobenius, _defects(s, t, m))]
+    return [(residual <= threshold, residual) for residual in map(frobenius, defects)]
 
 
 def defect(s: np.ndarray, t: np.ndarray, m: int) -> np.ndarray:
@@ -96,7 +97,8 @@ def defect_profile(
     the one threshold of every order.  The first passing order of the
     profile is the minimal order at which T is a left inverse of S.
     """
-    return _profile(*_validated(s, t, m), tol)
+    s, t, m = _validated(s, t, m)
+    return _profile(s, t, _defects(s, t, m), tol)
 
 
 def is_left_m_inverse(
@@ -134,7 +136,7 @@ def z_inverses(
     n_max = int(n_max)
     if n_max < 1:
         raise ArgumentError(f"n_max must be >= 1, got {n_max}")
-    ok, residual = _profile(s, t, m, tol)[-1]
+    ok, residual = _profile(s, t, _defects(s, t, m), tol)[-1]
     if not ok:
         raise AssumptionError(
             f"z_inverses requires a left {m}-inverse pair; defect residual {residual:.3e}"

@@ -347,8 +347,9 @@ def _mc_defect_antilinear(s: np.ndarray, c: conj_mod.Conjugation, m: int) -> np.
 def run_c_isometry_rigidity(
     seed: int = 0, count: int = 500, dim_max: int = 8
 ) -> SuiteResult:
-    """Falsification sweep for the conjugation-twisted rigidity, on one
-    ``minv.defect_profile`` of ``(CSC, S*)`` per instance at an absolute 1e-8."""
+    """Falsification sweep for the conjugation-twisted rigidity at an absolute 1e-8.
+    One pass of the recursion of ``(CSC, S*)`` per instance gives the verdicts of
+    ``minv.defect_profile`` at orders 1..4 and the order-4 matrix of the oracle."""
     result = SuiteResult("c-isometry-rigidity")
     decision_tol = ToleranceConfig(abs_tol=1e-8, rel_tol=0.0)
     for i in range(count):
@@ -361,7 +362,9 @@ def run_c_isometry_rigidity(
         else:
             s, c = gen.gen_1c_isometry(n, sub_seed)
         tag = f"instance {i} (n={n})"
-        verdicts = minv.defect_profile(conj_mod.conjugate_operator(c, s), adjoint(s), 4, decision_tol)
+        csc, s_adj = conj_mod.conjugate_operator(c, s), adjoint(s)
+        defects = list(minv._defects(csc, s_adj, 4))
+        verdicts = minv._profile(csc, s_adj, defects, decision_tol)
         is_1c = verdicts[0][0]
         for m, (is_mc, residual) in enumerate(verdicts, start=1):
             if is_mc and not is_1c:
@@ -374,7 +377,7 @@ def run_c_isometry_rigidity(
                 )
         # Oracle for the collapsed evaluation, on the (4,C) defect.
         residual_4 = verdicts[-1][1]
-        collapsed = conj_mod.mc_isometry_defect(s, c, 4)
+        collapsed = defects[-1]
         direct = _mc_defect_antilinear(s, c, 4)
         gap = frobenius(collapsed - direct) / max(1.0, residual_4, frobenius(direct))
         result.record("antilinear_relative_gap", gap)

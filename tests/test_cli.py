@@ -18,8 +18,6 @@ from opslab import (
     metric,
     minv,
     operator_norm,
-    psd_sqrt,
-    save_matrix,
     suites,
 )
 from opslab.cli import main, parse_complex
@@ -33,7 +31,7 @@ def run(capsys, *argv):
 
 
 def write_matrix(path, m):
-    save_matrix(path, np.asarray(m, dtype=complex))
+    Path(path).write_text(json.dumps(matrix_to_json_dict(np.asarray(m, dtype=complex))))
     return str(path)
 
 
@@ -347,18 +345,19 @@ def test_solve_canonical_inverse_certifies_once(tmp_path, capsys, monkeypatch):
     )
     assert code == 0
     assert len(calls) == 1  # S; T = P^-1 V* P is power bounded by construction
-    # T is the canonical inverse P^-2 S* P^2 of the metric square root P.
-    p = psd_sqrt(metric.invariant_metric(s))
-    expected = np.linalg.solve(p @ p, s.conj().T @ (p @ p))
+    # T is the canonical inverse P^-1 (P^-1 S* P) P of the certificate's P and P^-1.
+    cert = metric.similarity_certificate(s)
+    expected = cert.p_inv @ (cert.p_inv @ s.conj().T @ cert.p) @ cert.p
     assert np.array_equal(matrix_from_json_dict(json.loads(out)["artifacts"]["T"]), expected)
 
 
 def test_solve_canonical_inverse_rejects_a_singular_p(tmp_path, capsys):
     s = write_matrix(tmp_path / "s.json", np.eye(3))
-    zero = write_matrix(tmp_path / "p.json", np.zeros((3, 3)))
-    code, _, err = run(capsys, "solve", "canonical-inverse", "--s", s, "--p", zero)
-    assert code == 2
-    assert err.strip() == "error: P must be positive definite"
+    for singular in (np.zeros((3, 3)), np.diag([2.0, 1.0, 0.0])):
+        p = write_matrix(tmp_path / "p.json", singular)
+        code, _, err = run(capsys, "solve", "canonical-inverse", "--s", s, "--p", p)
+        assert code == 2
+        assert err.strip() == "error: P must be positive definite"
 
 
 def test_solve_similarity_reports_the_solver_residual(tmp_path, capsys, monkeypatch):

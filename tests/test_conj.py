@@ -15,6 +15,8 @@ from opslab import (
     is_mc_isometric,
     make_conjugation,
     mc_isometry_defect,
+    minv,
+    suites,
 )
 from opslab.gen import gen_1c_isometry, gen_conjugation, gen_power_bounded
 from opslab.suites import _mc_defect_antilinear
@@ -170,3 +172,14 @@ def test_gen_conjugation_is_deterministic():
     a = gen_conjugation(4, 37)
     b = gen_conjugation(4, 37)
     assert np.array_equal(a.j, b.j)
+
+
+def test_c_isometry_rigidity_runs_the_recursion_once_per_instance(monkeypatch):
+    # Orders 1..4 and the order-4 matrix of the antilinear oracle come from
+    # one pass per instance; the three hyperbolic checks take one each.
+    calls = []
+    defects = minv._defects
+    monkeypatch.setattr(minv, "_defects", lambda *a: calls.append(1) or defects(*a))
+    result = suites.run_c_isometry_rigidity()
+    assert result.passed and result.instances == 503
+    assert len(calls) == 503

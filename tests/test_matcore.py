@@ -11,7 +11,6 @@ from numpy.testing import assert_allclose
 import opslab
 from opslab import (
     ArgumentError,
-    AssumptionError,
     MatrixFormatError,
     ToleranceConfig,
     adjoint,
@@ -20,7 +19,6 @@ from opslab import (
     matrix_from_json_dict,
     matrix_to_json_dict,
     operator_norm,
-    psd_sqrt,
 )
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
@@ -106,33 +104,6 @@ def test_spectral_radius_examples():
     assert spectral_radius(nil) < 1e-8
     with pytest.raises(ArgumentError):
         spectral_radius(np.ones((2, 3)))
-
-
-def test_psd_sqrt_examples():
-    assert_allclose(psd_sqrt(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]), atol=1e-12)
-    assert_allclose(psd_sqrt(np.eye(3)), np.eye(3), atol=1e-13)
-    h = np.array([[2.0, 1.0], [1.0, 2.0]])
-    a = (np.sqrt(3.0) + 1.0) / 2.0
-    b = (np.sqrt(3.0) - 1.0) / 2.0
-    assert_allclose(psd_sqrt(h), np.array([[a, b], [b, a]]), atol=1e-12)
-
-
-def test_psd_sqrt_rejections():
-    with pytest.raises(ArgumentError):
-        psd_sqrt(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    with pytest.raises(AssumptionError):
-        psd_sqrt(np.diag([1.0, -1.0]))
-
-
-def test_psd_sqrt_roundtrip_on_random_gram_matrices():
-    rng = np.random.default_rng(5)
-    for _ in range(200):
-        n = int(rng.integers(1, 9))
-        g = random_complex(rng, n, n)
-        h = g @ adjoint(g)
-        r = psd_sqrt(h)
-        assert_allclose(r @ r, h, atol=1e-10 * max(1.0, np.linalg.norm(h)))
-        assert np.linalg.norm(r @ h - h @ r) < 1e-10 * max(1.0, np.linalg.norm(h) ** 1.5)
 
 
 @settings(max_examples=60, deadline=None)

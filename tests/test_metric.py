@@ -9,7 +9,9 @@ from numpy.testing import assert_allclose
 
 from opslab import (
     DEFAULT_TOL,
+    ArgumentError,
     AssumptionError,
+    OpslabError,
     adjoint,
     ascent,
     ascent_bound_check,
@@ -377,6 +379,40 @@ def test_extract_isometry_recovers_unitary():
 def test_extract_isometry_rejects_non_metric():
     with pytest.raises(AssumptionError):
         extract_isometry(J2, np.eye(2, dtype=complex))
+
+
+def _conditioning_corpus(c, count):
+    """``S = P0^-1 V P0`` with V Haar, n = 2..8 and ``P0 = U diag(geomspace(1, 1/c, n)) U*``."""
+    rng = np.random.default_rng(11)
+    for _ in range(count):
+        n = int(rng.integers(2, 9))
+        v = haar_unitary(n, rng)
+        u = haar_unitary(n, rng)
+        p0 = u @ np.diag(np.geomspace(1, 1 / c, n)) @ adjoint(u)
+        yield np.linalg.solve(p0, v @ p0), p0
+
+
+@pytest.mark.parametrize("c", [10.0, 1e3])
+def test_extract_isometry_inverts_p_by_its_eigendecomposition(c):
+    # The eigh that decides positivity also gives P^-1; it agrees with an
+    # LU inverse within 1e-12 cond(P) relatively.
+    for s, p0 in _conditioning_corpus(c, 20):
+        p = 0.5 * (p0 + adjoint(p0))
+        cert = extract_isometry(s, p)
+        inv = np.linalg.inv(p)
+        assert operator_norm(cert.p_inv - inv) <= 1e-12 * np.linalg.cond(p) * operator_norm(inv)
+
+
+@pytest.mark.parametrize("lam_max", [0.5, 4.0])
+def test_extract_isometry_decides_positivity_at_the_threshold(lam_max):
+    # P is positive definite when its smallest eigenvalue exceeds
+    # zero_threshold(1) * max(1, lam_max).
+    edge = DEFAULT_TOL.zero_threshold(1.0) * max(1.0, lam_max)
+    eye = np.eye(2, dtype=complex)
+    cert = extract_isometry(eye, np.diag([lam_max, 1.01 * edge]))
+    assert_allclose(cert.p_inv, np.diag([1 / lam_max, 1 / (1.01 * edge)]), rtol=1e-14)
+    with pytest.raises(ArgumentError, match="P must be positive definite"):
+        extract_isometry(eye, np.diag([lam_max, 0.99 * edge]))
 
 
 def test_canonical_left_m_inverse():
@@ -820,7 +856,10 @@ def test_similar_to_unitary_generated_pair():
     u1, u2, p, residual = similar_to_unitary(cert, t, 2)
     assert u1 is cert.v
     scale = max(1.0, operator_norm(u1))
-    gap = operator_norm(u1 - p @ u2 @ np.linalg.inv(p))
+    # P = G^-1 R^-1 has the inverse R G, from the certificates of S and T*.
+    cert_t = similarity_certificate(adjoint(t))
+    assert np.array_equal(p, cert.p_inv @ cert_t.p_inv)
+    gap = operator_norm(u1 - p @ u2 @ (cert_t.p @ cert.p))
     assert gap <= 1e-7 * scale
     # The returned residual is the conjugacy gap the solver checked.
     assert residual == pytest.approx(gap, rel=1e-12, abs=1e-300)
@@ -849,12 +888,41 @@ def test_similar_to_unitary_rejects_non_pair():
 
 
 def test_similarity_roundtrip_builds_one_certificate_per_matrix(monkeypatch):
-    # One invariant metric for S and one for T* per instance.
-    calls = []
-    solve = metric.invariant_metric
-    monkeypatch.setattr(metric, "invariant_metric", lambda *a: calls.append(1) or solve(*a))
+    # One invariant metric and its eigendecomposition for S and one for T* per instance.
+    calls = _count_calls(monkeypatch, metric, "_metric_eigh")
     assert suites.run_similarity_roundtrip(count=5).passed
     assert len(calls) == 10
+
+
+def test_similarity_chain_takes_one_eigendecomposition_and_no_solve(monkeypatch):
+    s, t = gen_left_m_pair(5, seed=7)
+    owners = {"schur": scipy.linalg, "svd": np.linalg, "eigh": np.linalg,
+              "eigvalsh": np.linalg, "inv": np.linalg, "solve": np.linalg}
+    calls = {name: _count_calls(monkeypatch, owner, name) for name, owner in owners.items()}
+    cert = similarity_certificate(s)
+    counts = {name: len(c) for name, c in calls.items()}
+    assert counts == {"schur": 1, "svd": 1, "eigh": 1, "eigvalsh": 0, "inv": 0, "solve": 0}
+    canonical_left_m_inverse(cert, 2)
+    similar_to_unitary(cert, t, 2)
+    assert len(calls["inv"]) + len(calls["solve"]) == 0
+
+
+def test_a_certified_canonical_inverse_is_never_refused_as_a_pair():
+    # At cond(P0) = 2e3, T = P^-1 (P^-1 S* P) P passes its order-2 check
+    # and must then pass the order-1 check of similar_to_unitary too.
+    refused = []
+    for i, (s, _) in enumerate(_conditioning_corpus(2e3, 200)):
+        try:
+            cert = similarity_certificate(s)
+            t, _ = canonical_left_m_inverse(cert, 2)
+        except OpslabError:  # the order-2 check still refuses some draws at this conditioning
+            continue
+        try:
+            similar_to_unitary(cert, t, 1)
+        except AssumptionError as exc:
+            if "left 1-inverse pair" in str(exc):
+                refused.append(i)
+    assert refused == []
 
 
 def test_similarity_roundtrip_beyond_the_tier1_seed():
@@ -947,5 +1015,8 @@ def test_identity_check_error_is_raised_only_by_certificates():
                         and getattr(node.exc.func, "id", None) == "IdentityCheckError"
                     ):
                         raisers.add(func.name)
-    certificates = {"invariant_metric", "extract_isometry", "canonical_left_m_inverse", "similar_to_unitary"}
+    # invariant_metric and similarity_certificate check X in _metric_eigh, which
+    # also returns its eigendecomposition; extract_isometry and
+    # similarity_certificate check V in _conjugate, given P and P^-1.
+    certificates = {"_metric_eigh", "_conjugate", "canonical_left_m_inverse", "similar_to_unitary"}
     assert raisers == certificates
