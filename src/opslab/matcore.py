@@ -123,29 +123,22 @@ def operator_norm(m: np.ndarray) -> float:
     return float(np.linalg.svd(m, compute_uv=False)[0])
 
 
-def _svd_cutoff(s: np.ndarray, tol: ToleranceConfig, cutoff: float | None) -> float:
-    if cutoff is not None:
-        return float(cutoff)
-    return tol.zero_threshold(float(s[0]) if s.size else 0.0)
-
-
 def numerical_rank(
     m: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL, cutoff: float | None = None
 ) -> int:
-    """Number of singular values above the truncation threshold."""
+    """Number of singular values above ``cutoff``, by default ``zero_threshold(s_1)``."""
     m = as_matrix(m, name="numerical_rank input")
     s = np.linalg.svd(m, compute_uv=False)
-    return int(np.sum(s > _svd_cutoff(s, tol, cutoff)))
+    if cutoff is None:
+        cutoff = tol.zero_threshold(float(s[0]) if s.size else 0.0)
+    return int(np.sum(s > cutoff))
 
 
-def null_space(
-    m: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL, cutoff: float | None = None
-) -> np.ndarray:
-    """Orthonormal basis (columns) of the numerical right null space."""
+def null_space(m: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+    """Orthonormal basis (columns) of the numerical right null space, cut at ``zero_threshold(s_1)``."""
     m = as_matrix(m, name="null_space input")
     _, s, vh = np.linalg.svd(m)
-    c = _svd_cutoff(s, tol, cutoff)
-    rank = int(np.sum(s > c))
+    rank = int(np.sum(s > tol.zero_threshold(float(s[0]) if s.size else 0.0)))
     return adjoint(vh)[:, rank:]
 
 

@@ -17,16 +17,19 @@ Around that core this module provides:
   factor, range inclusion decided once by its residual, and the
   optimality value ``inf {lam : A A* <= lam B B*} = ||C||^2``;
 * the Putnam-Fuglede check for the elementary operator ``X -> A X V* - X``
-  against its adjoint-side companion, and the ``(inclusion, ascent)``
-  pairs of that map and of the derivation ``X -> A X - X V*``, both
-  decided exactly in O(n^3) on the n x n eigenspaces of ``A - nu I`` by
-  one helper, with no n^2 x n^2 map;
+  against its adjoint-side companion, accepted in O(n^3) on the
+  certificate's Schur form split into its vanishing and unimodular parts
+  and refuted by a witness on the n x n eigenspace of ``A - mu I`` at a
+  failing phase mu;
+* the ``(inclusion, ascent)`` pairs of that map and of the derivation
+  ``X -> A X - X V*``, decided on the same eigenspaces by one helper, one
+  n x n SVD per distinct phase of V, with no n^2 x n^2 map;
 * the simultaneous similarity of a power-bounded pair (S, T) with
   vanishing defect to a conjugate pair of unitaries.
 
 Each call decides its claim once.  The independent cross-checks of the
-paper's implications (the structural Putnam-Fuglede criterion, the
-Kronecker reference of the ascent bound, the rigidity of power-bounded
+paper's implications (the Kronecker reference of the Putnam-Fuglede
+inclusion and of the ascent bound, the rigidity of power-bounded
 m-isometries) are the oracles of the sweeps in ``suites``.  A certificate
 (``invariant_metric``, ``extract_isometry``, ``canonical_left_m_inverse``,
 ``similar_to_unitary``) raises ``IdentityCheckError`` only when the
@@ -551,7 +554,9 @@ def douglas_factor(
 class PFReport:
     """Outcome of the Putnam-Fuglede check for the elementary operator.
 
-    ``satisfies_pf`` is the kernel-inclusion verdict over isometries V,
+    ``satisfies_pf`` is the kernel-inclusion verdict over isometries V:
+    accepted when A splits orthogonally into a unitary and a part of
+    spectral radius below 1 on its certificate's Schur form, otherwise
     decided on the unimodular eigenspaces of A.  A counterexample
     ``(V, X)`` with ``A X V* = X`` but ``A* X V != X`` is attached whenever
     the verdict is negative.
@@ -619,19 +624,35 @@ def pf_property_check(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> PFRe
     ``x w*`` with ``A x = mu x`` and ``V w = mu w`` for a unimodular mu that
     A and V share, so the property holds for every isometry V exactly when
     ``ker(A - mu) <= ker(A* - conj(mu))`` at each unimodular eigenvalue mu
-    of A; the probe ``V = mu I`` reaches that whole eigenspace.  A is
-    certified once by ``certify_power_bounded`` (a matrix that is not power
-    bounded raises ``AssumptionError``), and for each distinct phase mu of
-    the diagonal of its report's Schur form at the unimodular clusters, the
-    image of the numerical null space E of ``A - mu I`` under ``mu A* - I``
-    must vanish below ``zero_threshold(||A - mu I||)``: the rank cutoff and
+    of A; the probe ``V = mu I`` reaches that whole eigenspace.  For a
+    power-bounded A this is the structural criterion: A is the orthogonal
+    sum of a unitary and a matrix of spectral radius below 1.
+
+    A is certified once by ``certify_power_bounded`` (a matrix that is not
+    power bounded raises ``AssumptionError``).  The property is accepted on
+    the report's Schur form ``A = Q T Q*``, reordered by one LAPACK
+    ``ztrsen`` (a copy; the report keeps its own) so that the positions
+    outside the unimodular clusters lead: ``T = [[C0, K], [0, C1]]``.  It
+    holds when ``||K||_F <= zero_threshold(||A||_F)`` and
+    ``||C1* C1 - I||_F <= zero_threshold(||A||_F^2)``, in O(n^3).
+
+    Otherwise each distinct phase mu of the diagonal of the report's Schur
+    form at the unimodular clusters is searched for a witness: the image of
+    the numerical null space E of ``A - mu I`` under ``mu A* - I`` must
+    vanish below ``zero_threshold(||A - mu I||)``, the rank cutoff and
     threshold of the vectorized maps at ``V = mu I``, whose singular values
     are those of ``A - mu I``, each repeated n times.  A failure is
     witnessed by ``(mu I, x x*)``, with x the unit vector of E that
-    ``mu A* - I`` stretches most (``x x*`` does not depend on the phase of x).
-    The structural criterion (A is the orthogonal sum of a unitary and a
-    matrix of spectral radius below 1) is the oracle of
-    ``suites.run_pf_ascent``.
+    ``mu A* - I`` stretches most (``x x*`` does not depend on the phase of
+    x); no witness at any phase means the property holds.  Every negative
+    verdict carries a witness.
+
+    The two tests differ only in a tolerance band.  With Q a unitary,
+    ``Q [[1, 0, 0], [0, 1, eps], [0, 0, 0.5]] Q*`` is accepted by the
+    split up to eps ~ 1.5e-8, where the witness search alone would fail it
+    from eps ~ 5.1e-9; ``Q [[1, 0, 0], [0, -1, eps], [0, 0, 0]] Q*`` is
+    rejected by the split from eps ~ 1.42e-8, but no phase witnesses a
+    failure before eps ~ 2.01e-8, so it holds up to there.
     """
     a = as_matrix(a, square=True, name="A")
     report = certify_power_bounded(a, tol=tol)
@@ -640,14 +661,25 @@ def pf_property_check(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> PFRe
         raise AssumptionError(
             f"pf_property_check requires a power bounded matrix ({reason}, eigenvalue {lam:.6g})"
         )
+    n = a.shape[0]
+    t = report.schur[0]
     unimodular = sorted(i for cluster in report.clusters for i in cluster)
-    counterexample = None
+    lead = np.ones(n, dtype=bool)
+    lead[unimodular] = False
+    k = n - len(unimodular)
+    if 0 < k < n and not lead[:k].all():
+        t = scipy.linalg.lapack.ztrsen(lead.astype(np.int32), t, report.schur[1], job="N", wantq=0)[0]
+    scale = frobenius(a)
+    if (
+        frobenius(t[:k, k:]) <= tol.zero_threshold(scale)
+        and frobenius(adjoint(t[k:, k:]) @ t[k:, k:] - np.eye(n - k)) <= tol.zero_threshold(scale**2)
+    ):
+        return PFReport(satisfies_pf=True)
     for mu in _phases(np.diag(report.schur[0])[unimodular]):
         _, [(_, x)] = _eigenspaces(a, [mu], tol)
         if x is not None:
-            counterexample = (mu * np.eye(a.shape[0], dtype=complex), np.outer(x, x.conj()))
-            break
-    return PFReport(satisfies_pf=counterexample is None, counterexample=counterexample)
+            return PFReport(False, (mu * np.eye(n, dtype=complex), np.outer(x, x.conj())))
+    return PFReport(satisfies_pf=True)
 
 
 def _index(b: np.ndarray, sv: np.ndarray, cutoff: float) -> int:

@@ -577,45 +577,11 @@ def test_douglas_perturbed_gate_corpus_raises_no_internal_error():
 # asymptotic splitting, Putnam-Fuglede, rigidity
 # ---------------------------------------------------------------------------
 
-def test_c0_c1_diagonal():
-    _, c0, coupling, c1 = suites._c0_c1_split(np.diag([1.0, 0.5]))
-    assert_allclose(c0, [[0.5]], atol=1e-12)
-    assert np.abs(c1[0, 0]) == pytest.approx(1.0, abs=1e-12)
-    assert np.linalg.norm(coupling) <= 1e-12
-
-
-def test_c0_c1_unitary():
-    u = haar_unitary(3, derive_rng(12))
-    _, c0, _, c1 = suites._c0_c1_split(u)
-    assert c0.shape == (0, 0)
-    assert c1.shape == (3, 3)
-    assert suites._pf_structural(u)
-
-
-def test_c0_c1_coupled():
-    w, c0, coupling, _ = suites._c0_c1_split(COUPLED)
-    assert_allclose(c0, [[0.5]], atol=1e-12)
-    assert np.linalg.norm(coupling) > 0.1
-    assert not suites._pf_structural(COUPLED)
-    # W is a unitary Schur basis: W* S W is upper triangular, and the
-    # coupling is its off-diagonal block.
-    t = adjoint(w) @ COUPLED @ w
-    assert np.linalg.norm(np.tril(t, -1)) < 1e-12
-    assert_allclose(t[:1, 1:], coupling, atol=1e-12)
-
-
-def test_c0_c1_requires_power_bounded():
-    for s in (J2, np.diag([2.0, 0.5])):
-        with pytest.raises(AssumptionError):
-            suites._c0_c1_split(s)
-
-
 def test_pf_unitary_and_contractive():
     u = haar_unitary(3, derive_rng(15))
     assert pf_property_check(u).satisfies_pf
     contraction = 0.6 * haar_unitary(3, derive_rng(16))
     assert pf_property_check(contraction).satisfies_pf
-    assert suites._pf_structural(contraction)
 
 
 def test_pf_coupled_fails_with_witness():
@@ -636,7 +602,6 @@ def test_pf_orthogonal_sum_in_rotated_basis():
     q = haar_unitary(4, rng)
     a = q @ a @ adjoint(q)
     assert pf_property_check(a).satisfies_pf
-    assert suites._pf_structural(a)
 
 
 def test_pf_similar_to_unitary_but_not_normal_fails():
@@ -737,6 +702,8 @@ def test_pf_requires_power_bounded():
 def test_pf_structural_oracle_agrees_beyond_the_gate_sizes():
     # The pf-ascent gate runs n <= 5; here orthogonal sums (unitary (+)
     # contraction, rotated) and coupled inputs (non-unitary W) at n = 8..32.
+    # The verdict, accepted on the split Schur form, must match the
+    # per-phase eigenspace inclusion at every unimodular phase of A.
     for n in (8, 16, 24, 32):
         verdicts = []
         for rep in range(3):
@@ -746,10 +713,66 @@ def test_pf_structural_oracle_agrees_beyond_the_gate_sizes():
             d = scipy.linalg.block_diag(haar_unitary(k, rng), g * (0.8 / np.abs(np.linalg.eigvals(g)).max()))
             q = haar_unitary(n, rng)
             for a in (q @ d @ adjoint(q), _coupled_power_bounded(n, rng)):
+                eigs = np.linalg.eigvals(a)
+                unimodular = eigs[np.abs(np.abs(eigs) - 1.0) < 1e-8]
+                oracle = all(ascent_bound_check(a, lam / abs(lam) * np.eye(n))[0][0] for lam in unimodular)
                 verdict = pf_property_check(a).satisfies_pf
-                assert suites._pf_structural(a) == verdict
+                assert oracle == verdict
                 verdicts.append(verdict)
         assert True in verdicts and False in verdicts
+
+
+def _pf_edge(diagonal, eps):
+    """``Q D Q*`` for ``D = diagonal`` with ``D[1, 2] = eps`` and a fixed Haar Q."""
+    q = haar_unitary(3, derive_rng(32))
+    d = np.diag(diagonal).astype(complex)
+    d[1, 2] = eps
+    return q @ d @ adjoint(q)
+
+
+def test_pf_split_accepts_the_band_below_its_threshold():
+    # On Q [[1, 0, 0], [0, 1, eps], [0, 0, 0.5]] Q* the per-phase search
+    # finds a witness from eps ~ 5.1e-9; the split accepts up to ~ 1.5e-8.
+    a = _pf_edge([1.0, 1.0, 0.5], 1e-8)
+    assert pf_property_check(a).satisfies_pf
+    assert not ascent_bound_check(a, np.eye(3))[0][0]  # the search alone would witness a failure
+    report = pf_property_check(_pf_edge([1.0, 1.0, 0.5], 3e-8))
+    assert not report.satisfies_pf and report.counterexample is not None
+
+
+def test_pf_split_rejection_is_refuted_only_by_a_witness():
+    # On Q [[1, 0, 0], [0, -1, eps], [0, 0, 0]] Q* the split rejects from
+    # eps ~ 1.42e-8, but no phase has a witness before eps ~ 2.01e-8.
+    b = _pf_edge([1.0, -1.0, 0.0], 1.7e-8)
+    assert pf_property_check(b).satisfies_pf
+    assert all(ascent_bound_check(b, mu * np.eye(3))[0][0] for mu in (1.0, -1.0))
+    b = _pf_edge([1.0, -1.0, 0.0], 3e-8)
+    report = pf_property_check(b)
+    assert not report.satisfies_pf
+    v, x = report.counterexample
+    assert_allclose(v, -np.eye(3), atol=1e-12)
+    assert frobenius(b @ x @ adjoint(v) - x) <= 1e-8
+
+
+def test_pf_accepts_a_unitary_on_its_certificate(monkeypatch):
+    # One Schur form and one SVD (the certificate's operator norm); the
+    # per-phase search would take an SVD at each of the 64 phases.
+    u = haar_unitary(64, derive_rng(0))
+    schur = _count_calls(monkeypatch, scipy.linalg, "schur")
+    svd = _count_calls(monkeypatch, np.linalg, "svd")
+    assert pf_property_check(u).satisfies_pf
+    assert (len(schur), len(svd)) == (1, 1)
+
+
+def test_only_the_certificate_takes_a_schur_form():
+    callers = set()
+    for path in Path(metric.__file__).parent.glob("*.py"):
+        for func in ast.walk(ast.parse(path.read_text())):
+            if isinstance(func, ast.FunctionDef):
+                for node in ast.walk(func):
+                    if isinstance(node, ast.Call) and ast.unparse(node.func) == "scipy.linalg.schur":
+                        callers.add(func.name)
+    assert callers == {"certify_power_bounded"}
 
 
 def test_ascent_bound_unitary_pair():
