@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from dataclasses import dataclass, field
 
@@ -29,6 +28,7 @@ from .errors import ArgumentError, AssumptionError, MatrixFormatError, OpslabErr
 from .matcore import (
     ToleranceConfig,
     adjoint,
+    dump_json,
     frobenius,
     load_json,
     load_matrix,
@@ -83,7 +83,7 @@ class Report:
 
     def print(self, as_json: bool) -> None:
         if as_json:
-            print(json.dumps(self.to_json_dict(), sort_keys=True))
+            print(dump_json(self.to_json_dict()))
             return
         print(f"command: {self.command}")
         if self.tolerances is not None:
@@ -100,7 +100,7 @@ class Report:
             elif isinstance(value, (int, float, bool)):
                 print(f"{name}: {value}")
             elif name == "metadata":
-                print(f"{name}: {json.dumps(value, sort_keys=True)}")
+                print(f"{name}: {dump_json(value)}")
         print(f"exit: {self.exit_code}")
 
 
@@ -291,7 +291,7 @@ def _cmd_generate(args) -> Report:
     report.artifacts["metadata"] = meta
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(payload))
+            fh.write(dump_json(payload))
         report.artifacts["out"] = str(args.out)
     else:
         report.artifacts["payload"] = payload
@@ -324,13 +324,24 @@ def _tol_dict(tol: ToleranceConfig) -> dict:
     return {"abs_tol": tol.abs_tol, "rel_tol": tol.rel_tol}
 
 
+def _int64(text: str) -> int:
+    """The type of every integer flag: reports echo flags, and ``dump_json`` takes 64-bit integers."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if not -(2**63) <= value < 2**63:
+        raise argparse.ArgumentTypeError(f"{text} is outside [-2**63, 2**63)")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="opslab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, seeded):  # check and solve draw no random numbers
         if seeded:
-            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--seed", type=_int64, default=0)
         p.add_argument("--json", action="store_true", help="machine-readable report")
 
     def tolerances(p):  # suites pin their own tolerances; generators use none
@@ -342,8 +353,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--s", help="matrix JSON file")
     p_check.add_argument("--t", help="matrix JSON file")
     p_check.add_argument("--conj", help="conjugation JSON file")
-    p_check.add_argument("--m", type=int)
-    p_check.add_argument("--horizon", type=int, default=64)
+    p_check.add_argument("--m", type=_int64)
+    p_check.add_argument("--horizon", type=_int64, default=64)
     common(p_check, seeded=False)
     tolerances(p_check)
 
@@ -354,26 +365,26 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--p")
     p_solve.add_argument("--a")
     p_solve.add_argument("--b")
-    p_solve.add_argument("--m", type=int, default=1)
+    p_solve.add_argument("--m", type=_int64, default=1)
     common(p_solve, seeded=False)
     tolerances(p_solve)
 
     p_gen = sub.add_parser("generate", help="write a seeded instance")
     p_gen.add_argument("generator", choices=GENERATORS)
-    p_gen.add_argument("--n", type=int)
-    p_gen.add_argument("--k", type=int)
-    p_gen.add_argument("--m", type=int)
+    p_gen.add_argument("--n", type=_int64)
+    p_gen.add_argument("--k", type=_int64)
+    p_gen.add_argument("--m", type=_int64)
     p_gen.add_argument("--lambda", dest="lam", help='complex literal "a+bi"')
     p_gen.add_argument("--hyperbolic", action="store_true")
     p_gen.add_argument("--t", type=float, default=1.0)
-    p_gen.add_argument("--count", type=int, default=1, help="instances per manifest")
+    p_gen.add_argument("--count", type=_int64, default=1, help="instances per manifest")
     p_gen.add_argument("--out")
     common(p_gen, seeded=True)
 
     p_suite = sub.add_parser("suite", help="run a verification sweep")
     p_suite.add_argument("name", choices=sorted(SUITES))
-    p_suite.add_argument("--count", type=int, default=200)
-    p_suite.add_argument("--dim-max", type=int, default=8)
+    p_suite.add_argument("--count", type=_int64, default=200)
+    p_suite.add_argument("--dim-max", type=_int64, default=8)
     common(p_suite, seeded=True)
     return parser
 

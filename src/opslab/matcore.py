@@ -4,8 +4,9 @@ Every operator handled by this library is a dense square complex matrix
 stored as a ``numpy.ndarray`` with dtype ``complex128``.  This module
 supplies the numerical primitives the rest of the package is built on:
 adjoints, the spectral norm, numerical ranks and null spaces, the JSON
-matrix schema, and the tolerance model governing every approximate
-comparison.
+matrix schema, the package's one JSON codec (``load_json`` and
+``dump_json``, both ``orjson``), and the tolerance model governing every
+approximate comparison.
 
 Tolerance model
 ---------------
@@ -20,11 +21,11 @@ operation that produced ``M``.  Rank decisions truncate singular values at
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
+import orjson
 
 from .errors import ArgumentError, MatrixFormatError
 
@@ -157,7 +158,7 @@ def matrix_to_json_dict(m: np.ndarray) -> dict:
 def matrix_from_json_dict(d: dict, name: str = "matrix") -> np.ndarray:
     """Parse the JSON schema, rejecting shape mismatches and non-finite entries.
 
-    ``data`` as ``json`` parses it is converted by one ``np.array`` call
+    ``data`` as ``load_json`` parses it is converted by one ``np.array`` call
     when that gives a ``(rows*cols, 2)`` array of booleans, integers or
     floats, all finite.  Anything else goes through the per-entry loop,
     the only place a ``MatrixFormatError`` is raised.
@@ -207,17 +208,31 @@ def matrix_from_json_dict(d: dict, name: str = "matrix") -> np.ndarray:
 def load_json(path, name: str):
     """The JSON document in the file at ``path``.
 
-    A file that is not UTF-8 text or not JSON raises ``MatrixFormatError``
-    naming the operand ``name``; a file that cannot be opened or read
-    raises the ``OSError``.
+    A file that is not UTF-8 text or not strict JSON raises
+    ``MatrixFormatError`` naming the operand ``name``; ``NaN``,
+    ``Infinity`` and number literals beyond the float range are not JSON.
+    A file that cannot be opened or read raises the ``OSError``.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except UnicodeDecodeError as exc:
-            raise MatrixFormatError(f"{name}: not UTF-8 text ({exc})") from exc
-        except json.JSONDecodeError as exc:
-            raise MatrixFormatError(f"{name}: invalid JSON ({exc})") from exc
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise MatrixFormatError(f"{name}: not UTF-8 text ({exc})") from exc
+    try:
+        return orjson.loads(text)
+    except orjson.JSONDecodeError as exc:
+        raise MatrixFormatError(f"{name}: invalid JSON ({exc})") from exc
+
+
+def dump_json(obj) -> str:
+    """``obj`` as one compact line of strict JSON with sorted keys.
+
+    Floats take their shortest round-trip form and non-finite floats
+    become ``null``; numpy scalars serialize as the Python numbers they
+    hold.  Integers must lie in ``[-2**63, 2**64)``.
+    """
+    return orjson.dumps(obj, option=orjson.OPT_SORT_KEYS | orjson.OPT_SERIALIZE_NUMPY).decode()
 
 
 def load_matrix(path, name: str = "matrix") -> np.ndarray:

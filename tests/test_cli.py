@@ -22,6 +22,7 @@ from opslab import (
 )
 from opslab.cli import main, parse_complex
 from opslab.gen import gen_jordan, gen_left_m_pair, gen_similar_isometry
+from opslab.matcore import dump_json
 
 
 def run(capsys, *argv):
@@ -175,7 +176,8 @@ def test_check_mc_isometry_takes_one_recursion_pass(tmp_path, capsys, monkeypatc
         "artifacts": {"one_c_isometric": is_mc_isometric(s, c, 1)[0]},
         "exit_code": 0,
     }
-    assert out == json.dumps(expected, sort_keys=True) + "\n"
+    assert out == dump_json(expected) + "\n"
+    assert '"tolerances":{"abs_tol":1e-10,"rel_tol":1e-8}' in out
 
 
 @pytest.mark.parametrize("operand", ["--s", "--t", "--conj"])
@@ -202,6 +204,38 @@ def test_check_reports_an_unreadable_input_file(tmp_path, capsys, operand, unrea
     if unreadable == "not-utf8":
         name = {"--s": "S", "--t": "T", "--conj": "conjugation file"}[operand]
         assert err.startswith(f"error: {name}: not UTF-8 text")
+
+
+@pytest.mark.parametrize("literal", ["NaN", "-Infinity", "Infinity", "1e400", "-1" + "0" * 400])
+def test_check_refuses_a_non_finite_literal_as_invalid_json(tmp_path, capsys, literal):
+    s_path = tmp_path / "s.json"
+    s_path.write_text(f'{{"rows": 1, "cols": 1, "data": [[{literal}, 0.0]]}}')
+    code, out, err = run(capsys, "check", "power-bounded", "--s", str(s_path), "--json")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: S: invalid JSON (") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "left-m-pair", "--n", "2", "--m", str(2**70)],
+        ["generate", "jordan", "--k", "2", "--lambda", "1", "--seed", str(2**63)],
+        ["suite", "thm24", "--count", "1", "--seed", str(-(2**63) - 1)],
+        ["check", "power-bounded", "--s", "s.json", "--horizon", str(2**64)],
+    ],
+)
+def test_integer_flags_beyond_64_bits_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv + ["--json"])
+    assert info.value.code == 2
+    assert "is outside [-2**63, 2**63)" in capsys.readouterr().err
+
+
+def test_generate_text_report_prints_the_metadata_as_compact_json(capsys):
+    code, out, _ = run(capsys, "generate", "jordan", "--k", "2", "--lambda", "1+0.5i")
+    assert code == 0
+    assert 'metadata: {"generator":"jordan","parameters":{"k":2,"lambda":[1.0,0.5]},"seed":0}\n' in out
 
 
 def test_main_reuses_one_parser(tmp_path, capsys, monkeypatch):
@@ -533,7 +567,7 @@ def test_entry_point_json_report_is_one_line(tmp_path):
     assert proc.stderr == ""
     assert proc.stdout.count("\n") == 1 and proc.stdout.endswith("\n")
     report = json.loads(proc.stdout)
-    assert proc.stdout == json.dumps(report, sort_keys=True) + "\n"
+    assert proc.stdout == dump_json(report) + "\n"
     assert report["exit_code"] == 1
     assert report["artifacts"]["report"]["witness"]["reason"] == "unimodular eigenvalue is not semisimple"
 
@@ -552,7 +586,8 @@ def test_entry_point_generate_out_writes_the_compact_payload(tmp_path):
         "P0": matrix_to_json_dict(p0),
         "U": matrix_to_json_dict(u),
     }
-    assert (tmp_path / "inst.json").read_bytes() == json.dumps(payload).encode()
+    assert (tmp_path / "inst.json").read_bytes() == dump_json(payload).encode()
+    assert (tmp_path / "inst.json").read_bytes().startswith(b'{"P0":{"cols":3,"data":[[')
 
 
 def test_suite_small_smoke(capsys):

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -16,10 +16,12 @@ from opslab import (
     adjoint,
     as_matrix,
     certify_power_bounded,
+    load_matrix,
     matrix_from_json_dict,
     matrix_to_json_dict,
     operator_norm,
 )
+from opslab.matcore import dump_json, load_json
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -221,3 +223,51 @@ def test_matrix_json_malformed_messages(data, message):
 def test_matrix_json_rejects_malformed(payload):
     with pytest.raises(MatrixFormatError):
         matrix_from_json_dict(payload)
+
+
+# The codec: ``dump_json`` writes and ``load_json`` reads every file and
+# report; the stdlib ``json`` module is the reference it is held to.
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_EXTREMES = [[-0.0, 0.0], [5e-324, -2.2250738585072014e-308], [1e300, -1e-300], [1.7976931348623157e308, 0.1]]
+
+
+@given(st.lists(st.tuples(_finite, _finite).map(list), min_size=1, max_size=12))
+@example(_EXTREMES)
+@settings(max_examples=200, deadline=None)
+def test_codec_round_trips_any_finite_matrix_bit_for_bit(tmp_path_factory, data):
+    m = np.array(data).view(np.complex128).reshape(1, len(data))
+    path = tmp_path_factory.getbasetemp() / "codec.json"
+    path.write_text(dump_json(matrix_to_json_dict(m)))
+    assert_same_bits(load_matrix(path), m)
+
+
+@given(st.lists(st.tuples(_scalars, _scalars).map(list), min_size=1, max_size=12))
+@example(_EXTREMES)
+@settings(max_examples=200, deadline=None)
+def test_codec_reads_a_stdlib_file_as_stdlib_json_does(tmp_path_factory, data):
+    text = json.dumps({"rows": 1, "cols": len(data), "data": data})  # how files were written so far
+    path = tmp_path_factory.getbasetemp() / "stdlib.json"
+    path.write_text(text)
+    parsed, reference = load_json(path, "S"), json.loads(text)
+    assert_same_bits(matrix_from_json_dict(parsed), matrix_from_json_dict(reference))
+    if all(type(x) is float for pair in data for x in pair):
+        assert parsed.keys() == reference.keys() and (parsed["rows"], parsed["cols"]) == (1, len(data))
+        assert np.array_equal(np.array(parsed["data"]).view(np.uint64), np.array(reference["data"]).view(np.uint64))
+
+
+def test_dump_json_is_one_compact_sorted_strict_line():
+    obj = {"b": [1e-8, -0.0, 0.1], "a": {"z": np.float64(2.5), "y": np.bool_(True)}, "c": float("inf")}
+    assert dump_json(obj) == '{"a":{"y":true,"z":2.5},"b":[1e-8,-0.0,0.1],"c":null}'
+    assert json.loads(dump_json(obj)) == {**obj, "c": None}
+
+
+def test_one_json_codec():
+    importers = [
+        f"{path.name}:{node.lineno}"
+        for path in Path(opslab.__file__).parent.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if (isinstance(node, ast.Import) and any(a.name.split(".")[0] == "json" for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "json")
+    ]
+    assert importers == []
