@@ -211,10 +211,6 @@ def _cmd_solve(args, tol: ToleranceConfig) -> Report:
     return report
 
 
-def _instance_seed(seed: int, index: int) -> int:
-    return (seed * 1_000_003 + index) % 2**63
-
-
 def _generate_one(args, seed: int) -> tuple[dict, dict]:
     """One generated instance: (payload, parameter metadata)."""
     if args.generator == "jordan":
@@ -277,8 +273,8 @@ def _cmd_generate(args) -> Report:
     else:  # corpus manifest: metadata plus an array of instances
         instances = []
         params = {}
-        for i in range(args.count):
-            one, params = _generate_one(args, _instance_seed(args.seed, i))
+        for i in range(args.count):  # instance i derives from derive_rng(seed, i), as in the sweeps
+            one, params = _generate_one(args, int(gen.derive_rng(args.seed, i).integers(0, 2**63)))
             instances.append(one)
         meta = {
             "generator": args.generator,
@@ -300,15 +296,15 @@ def _cmd_generate(args) -> Report:
 
 def _cmd_suite(args) -> Report:
     report = Report(command=f"suite {args.name}", tolerances=None, seed=args.seed)
-    if args.count < 1:
+    if args.count is not None and args.count < 1:
         raise ArgumentError("--count must be >= 1")
-    if args.dim_max < 2:
+    if args.dim_max is not None and args.dim_max < 2:
         raise ArgumentError("--dim-max must be >= 2")
+    # An omitted flag leaves each sweep at its own default, its gate size.
+    sizes = {"count": args.count, "dim_max": args.dim_max}
+    sizes = {key: value for key, value in sizes.items() if value is not None}
     for runner in SUITES[args.name]:
-        kwargs = {}
-        if runner is not suites.run_jordan_strictness:
-            kwargs = {"seed": args.seed, "count": args.count, "dim_max": args.dim_max}
-        result = runner(**kwargs)
+        result = runner() if runner is suites.run_jordan_strictness else runner(seed=args.seed, **sizes)
         report.add_verdict(result.name, result.passed)
         report.artifacts[result.name] = result.to_json_dict()
     return report
@@ -383,8 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_suite = sub.add_parser("suite", help="run a verification sweep")
     p_suite.add_argument("name", choices=sorted(SUITES))
-    p_suite.add_argument("--count", type=_int64, default=200)
-    p_suite.add_argument("--dim-max", type=_int64, default=8)
+    p_suite.add_argument("--count", type=_int64, help="default: each sweep's gate count")
+    p_suite.add_argument("--dim-max", type=_int64, help="default: each sweep's gate size")
     common(p_suite, seeded=True)
     return parser
 

@@ -60,8 +60,8 @@ class ToleranceConfig:
     rel_tol: float = 1e-8
 
     def __post_init__(self):
-        if self.abs_tol < 0 or self.rel_tol < 0:
-            raise ArgumentError("tolerances must be nonnegative")
+        if not (0 <= self.abs_tol < math.inf and 0 <= self.rel_tol < math.inf):  # refuses NaN
+            raise ArgumentError("tolerances must be finite and nonnegative")
 
     def zero_threshold(self, scale: float = 1.0) -> float:
         """Return the Frobenius-norm threshold below which a matrix is zero."""

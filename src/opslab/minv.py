@@ -166,31 +166,23 @@ def z_norm_bound(m: int, m1: float) -> float:
     return (2.0 ** m) * float(m1) ** 2
 
 
-def ascent(
-    rep: np.ndarray,
-    max_k: int | None = None,
-    tol: ToleranceConfig = DEFAULT_TOL,
-) -> int | None:
+def ascent(rep: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> int | None:
     """Least k with ker(L^k) = ker(L^(k+1)) for the square matrix ``rep`` of L.
 
     Ranks of successive powers all use the singular-value cutoff of the
     first power, keeping the kernel comparison consistent; the singular
-    values of the first power give both the cutoff and its rank.  The
-    default cap ``size + 1`` cannot be exceeded by a matrix whose kernels
-    stabilize; returns None if no stabilization is seen within the cap.
+    values of the first power give both the cutoff and its rank.  The cap
+    ``size + 1`` cannot be exceeded by a matrix whose kernels stabilize;
+    returns None if no stabilization is seen within the cap.
     """
     rep = as_matrix(rep, square=True, name="map matrix")
     size = rep.shape[0]
-    if max_k is None:
-        max_k = size + 1
-    if max_k < 1:
-        raise ArgumentError(f"max_k must be >= 1, got {max_k}")
     sv = np.linalg.svd(rep, compute_uv=False)
     cutoff = tol.zero_threshold(float(sv[0]))
     ranks = [size, int(np.sum(sv > cutoff))]  # ranks of L^0 = I and L
     power = rep
     while ranks[-1] != ranks[-2]:
-        if len(ranks) > max_k + 1:
+        if len(ranks) > size + 2:
             return None
         power = power @ rep
         ranks.append(numerical_rank(power, cutoff=cutoff))

@@ -2,7 +2,10 @@
 
 Each suite generates a deterministic corpus, runs one family of checks at
 pinned tolerances, and reports per-instance violations plus worst-case
-residual statistics.  The independent oracles that library calls do not
+residual statistics.  Instance i of a seeded sweep at seed S draws from
+``gen.derive_rng(S, i)``, its dimension first; ``_sweep`` tags it
+``instance i (n=...)`` and reports an ``OpslabError`` its check raises as
+its violation.  The independent oracles that library calls do not
 run for themselves live here: the Douglas pencil, the rigidity of power-bounded
 m-isometries, and the n^2 x n^2 Kronecker maps that the Putnam-Fuglede
 verdict and the ascent bound are held against.  The CLI exposes them
@@ -67,12 +70,37 @@ class SuiteResult:
         }
 
 
+def _instance(seed: int, i: int, n_min: int, dim_max: int) -> tuple[np.random.Generator, int]:
+    """Instance i of a seeded sweep: its generator and its dimension, the first draw."""
+    rng = gen.derive_rng(seed, i)
+    return rng, int(rng.integers(n_min, dim_max + 1))
+
+
+def _check_instance(result: SuiteResult, tag: str, check, *args) -> None:
+    """Count one instance; each message of ``check(*args)``, and an
+    ``OpslabError`` it raises, becomes a violation tagged ``tag``."""
+    try:
+        for message in check(*args):
+            result.violations.append(f"{tag}: {message}")
+    except OpslabError as exc:
+        result.violations.append(f"{tag}: {type(exc).__name__}: {exc}")
+    result.instances += 1
+
+
+def _sweep(result: SuiteResult, seed: int, count: int, n_min: int, dim_max: int, check) -> SuiteResult:
+    """Check instances 0..count-1 of ``seed``, n in [n_min, dim_max]:
+    ``check(rng, n, i)`` returns or yields the violations of instance i."""
+    for i in range(count):
+        rng, n = _instance(seed, i, n_min, dim_max)
+        _check_instance(result, f"instance {i} (n={n})", check, rng, n, i)
+    return result
+
+
 def run_defect_agreement(seed: int = 0, count: int = 200, dim_max: int = 6) -> SuiteResult:
     """Iterated defect evaluator versus the exact-binomial sum, 1e-12 relative."""
     result = SuiteResult("defect-agreement")
-    for i in range(count):
-        rng = gen.derive_rng(seed, i)
-        n = int(rng.integers(2, dim_max + 1))
+
+    def check(rng, n, i):
         m = int(rng.integers(1, 6))
         s = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(n)
         t = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(n)
@@ -86,9 +114,9 @@ def run_defect_agreement(seed: int = 0, count: int = 200, dim_max: int = 6) -> S
         rel = np.abs(direct - iterated).max() / scale
         result.record("max_relative_gap", rel)
         if rel > 1e-12:
-            result.violations.append(f"instance {i}: n={n} m={m} relative gap {rel:.3e}")
-        result.instances += 1
-    return result
+            yield f"m={m}: relative gap {rel:.3e}"
+
+    return _sweep(result, seed, count, 2, dim_max, check)
 
 
 def run_jordan_strictness(k_max: int = 4) -> SuiteResult:
@@ -119,39 +147,34 @@ def run_similarity_roundtrip(
     """Invariant metric, isometry extraction, canonical inverse, unitary models."""
     result = SuiteResult("similarity-roundtrip")
     tol = DEFAULT_TOL
-    for i in range(count):
-        rng = gen.derive_rng(seed, i)
-        n = int(rng.integers(1, dim_max + 1))
+
+    def check(rng, n, i):
         s, _, _ = gen.gen_similar_isometry(n, int(rng.integers(0, 2**63)))
-        tag = f"instance {i} (n={n})"
-        try:
-            cert = metric.similarity_certificate(s, tol)
-            res_metric = cert.residual_metric
-            result.record("metric_residual", res_metric)
-            if res_metric > 1e-8 * max(1.0, frobenius(s) ** 2):
-                result.violations.append(f"{tag}: metric residual {res_metric:.3e}")
-            res_iso = cert.residual_isometry
-            result.record("isometry_residual", res_iso)
-            if res_iso > 1e-8 * max(1.0, frobenius(cert.v) ** 2):
-                result.violations.append(f"{tag}: isometry residual {res_iso:.3e}")
-            res_sim = cert.residual_similarity
-            result.record("similarity_residual", res_sim)
-            if res_sim > 1e-8 * max(1.0, frobenius(cert.p) * frobenius(s)):
-                result.violations.append(f"{tag}: similarity residual {res_sim:.3e}")
+        cert = metric.similarity_certificate(s, tol)
+        res_metric = cert.residual_metric
+        result.record("metric_residual", res_metric)
+        if res_metric > 1e-8 * max(1.0, frobenius(s) ** 2):
+            yield f"metric residual {res_metric:.3e}"
+        res_iso = cert.residual_isometry
+        result.record("isometry_residual", res_iso)
+        if res_iso > 1e-8 * max(1.0, frobenius(cert.v) ** 2):
+            yield f"isometry residual {res_iso:.3e}"
+        res_sim = cert.residual_similarity
+        result.record("similarity_residual", res_sim)
+        if res_sim > 1e-8 * max(1.0, frobenius(cert.p) * frobenius(s)):
+            yield f"similarity residual {res_sim:.3e}"
 
-            t, _ = metric.canonical_left_m_inverse(cert, max(1, int(rng.integers(1, 4))), tol)
-            res_canon = frobenius(t @ s - np.eye(n))
-            result.record("canonical_residual", res_canon)
-            if res_canon > 1e-8 * max(1.0, frobenius(s) * frobenius(t)):
-                result.violations.append(f"{tag}: canonical residual {res_canon:.3e}")
+        t, _ = metric.canonical_left_m_inverse(cert, max(1, int(rng.integers(1, 4))), tol)
+        res_canon = frobenius(t @ s - np.eye(n))
+        result.record("canonical_residual", res_canon)
+        if res_canon > 1e-8 * max(1.0, frobenius(s) * frobenius(t)):
+            yield f"canonical residual {res_canon:.3e}"
 
-            # similar_to_unitary raises if this exceeds 1e-7 * max(1, ||U1||).
-            *_, res_u = metric.similar_to_unitary(cert, t, 1, tol)
-            result.record("unitary_model_residual", res_u)
-        except OpslabError as exc:
-            result.violations.append(f"{tag}: {type(exc).__name__}: {exc}")
-        result.instances += 1
-    return result
+        # similar_to_unitary raises if this exceeds 1e-7 * max(1, ||U1||).
+        *_, res_u = metric.similar_to_unitary(cert, t, 1, tol)
+        result.record("unitary_model_residual", res_u)
+
+    return _sweep(result, seed, count, 1, dim_max, check)
 
 
 def run_z_inverse_contract(
@@ -168,14 +191,14 @@ def run_z_inverse_contract(
     result = SuiteResult("z-inverse-contract")
     tol = DEFAULT_TOL
 
-    def check_pair(s, t, m, tag, power_bounded):
+    def check_pair(s, t, m, power_bounded):
         n_dim = s.shape[0]
         if power_bounded:
             m1 = 1.0
             for x, label in ((s, "S"), (t, "T")):
                 report = metric.certify_power_bounded(x, horizon=6 * m, tol=tol)
                 if not report.bounded:
-                    result.violations.append(f"{tag}: {label} is not power bounded")
+                    yield f"{label} is not power bounded"
                 m1 = max(m1, report.m1_estimate)
             bound = minv.z_norm_bound(m, m1) + 1e-6
         for n_pow, z in enumerate(minv.z_inverses(s, t, m, 6, tol), start=1):
@@ -183,33 +206,22 @@ def run_z_inverse_contract(
             res = frobenius(z @ s_pow - np.eye(n_dim))
             result.record("z_residual", res)
             if res > 1e-8 * max(1.0, frobenius(z) * frobenius(s_pow)):
-                result.violations.append(f"{tag}: Z_{n_pow} residual {res:.3e}")
+                yield f"Z_{n_pow} residual {res:.3e}"
             if power_bounded:
                 z_norm = operator_norm(z)
                 result.record("z_norm_margin", z_norm / bound)
                 if z_norm > bound:
-                    result.violations.append(
-                        f"{tag}: ||Z_{n_pow}|| = {z_norm:.3e} exceeds bound {bound:.3e}"
-                    )
+                    yield f"||Z_{n_pow}|| = {z_norm:.3e} exceeds bound {bound:.3e}"
 
-    for i in range(count):
-        rng = gen.derive_rng(seed, i)
-        n = int(rng.integers(1, dim_max + 1))
+    def check(rng, n, i):
         m = int(rng.integers(1, 4))
         s, t = gen.gen_left_m_pair(n, int(rng.integers(0, 2**63)))
-        try:
-            check_pair(s, t, m, f"pair {i} (n={n}, m={m})", True)
-        except OpslabError as exc:
-            result.violations.append(f"pair {i}: {type(exc).__name__}: {exc}")
-        result.instances += 1
+        return (f"m={m}: {message}" for message in check_pair(s, t, m, True))
 
+    _sweep(result, seed, count, 1, dim_max, check)
     for lam in (1.0, 1j, np.exp(0.7j)):
         j = gen.gen_jordan(2, lam)
-        try:
-            check_pair(j, adjoint(j), 3, f"jordan({lam})", False)
-        except OpslabError as exc:
-            result.violations.append(f"jordan({lam}): {type(exc).__name__}: {exc}")
-        result.instances += 1
+        _check_instance(result, f"jordan({lam})", check_pair, j, adjoint(j), 3, False)
     return result
 
 
@@ -230,11 +242,9 @@ def _pencil_top(a: np.ndarray, b: np.ndarray, tol: ToleranceConfig) -> float:
     return max(0.0, float(scipy.linalg.eigh(aa, bb, eigvals_only=True)[-1]))
 
 
-def _douglas_instance(seed: int, i: int, dim_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Instance i of the douglas sweep: ``(A, B, C0)`` with ``A = B C0``,
+def _douglas_instance(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The draws of a douglas instance: ``(A, B, C0)`` with ``A = B C0``,
     B rank deficient in about half of the instances."""
-    rng = gen.derive_rng(seed, i)
-    n = int(rng.integers(2, dim_max + 1))
     b = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(n)
     if rng.uniform() < 0.5:
         u, sv, vh = np.linalg.svd(b)
@@ -257,32 +267,29 @@ def run_douglas(seed: int = 0, count: int = 200, dim_max: int = 8) -> SuiteResul
     """
     result = SuiteResult("douglas")
     tol = DEFAULT_TOL
-    for i in range(count):
-        a, b, c0 = _douglas_instance(seed, i, dim_max)
-        tag = f"instance {i} (n={a.shape[0]})"
-        try:
-            c, mu2 = metric.douglas_factor(a, b, tol)
-            res = frobenius(b @ c - a)
-            result.record("factor_residual", res)
-            if res > 1e-8 * max(1.0, frobenius(a), frobenius(b)):
-                result.violations.append(f"{tag}: factor residual {res:.3e}")
-            gap = abs(mu2 - _pencil_top(a, b, tol))
-            result.record("mu_gap", gap)
-            if gap > 1e-6 * max(1.0, mu2):
-                result.violations.append(f"{tag}: |mu2 - pencil| = {gap:.3e}")
-            norm_c, norm_c0 = operator_norm(c), operator_norm(c0)
-            if norm_c > norm_c0 + tol.zero_threshold(norm_c0):
-                result.violations.append(f"{tag}: ‖C‖ = {norm_c:.6f} exceeds ‖C0‖ = {norm_c0:.6f}")
-            rank_a = numerical_rank(a, tol)
-            if not rank_a == numerical_rank(c, tol) == numerical_rank(np.vstack([a, c]), tol):
-                result.violations.append(f"{tag}: kernel of C does not match kernel of A")
-            ortho = frobenius(adjoint(null_space(b, tol)) @ c)
-            if ortho > tol.zero_threshold(tol.scale_of(a, b, c)):
-                result.violations.append(f"{tag}: C is not orthogonal to ker B (residual {ortho:.3e})")
-        except OpslabError as exc:
-            result.violations.append(f"{tag}: {type(exc).__name__}: {exc}")
-        result.instances += 1
-    return result
+
+    def check(rng, n, i):
+        a, b, c0 = _douglas_instance(rng, n)
+        c, mu2 = metric.douglas_factor(a, b, tol)
+        res = frobenius(b @ c - a)
+        result.record("factor_residual", res)
+        if res > 1e-8 * max(1.0, frobenius(a), frobenius(b)):
+            yield f"factor residual {res:.3e}"
+        gap = abs(mu2 - _pencil_top(a, b, tol))
+        result.record("mu_gap", gap)
+        if gap > 1e-6 * max(1.0, mu2):
+            yield f"|mu2 - pencil| = {gap:.3e}"
+        norm_c, norm_c0 = operator_norm(c), operator_norm(c0)
+        if norm_c > norm_c0 + tol.zero_threshold(norm_c0):
+            yield f"‖C‖ = {norm_c:.6f} exceeds ‖C0‖ = {norm_c0:.6f}"
+        rank_a = numerical_rank(a, tol)
+        if not rank_a == numerical_rank(c, tol) == numerical_rank(np.vstack([a, c]), tol):
+            yield "kernel of C does not match kernel of A"
+        ortho = frobenius(adjoint(null_space(b, tol)) @ c)
+        if ortho > tol.zero_threshold(tol.scale_of(a, b, c)):
+            yield f"C is not orthogonal to ker B (residual {ortho:.3e})"
+
+    return _sweep(result, seed, count, 2, dim_max, check)
 
 
 def _isometry_rigidity_violations(s: np.ndarray) -> list[str]:
@@ -320,15 +327,10 @@ def run_isometry_rigidity(
     seed: int = 0, count: int = 500, dim_max: int = 8
 ) -> SuiteResult:
     """Falsification sweep: no power-bounded strict m-isometry may appear."""
-    result = SuiteResult("isometry-rigidity")
-    for i in range(count):
-        rng = gen.derive_rng(seed, i)
-        n = int(rng.integers(2, dim_max + 1))
-        s = gen.gen_power_bounded(n, int(rng.integers(0, 2**63)))
-        tag = f"instance {i} (n={n})"
-        result.violations.extend(f"{tag}: {v}" for v in _isometry_rigidity_violations(s))
-        result.instances += 1
-    return result
+    def check(rng, n, i):
+        return _isometry_rigidity_violations(gen.gen_power_bounded(n, int(rng.integers(0, 2**63))))
+
+    return _sweep(SuiteResult("isometry-rigidity"), seed, count, 2, dim_max, check)
 
 
 def _mc_defect_antilinear(s: np.ndarray, c: conj_mod.Conjugation, m: int) -> np.ndarray:
@@ -355,29 +357,23 @@ def run_c_isometry_rigidity(
     ``minv.defect_profile`` at orders 1..4 and the order-4 matrix of the oracle."""
     result = SuiteResult("c-isometry-rigidity")
     decision_tol = ToleranceConfig(abs_tol=1e-8, rel_tol=0.0)
-    for i in range(count):
-        rng = gen.derive_rng(seed, i)
-        n = int(rng.integers(2, dim_max + 1))
+
+    def check(rng, n, i):
         sub_seed = int(rng.integers(0, 2**63))
         if i % 2 == 0:
             s = gen.gen_power_bounded(n, sub_seed)
             c = gen.gen_conjugation(n, sub_seed + 1)
         else:
             s, c = gen.gen_1c_isometry(n, sub_seed)
-        tag = f"instance {i} (n={n})"
         csc, s_adj = conj_mod.conjugate_operator(c, s), adjoint(s)
         defects = list(minv._defects(csc, s_adj, 4))
         verdicts = minv._profile(csc, s_adj, defects, decision_tol)
         is_1c = verdicts[0][0]
         for m, (is_mc, residual) in enumerate(verdicts, start=1):
             if is_mc and not is_1c:
-                result.violations.append(
-                    f"{tag}: ({m},C)-isometric but not (1,C)-isometric"
-                )
+                yield f"({m},C)-isometric but not (1,C)-isometric"
             if i % 2 == 1 and not is_mc:
-                result.violations.append(
-                    f"{tag}: orthogonal positive failed ({m},C) (residual {residual:.3e})"
-                )
+                yield f"orthogonal positive failed ({m},C) (residual {residual:.3e})"
         # Oracle for the collapsed evaluation, on the (4,C) defect.
         residual_4 = verdicts[-1][1]
         collapsed = defects[-1]
@@ -385,11 +381,9 @@ def run_c_isometry_rigidity(
         gap = frobenius(collapsed - direct) / max(1.0, residual_4, frobenius(direct))
         result.record("antilinear_relative_gap", gap)
         if gap > 1e-10:
-            result.violations.append(
-                f"{tag}: collapsed and antilinear (4,C) defects differ (relative {gap:.3e})"
-            )
-        result.instances += 1
+            yield f"collapsed and antilinear (4,C) defects differ (relative {gap:.3e})"
 
+    _sweep(result, seed, count, 2, dim_max, check)
     for t in (0.5, 1.0, 2.0):
         s, c = gen.gen_1c_isometry(2, 0, hyperbolic=True, t=t)
         tag = f"hyperbolic t={t}"
@@ -431,10 +425,8 @@ def run_pf_ascent(seed: int = 0, count: int = 50, dim_max: int = 5) -> SuiteResu
     have n^2 rows, so its cost grows as n^6.
     """
     result = SuiteResult("pf-ascent")
-    for i in range(count):
-        rng = gen.derive_rng(seed, i)
-        n = int(rng.integers(2, dim_max + 1))
-        tag = f"instance {i} (n={n})"
+
+    def check(rng, n, i):
         if i % 2 == 0:  # unitary (+) contraction, rotated by a Haar unitary
             k = int(rng.integers(1, n + 1))
             a = np.zeros((n, n), dtype=complex)
@@ -462,26 +454,23 @@ def run_pf_ascent(seed: int = 0, count: int = 50, dim_max: int = 5) -> SuiteResu
             )
             for included, asc in reference:
                 if included and (asc is None or asc > 1):
-                    result.violations.append(f"{tag}: oracle inclusion holds but ascent {asc} > 1")
+                    yield f"oracle inclusion holds but ascent {asc} > 1"
             pairs = metric.ascent_bound_check(a, v)
             if pairs != reference:
-                result.violations.append(f"{tag}: (inclusion, ascent) pairs {pairs}, oracle {reference}")
+                yield f"(inclusion, ascent) pairs {pairs}, oracle {reference}"
             all_included = all_included and pairs[0][0]
             result.record("max_ascent", float(pairs[0][1]))
 
-        try:
-            report = metric.pf_property_check(a)
-            if report.satisfies_pf != all_included:
-                result.violations.append(f"{tag}: verdict {report.satisfies_pf}, kernel inclusion {all_included}")
-            if not report.satisfies_pf and report.counterexample is None:
-                result.violations.append(f"{tag}: negative verdict without witness")
-            elif not report.satisfies_pf:
-                v, x = report.counterexample
-                forward = frobenius(a @ x @ adjoint(v) - x)
-                backward = frobenius(adjoint(a) @ x @ v - x)
-                if forward > 1e-8 or backward <= 1e-6:
-                    result.violations.append(f"{tag}: witness residuals {forward:.3e} and {backward:.3e}")
-        except OpslabError as exc:
-            result.violations.append(f"{tag}: {type(exc).__name__}: {exc}")
-        result.instances += 1
-    return result
+        report = metric.pf_property_check(a)
+        if report.satisfies_pf != all_included:
+            yield f"verdict {report.satisfies_pf}, kernel inclusion {all_included}"
+        if not report.satisfies_pf and report.counterexample is None:
+            yield "negative verdict without witness"
+        elif not report.satisfies_pf:
+            v, x = report.counterexample
+            forward = frobenius(a @ x @ adjoint(v) - x)
+            backward = frobenius(adjoint(a) @ x @ v - x)
+            if forward > 1e-8 or backward <= 1e-6:
+                yield f"witness residuals {forward:.3e} and {backward:.3e}"
+
+    return _sweep(result, seed, count, 2, dim_max, check)

@@ -12,6 +12,7 @@ import opslab
 from opslab import (
     cli,
     entrywise_conjugation,
+    gen,
     is_mc_isometric,
     matrix_from_json_dict,
     matrix_to_json_dict,
@@ -488,6 +489,18 @@ def test_generate_corpus_manifest(tmp_path, capsys):
     assert json.loads(out_file.read_text()) == payload
 
 
+def test_generate_manifest_seeds_instance_i_as_the_sweeps_do(capsys):
+    # Instance i of a manifest is the single instance at the first draw of derive_rng(seed, i).
+    argv = ["generate", "left-m-pair", "--n", "3", "--m", "2", "--json"]
+    _, out, _ = run(capsys, *argv, "--seed", "-5", "--count", "3")
+    instances = json.loads(out)["artifacts"]["payload"]["instances"]
+    for i, instance in enumerate(instances):
+        seed = int(gen.derive_rng(-5, i).integers(0, 2**63))
+        _, out, _ = run(capsys, *argv, "--seed", str(seed))
+        single = json.loads(out)["artifacts"]["payload"]
+        assert {key: single[key] for key in ("m", "S", "T")} == instance
+
+
 def test_generate_one_c_isometry_hyperbolic(tmp_path, capsys):
     out_file = tmp_path / "hyp.json"
     code, _, _ = run(
@@ -620,6 +633,25 @@ def test_suite_refuses_counts_and_sizes_out_of_range(capsys, name):
     assert all(entry["pass"] for entry in json.loads(out)["verdicts"].values())
 
 
+def test_suite_runs_each_sweep_at_its_own_defaults(capsys, monkeypatch):
+    # Without --count/--dim-max every sweep runs at its own defaults, the gate sizes.
+    calls = []
+
+    def spy(**kwargs):
+        calls.append(kwargs)
+        return suites.SuiteResult("spy")
+
+    monkeypatch.setitem(cli.SUITES, "douglas", (spy,))
+    for argv in ([], ["--seed", "3"], ["--count", "7"], ["--dim-max", "4", "--count", "2"]):
+        assert run(capsys, "suite", "douglas", *argv)[0] == 0
+    assert calls == [
+        {"seed": 0},
+        {"seed": 3},
+        {"seed": 0, "count": 7},
+        {"seed": 0, "count": 2, "dim_max": 4},
+    ]
+
+
 def test_suite_and_generate_take_no_tolerance_flags(capsys):
     # Suites and generators run at pinned tolerances; only check and solve
     # accept --abs-tol/--rel-tol.
@@ -634,6 +666,18 @@ def test_suite_and_generate_take_no_tolerance_flags(capsys):
     assert json.loads(out)["tolerances"] is None
     code, out, _ = run(capsys, "suite", "thm24", "--count", "1", "--dim-max", "2")
     assert "tolerances" not in out
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("flag", ["--abs-tol", "--rel-tol"])
+def test_non_finite_tolerances_are_usage_errors(tmp_path, capsys, flag, value):
+    # With a NaN tolerance the Jordan block J2(1) used to pass power-bounded
+    # and I2 to fail 1-isometry at residual 0.
+    j2 = write_matrix(tmp_path / "j2.json", gen_jordan(2, 1.0))
+    eye = write_matrix(tmp_path / "eye.json", np.eye(2))
+    for argv in (["power-bounded", "--s", j2], ["m-isometry", "--m", "1", "--s", eye]):
+        code, out, err = run(capsys, "check", *argv, f"{flag}={value}")
+        assert (code, out, err) == (2, "", "error: tolerances must be finite and nonnegative\n")
 
 
 def test_check_pf_property_reports_one_verdict(tmp_path, capsys):

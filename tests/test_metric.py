@@ -562,7 +562,7 @@ def test_douglas_perturbed_gate_corpus_raises_no_internal_error():
     outcomes = {"factored": 0, "refused": 0}
     for seed in range(10):
         for i in range(200):
-            a, b, _ = suites._douglas_instance(seed, i, 8)
+            a, b, _ = suites._douglas_instance(*suites._instance(seed, i, 2, 8))
             rng = np.random.default_rng([seed, i, 7])
             a = a + rng.standard_normal(a.shape) * 10.0 ** rng.uniform(-12, -6)
             try:
@@ -999,8 +999,7 @@ def test_verify_prop_isometric_requires_power_bounded():
 
 def _rigidity_instance(seed, i, dim_max=8):
     """Instance i of ``suites.run_isometry_rigidity`` at ``seed``."""
-    rng = derive_rng(seed, i)
-    n = int(rng.integers(2, dim_max + 1))
+    rng, n = suites._instance(seed, i, 2, dim_max)
     return gen_power_bounded(n, int(rng.integers(0, 2**63)))
 
 

@@ -286,13 +286,6 @@ def test_ascent_examples():
     assert ascent(_derivation(j, j)) == 3
 
 
-def test_ascent_respects_cap():
-    j = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-    assert ascent(_derivation(j, j), max_k=2) is None
-    with pytest.raises(ArgumentError):
-        ascent(_derivation(j, j), max_k=0)
-
-
 def test_normal_pair_elementary_ascent_at_most_one():
     rng = np.random.default_rng(21)
     for trial in range(100):

@@ -1,0 +1,66 @@
+import ast
+import re
+from pathlib import Path
+
+import pytest
+
+from opslab import conj, gen, metric, minv, suites
+from opslab.errors import AssumptionError
+
+# (sweep, its dimension cap, the library call that raises on one instance,
+# the unseeded instances the sweep adds after its seeded ones)
+SEEDED_SWEEPS = [
+    (suites.run_defect_agreement, 4, (minv, "defect"), 0),
+    (suites.run_similarity_roundtrip, 4, (metric, "similarity_certificate"), 0),
+    (suites.run_z_inverse_contract, 4, (minv, "z_inverses"), 3),
+    (suites.run_douglas, 4, (metric, "douglas_factor"), 0),
+    (suites.run_isometry_rigidity, 4, (metric, "certify_power_bounded"), 0),
+    (suites.run_c_isometry_rigidity, 4, (conj, "conjugate_operator"), 3),
+    (suites.run_pf_ascent, 3, (metric, "ascent_bound_check"), 0),
+]
+
+
+@pytest.mark.parametrize(
+    "sweep, dim_max, target, unseeded", SEEDED_SWEEPS, ids=[s[0].__name__ for s in SEEDED_SWEEPS]
+)
+def test_a_raising_instance_is_that_instance_violation(monkeypatch, sweep, dim_max, target, unseeded):
+    # Instance k is the one whose generator derive_rng(seed, k) was drawn last.
+    count, k = 6, 3
+    current = {}
+    derive_rng = gen.derive_rng
+
+    def tracking_derive_rng(seed, *index):
+        if index:
+            current["i"] = index[0]
+        return derive_rng(seed, *index)
+
+    owner, name = target
+    original = getattr(owner, name)
+
+    def failing(*args, **kwargs):
+        if current.get("i") == k:
+            raise AssumptionError("injected")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(gen, "derive_rng", tracking_derive_rng)
+    monkeypatch.setattr(owner, name, failing)
+    result = sweep(seed=0, count=count, dim_max=dim_max)
+    assert len(result.violations) == 1
+    assert re.fullmatch(rf"instance {k} \(n=\d+\): AssumptionError: injected", result.violations[0])
+    assert result.instances == count + unseeded
+
+
+def test_only_the_sweep_and_generate_derive_an_instance_rng():
+    # Instance i of seed S is gen.derive_rng(S, i) in exactly these two places.
+    callers = set()
+    for path in Path(suites.__file__).parent.glob("*.py"):
+        for func in ast.walk(ast.parse(path.read_text())):
+            if isinstance(func, ast.FunctionDef):
+                for node in ast.walk(func):
+                    if (
+                        isinstance(node, ast.Call)
+                        and ast.unparse(node.func) in ("derive_rng", "gen.derive_rng")
+                        and len(node.args) + len(node.keywords) > 1
+                    ):
+                        callers.add(func.name)
+    assert callers == {"_instance", "_cmd_generate"}
