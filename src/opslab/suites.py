@@ -1,28 +1,34 @@
 """Seeded verification sweeps.
 
 Each suite generates a deterministic corpus, runs one family of checks at
-pinned tolerances, and reports per-instance violations plus worst-case
+pinned bounds, and reports per-instance violations plus worst-case
 residual statistics.  Instance i of a seeded sweep at seed S draws from
 ``gen.derive_rng(S, i)``, its dimension first; ``_sweep`` tags it
 ``instance i (n=...)`` and reports an ``OpslabError`` its check raises as
 its violation.  The independent oracles that library calls do not
 run for themselves live here: the Douglas pencil, the rigidity of power-bounded
 m-isometries, and the n^2 x n^2 Kronecker maps that the Putnam-Fuglede
-verdict and the ascent bound are held against.  The CLI exposes them
-under ``opslab suite``; the acceptance tests call them directly.
+verdict and the ascent bound are held against.
+
+``GATES`` is the table of acceptance gates: one row per sweep, with the
+paper claim it checks, which ``opslab suite`` groups it under.  A gate's
+size is its sweep's defaults, and its pinned bounds are its entry in
+``BOUNDS``, which the sweep reads and its report states.  The CLI and the
+acceptance tests read the table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import comb
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.linalg
 
 from . import conj as conj_mod
 from . import gen, metric, minv
-from .errors import OpslabError
+from .errors import ArgumentError, OpslabError
 from .matcore import (
     DEFAULT_TOL,
     ToleranceConfig,
@@ -34,6 +40,9 @@ from .matcore import (
 )
 
 __all__ = [
+    "BOUNDS",
+    "GATES",
+    "Gate",
     "SuiteResult",
     "run_defect_agreement",
     "run_jordan_strictness",
@@ -44,6 +53,22 @@ __all__ = [
     "run_c_isometry_rigidity",
     "run_pf_ascent",
 ]
+
+
+_RESIDUAL_REL = 1e-8  # times the residual's own scale
+_DECISION_ABS_TOL = 1e-8  # absolute: a defect residual at most this vanishes
+
+# Each gate's pinned bounds, each a literal only here; its sweep reads them from here.
+BOUNDS = {
+    "defect-agreement": {"relative_gap": 1e-12},
+    "jordan-strictness": {"decision_abs_tol": _DECISION_ABS_TOL},
+    "similarity-roundtrip": {"residual_rel": _RESIDUAL_REL},
+    "z-inverse-contract": {"residual_rel": _RESIDUAL_REL, "z_norm_slack": 1e-6},
+    "douglas": {"residual_rel": _RESIDUAL_REL, "mu_gap_rel": 1e-6},
+    "isometry-rigidity": {"decision_abs_tol": _DECISION_ABS_TOL, "isometry_gap": 1e-6},
+    "c-isometry-rigidity": {"decision_abs_tol": _DECISION_ABS_TOL, "antilinear_relative_gap": 1e-10},
+    "pf-ascent": {"witness_forward": 1e-8, "witness_backward": 1e-6},
+}
 
 
 @dataclass
@@ -67,6 +92,7 @@ class SuiteResult:
             "passed": self.passed,
             "violations": self.violations,
             "stats": self.stats,
+            "bounds": dict(BOUNDS.get(self.name, {})),
         }
 
 
@@ -87,9 +113,16 @@ def _check_instance(result: SuiteResult, tag: str, check, *args) -> None:
     result.instances += 1
 
 
+def _require(gate: str, parameter: str, value: int, least: int) -> None:
+    if value < least:
+        raise ArgumentError(f"{gate}: {parameter} must be >= {least}")
+
+
 def _sweep(result: SuiteResult, seed: int, count: int, n_min: int, dim_max: int, check) -> SuiteResult:
     """Check instances 0..count-1 of ``seed``, n in [n_min, dim_max]:
     ``check(rng, n, i)`` returns or yields the violations of instance i."""
+    _require(result.name, "count", count, 1)
+    _require(result.name, "dim_max", dim_max, n_min)
     for i in range(count):
         rng, n = _instance(seed, i, n_min, dim_max)
         _check_instance(result, f"instance {i} (n={n})", check, rng, n, i)
@@ -97,8 +130,9 @@ def _sweep(result: SuiteResult, seed: int, count: int, n_min: int, dim_max: int,
 
 
 def run_defect_agreement(seed: int = 0, count: int = 200, dim_max: int = 6) -> SuiteResult:
-    """Iterated defect evaluator versus the exact-binomial sum, 1e-12 relative."""
+    """Iterated defect evaluator versus the exact-binomial sum, entrywise relative."""
     result = SuiteResult("defect-agreement")
+    bound = BOUNDS[result.name]["relative_gap"]
 
     def check(rng, n, i):
         m = int(rng.integers(1, 6))
@@ -113,7 +147,7 @@ def run_defect_agreement(seed: int = 0, count: int = 200, dim_max: int = 6) -> S
         scale = max(1.0, np.abs(direct).max(), np.abs(iterated).max())
         rel = np.abs(direct - iterated).max() / scale
         result.record("max_relative_gap", rel)
-        if rel > 1e-12:
+        if rel > bound:
             yield f"m={m}: relative gap {rel:.3e}"
 
     return _sweep(result, seed, count, 2, dim_max, check)
@@ -121,8 +155,9 @@ def run_defect_agreement(seed: int = 0, count: int = 200, dim_max: int = 6) -> S
 
 def run_jordan_strictness(k_max: int = 4) -> SuiteResult:
     """Jordan blocks on the circle: defect order 2k-1, unbounded for k >= 2."""
-    decision_tol = ToleranceConfig(abs_tol=1e-8, rel_tol=0.0)
     result = SuiteResult("jordan-strictness")
+    _require(result.name, "k_max", k_max, 1)
+    decision_tol = ToleranceConfig(abs_tol=BOUNDS[result.name]["decision_abs_tol"], rel_tol=0.0)
     for k in range(1, k_max + 1):
         for lam in (1.0, -1.0, 1j, np.exp(0.7j)):
             j = gen.gen_jordan(k, lam)
@@ -147,27 +182,28 @@ def run_similarity_roundtrip(
     """Invariant metric, isometry extraction, canonical inverse, unitary models."""
     result = SuiteResult("similarity-roundtrip")
     tol = DEFAULT_TOL
+    rel = BOUNDS[result.name]["residual_rel"]
 
     def check(rng, n, i):
         s, _, _ = gen.gen_similar_isometry(n, int(rng.integers(0, 2**63)))
         cert = metric.similarity_certificate(s, tol)
         res_metric = cert.residual_metric
         result.record("metric_residual", res_metric)
-        if res_metric > 1e-8 * max(1.0, frobenius(s) ** 2):
+        if res_metric > rel * max(1.0, frobenius(s) ** 2):
             yield f"metric residual {res_metric:.3e}"
         res_iso = cert.residual_isometry
         result.record("isometry_residual", res_iso)
-        if res_iso > 1e-8 * max(1.0, frobenius(cert.v) ** 2):
+        if res_iso > rel * max(1.0, frobenius(cert.v) ** 2):
             yield f"isometry residual {res_iso:.3e}"
         res_sim = cert.residual_similarity
         result.record("similarity_residual", res_sim)
-        if res_sim > 1e-8 * max(1.0, frobenius(cert.p) * frobenius(s)):
+        if res_sim > rel * max(1.0, frobenius(cert.p) * frobenius(s)):
             yield f"similarity residual {res_sim:.3e}"
 
         t, _ = metric.canonical_left_m_inverse(cert, max(1, int(rng.integers(1, 4))), tol)
         res_canon = frobenius(t @ s - np.eye(n))
         result.record("canonical_residual", res_canon)
-        if res_canon > 1e-8 * max(1.0, frobenius(s) * frobenius(t)):
+        if res_canon > rel * max(1.0, frobenius(s) * frobenius(t)):
             yield f"canonical residual {res_canon:.3e}"
 
         # similar_to_unitary raises if this exceeds 1e-7 * max(1, ||U1||).
@@ -190,6 +226,8 @@ def run_z_inverse_contract(
     """
     result = SuiteResult("z-inverse-contract")
     tol = DEFAULT_TOL
+    bounds = BOUNDS[result.name]
+    rel, slack = bounds["residual_rel"], bounds["z_norm_slack"]
 
     def check_pair(s, t, m, power_bounded):
         n_dim = s.shape[0]
@@ -200,12 +238,12 @@ def run_z_inverse_contract(
                 if not report.bounded:
                     yield f"{label} is not power bounded"
                 m1 = max(m1, report.m1_estimate)
-            bound = minv.z_norm_bound(m, m1) + 1e-6
+            bound = minv.z_norm_bound(m, m1) + slack
         for n_pow, z in enumerate(minv.z_inverses(s, t, m, 6, tol), start=1):
             s_pow = np.linalg.matrix_power(s, n_pow)
             res = frobenius(z @ s_pow - np.eye(n_dim))
             result.record("z_residual", res)
-            if res > 1e-8 * max(1.0, frobenius(z) * frobenius(s_pow)):
+            if res > rel * max(1.0, frobenius(z) * frobenius(s_pow)):
                 yield f"Z_{n_pow} residual {res:.3e}"
             if power_bounded:
                 z_norm = operator_norm(z)
@@ -259,25 +297,27 @@ def run_douglas(seed: int = 0, count: int = 200, dim_max: int = 8) -> SuiteResul
     """Douglas factors against an independent oracle.
 
     ``metric.douglas_factor`` takes one SVD of B.  Here each factor C must
-    satisfy ``||BC - A|| <= 1e-8 * max(1, ||A||, ||B||)``, have norm at most
-    that of the C0 the instance was built from, and reach the optimality
-    value: ``mu2`` within 1e-6 relative of the pencil's top eigenvalue on
-    ran(B).  ``ker C = ker A`` is checked by ranks, and C must be
-    orthogonal to ``ker B``.
+    satisfy ``||BC - A|| <= residual_rel * max(1, ||A||, ||B||)``, have norm
+    at most that of the C0 the instance was built from, and reach the
+    optimality value: ``mu2`` within ``mu_gap_rel`` relative of the
+    pencil's top eigenvalue on ran(B).  ``ker C = ker A`` is checked by
+    ranks, and C must be orthogonal to ``ker B``.
     """
     result = SuiteResult("douglas")
     tol = DEFAULT_TOL
+    bounds = BOUNDS[result.name]
+    rel, mu_rel = bounds["residual_rel"], bounds["mu_gap_rel"]
 
     def check(rng, n, i):
         a, b, c0 = _douglas_instance(rng, n)
         c, mu2 = metric.douglas_factor(a, b, tol)
         res = frobenius(b @ c - a)
         result.record("factor_residual", res)
-        if res > 1e-8 * max(1.0, frobenius(a), frobenius(b)):
+        if res > rel * max(1.0, frobenius(a), frobenius(b)):
             yield f"factor residual {res:.3e}"
         gap = abs(mu2 - _pencil_top(a, b, tol))
         result.record("mu_gap", gap)
-        if gap > 1e-6 * max(1.0, mu2):
+        if gap > mu_rel * max(1.0, mu2):
             yield f"|mu2 - pencil| = {gap:.3e}"
         norm_c, norm_c0 = operator_norm(c), operator_norm(c0)
         if norm_c > norm_c0 + tol.zero_threshold(norm_c0):
@@ -297,20 +337,23 @@ def _isometry_rigidity_violations(s: np.ndarray) -> list[str]:
 
     S must be certified power bounded.  One ``minv.defect_profile`` of
     ``(S, S*)`` gives the residual at each order m = 1..4, read twice: an
-    m-isometry at an absolute 1e-8 must have ``||S*S - I||_F <= 1e-6``, and
-    a 4-isometry at ``DEFAULT_TOL`` must be isometric at ``DEFAULT_TOL``, that is
+    m-isometry at the absolute ``decision_abs_tol`` must have
+    ``||S*S - I||_F <= isometry_gap``, and a 4-isometry at ``DEFAULT_TOL``
+    must be isometric at ``DEFAULT_TOL``, that is
     ``||S*S - I||_F <= zero_threshold(||S||_F^2)``.  An isometric S must be
     unitary at the same threshold.
     """
     if not metric.certify_power_bounded(s).bounded:
         return ["not certified power bounded"]
+    bounds = BOUNDS["isometry-rigidity"]
+    decision, gap_bound = bounds["decision_abs_tol"], bounds["isometry_gap"]
     eye = np.eye(s.shape[0])
     iso_gap = frobenius(adjoint(s) @ s - eye)
     verdicts = minv.defect_profile(s, adjoint(s), 4, DEFAULT_TOL)
     out = [
         f"{m}-isometric (residual {residual:.3e}) but ‖S*S - I‖ = {iso_gap:.3e}"
         for m, (_, residual) in enumerate(verdicts, start=1)
-        if residual <= 1e-8 and iso_gap > 1e-6
+        if residual <= decision and iso_gap > gap_bound
     ]
     threshold = DEFAULT_TOL.zero_threshold(frobenius(s) ** 2)
     is_isometric = iso_gap <= threshold
@@ -352,11 +395,14 @@ def _mc_defect_antilinear(s: np.ndarray, c: conj_mod.Conjugation, m: int) -> np.
 def run_c_isometry_rigidity(
     seed: int = 0, count: int = 500, dim_max: int = 8
 ) -> SuiteResult:
-    """Falsification sweep for the conjugation-twisted rigidity at an absolute 1e-8.
-    One pass of the recursion of ``(CSC, S*)`` per instance gives the verdicts of
-    ``minv.defect_profile`` at orders 1..4 and the order-4 matrix of the oracle."""
+    """Falsification sweep for the conjugation-twisted rigidity at the absolute
+    ``decision_abs_tol``.  One pass of the recursion of ``(CSC, S*)`` per instance
+    gives the verdicts of ``minv.defect_profile`` at orders 1..4 and the order-4
+    matrix of the oracle."""
     result = SuiteResult("c-isometry-rigidity")
-    decision_tol = ToleranceConfig(abs_tol=1e-8, rel_tol=0.0)
+    bounds = BOUNDS[result.name]
+    decision_tol = ToleranceConfig(abs_tol=bounds["decision_abs_tol"], rel_tol=0.0)
+    gap_bound = bounds["antilinear_relative_gap"]
 
     def check(rng, n, i):
         sub_seed = int(rng.integers(0, 2**63))
@@ -380,7 +426,7 @@ def run_c_isometry_rigidity(
         direct = _mc_defect_antilinear(s, c, 4)
         gap = frobenius(collapsed - direct) / max(1.0, residual_4, frobenius(direct))
         result.record("antilinear_relative_gap", gap)
-        if gap > 1e-10:
+        if gap > gap_bound:
             yield f"collapsed and antilinear (4,C) defects differ (relative {gap:.3e})"
 
     _sweep(result, seed, count, 2, dim_max, check)
@@ -421,10 +467,13 @@ def run_pf_ascent(seed: int = 0, count: int = 50, dim_max: int = 5) -> SuiteResu
     PF verdict, accepted on the certificate's Schur form, must be true
     exactly when the elementary operator's inclusion holds at every probe,
     and each counterexample must solve
-    ``A X V* = X`` (1e-8) but not ``A* X V = X`` (1e-6).  The oracle's SVDs
-    have n^2 rows, so its cost grows as n^6.
+    ``A X V* = X`` (``witness_forward``) but not ``A* X V = X``
+    (``witness_backward``).  The oracle's SVDs have n^2 rows, so its cost
+    grows as n^6.
     """
     result = SuiteResult("pf-ascent")
+    bounds = BOUNDS[result.name]
+    forward_bound, backward_bound = bounds["witness_forward"], bounds["witness_backward"]
 
     def check(rng, n, i):
         if i % 2 == 0:  # unitary (+) contraction, rotated by a Haar unitary
@@ -470,7 +519,30 @@ def run_pf_ascent(seed: int = 0, count: int = 50, dim_max: int = 5) -> SuiteResu
             v, x = report.counterexample
             forward = frobenius(a @ x @ adjoint(v) - x)
             backward = frobenius(adjoint(a) @ x @ v - x)
-            if forward > 1e-8 or backward <= 1e-6:
+            if forward > forward_bound or backward <= backward_bound:
                 yield f"witness residuals {forward:.3e} and {backward:.3e}"
 
     return _sweep(result, seed, count, 2, dim_max, check)
+
+
+class Gate(NamedTuple):
+    """One acceptance gate: its name, the paper claim ``opslab suite`` runs it
+    under (None for none), its sweep, and whether the sweep takes
+    ``seed``/``count``/``dim_max``.  Its defaults are seed 0 and the gate's size."""
+
+    name: str
+    claim: str | None
+    runner: Callable[..., SuiteResult]
+    seeded: bool
+
+
+GATES = (
+    Gate("defect-agreement", None, run_defect_agreement, True),
+    Gate("jordan-strictness", "prop26", run_jordan_strictness, False),
+    Gate("similarity-roundtrip", "thm24", run_similarity_roundtrip, True),
+    Gate("z-inverse-contract", "thm24", run_z_inverse_contract, True),
+    Gate("douglas", "douglas", run_douglas, True),
+    Gate("isometry-rigidity", "prop26", run_isometry_rigidity, True),
+    Gate("c-isometry-rigidity", "prop28", run_c_isometry_rigidity, True),
+    Gate("pf-ascent", "pf-ascent", run_pf_ascent, True),
+)

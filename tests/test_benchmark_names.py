@@ -1,14 +1,19 @@
-"""The library functions that the benchmark's per-layer metrics trace must exist."""
+"""The benchmark's names for library functions and gates must match the library."""
 
+import ast
 import importlib
+import inspect
 import json
 from pathlib import Path
 
+from opslab import suites
+
+ROOT = Path(__file__).resolve().parents[1]
 LIBRARY_MODULES = ("cli", "suites", "metric", "conj", "minv", "gen", "matcore")
 
 
 def test_traced_functions_are_public():
-    spec = json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     traced = [
         parts[:2]
         for parts in (metric["name"].split(".") for metric in spec["per_layer"])
@@ -19,3 +24,19 @@ def test_traced_functions_are_public():
         mod = importlib.import_module(f"opslab.{module}")
         public = getattr(mod, "__all__", [name for name in vars(mod) if not name.startswith("_")])
         assert function in public and callable(getattr(mod, function)), f"{module}.{function}"
+
+
+def test_benchmark_gates_match_the_gate_table():
+    # perfbench/workloads.py keeps its own copy of the gates, read here without
+    # importing it: a gate resized in suites must be resized there as well.
+    tree = ast.parse((ROOT / "perfbench" / "workloads.py").read_text())
+    frozen = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["GATES"]
+    )
+
+    def size(runner):  # a gate's size is its sweep's defaults
+        return {name: p.default for name, p in inspect.signature(runner).parameters.items() if name != "seed"}
+
+    assert frozen == tuple((gate.runner.__name__, size(gate.runner), gate.seeded) for gate in suites.GATES)

@@ -619,18 +619,22 @@ def test_suite_scalar_sanity():
     assert suites.run_z_inverse_contract(count=5, dim_max=1).passed
 
 
-@pytest.mark.parametrize("name", ["thm24", "prop26", "prop28", "douglas", "pf-ascent"])
+@pytest.mark.parametrize("name", sorted(cli.SUITES))
 def test_suite_refuses_counts_and_sizes_out_of_range(capsys, name):
+    # The first seeded sweep of the suite refuses; the thm24 sweeps draw n from 1, the others from 2.
+    gate = next(gate.name for gate in suites.GATES if gate.claim == name and gate.seeded)
+    n_min = 1 if name == "thm24" else 2
     for flag, value, message in (
-        ("--count", "0", "--count must be >= 1"),
-        ("--count", "-3", "--count must be >= 1"),
-        ("--dim-max", "1", "--dim-max must be >= 2"),
+        ("--count", "0", "count must be >= 1"),
+        ("--count", "-3", "count must be >= 1"),
+        ("--dim-max", str(n_min - 1), f"dim_max must be >= {n_min}"),
     ):
         code, out, err = run(capsys, "suite", name, flag, value)
-        assert (code, out, err) == (2, "", f"error: {message}\n")
-    code, out, _ = run(capsys, "suite", name, "--count", "1", "--dim-max", "2", "--json")
-    assert code == 0
-    assert all(entry["pass"] for entry in json.loads(out)["verdicts"].values())
+        assert (code, out, err) == (2, "", f"error: {gate}: {message}\n")
+    for dim_max in range(n_min, 3):
+        code, out, _ = run(capsys, "suite", name, "--count", "1", "--dim-max", str(dim_max), "--json")
+        assert code == 0
+        assert all(entry["pass"] for entry in json.loads(out)["verdicts"].values())
 
 
 def test_suite_runs_each_sweep_at_its_own_defaults(capsys, monkeypatch):

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from opslab import conj, gen, metric, minv, suites
-from opslab.errors import AssumptionError
+from opslab.errors import ArgumentError, AssumptionError
 
 # (sweep, its dimension cap, the library call that raises on one instance,
 # the unseeded instances the sweep adds after its seeded ones)
@@ -18,6 +18,10 @@ SEEDED_SWEEPS = [
     (suites.run_c_isometry_rigidity, 4, (conj, "conjugate_operator"), 3),
     (suites.run_pf_ascent, 3, (metric, "ascent_bound_check"), 0),
 ]
+
+
+def test_seeded_sweeps_cover_every_seeded_gate():
+    assert [sweep for sweep, *_ in SEEDED_SWEEPS] == [gate.runner for gate in suites.GATES if gate.seeded]
 
 
 @pytest.mark.parametrize(
@@ -50,6 +54,16 @@ def test_a_raising_instance_is_that_instance_violation(monkeypatch, sweep, dim_m
     assert result.instances == count + unseeded
 
 
+def test_sweeps_refuse_an_empty_or_undersized_run():
+    for sweep, *_ in SEEDED_SWEEPS:
+        with pytest.raises(ArgumentError, match="count must be >= 1"):
+            sweep(count=0)
+        with pytest.raises(ArgumentError, match="dim_max must be >= [12]"):
+            sweep(dim_max=0)
+    with pytest.raises(ArgumentError, match="^jordan-strictness: k_max must be >= 1$"):
+        suites.run_jordan_strictness(k_max=0)
+
+
 def test_only_the_sweep_and_generate_derive_an_instance_rng():
     # Instance i of seed S is gen.derive_rng(S, i) in exactly these two places.
     callers = set()
@@ -64,3 +78,14 @@ def test_only_the_sweep_and_generate_derive_an_instance_rng():
                     ):
                         callers.add(func.name)
     assert callers == {"_instance", "_cmd_generate"}
+
+
+SEEDED_GATES = [gate for gate in suites.GATES if gate.seeded]
+
+
+@pytest.mark.parametrize("gate", SEEDED_GATES, ids=[gate.name for gate in SEEDED_GATES])
+def test_each_seeded_gate_passes_up_to_n_64(gate):
+    # The sizes the README states; pf-ascent's Kronecker oracle costs O(n^6).
+    dim_max = 10 if gate.name == "pf-ascent" else 64
+    result = gate.runner(seed=0, count=12, dim_max=dim_max)
+    assert result.passed, result.violations[:3]
