@@ -169,7 +169,7 @@ def matrix_from_json_dict(d: dict, name: str = "matrix") -> np.ndarray:
         rows, cols, data = d["rows"], d["cols"], d["data"]
     except (KeyError, TypeError) as exc:
         raise MatrixFormatError(f"{name}: missing field {exc}") from exc
-    if not isinstance(rows, int) or not isinstance(cols, int) or rows <= 0 or cols <= 0:
+    if type(rows) is not int or type(cols) is not int or rows <= 0 or cols <= 0:  # bool is no size
         raise MatrixFormatError(f"{name}: rows/cols must be positive integers")
     if not isinstance(data, list) or len(data) != rows * cols:
         got = len(data) if isinstance(data, list) else "non-list"

@@ -10,20 +10,20 @@ Around that core this module provides:
 
 * a power-boundedness certificate based on the exact finite-dimensional
   criterion (spectral radius at most 1, unimodular eigenvalues
-  semisimple), read off the one complex Schur form of S that its report
-  hands on to the metric and the Putnam-Fuglede check, with the sup of
-  power norms as a witness computed only when read;
+  semisimple), read off one complex Schur form of S; its report hands
+  the metric and the Putnam-Fuglede check one reorder (the ``split`` of
+  the interior and the unimodular clusters) and one phase rule (the
+  clusters), with the sup of power norms a witness computed when read;
 * Douglas factorization ``A = B C`` from one SVD of B: the minimal-norm
   factor, range inclusion decided once by its residual, and the
   optimality value ``inf {lam : A A* <= lam B B*} = ||C||^2``;
 * the Putnam-Fuglede check for the elementary operator ``X -> A X V* - X``
   against its adjoint-side companion, accepted in O(n^3) on the
-  certificate's Schur form split into its vanishing and unimodular parts
-  and refuted by a witness on the n x n eigenspace of ``A - mu I`` at a
-  failing phase mu;
+  certificate's split and refuted by a witness on the n x n eigenspace of
+  ``A - mu I`` at the failing phase mu of a unimodular cluster;
 * the ``(inclusion, ascent)`` pairs of that map and of the derivation
   ``X -> A X - X V*``, decided on the same eigenspaces by one helper, one
-  n x n SVD per distinct phase of V, with no n^2 x n^2 map;
+  n x n SVD per cluster of V's eigenvalues, with no n^2 x n^2 map;
 * the simultaneous similarity of a power-bounded pair (S, T) with
   vanishing defect to a conjugate pair of unitaries.
 
@@ -112,7 +112,8 @@ class PowerBoundReport:
     consumers: the complex Schur pair ``(T, Q)`` of ``S = Q T Q*``,
     ``scale = max(1, ||S||_2)``, the unimodular ``band = rel_tol * max(1,
     rho)`` and the ``clusters`` (within ``1e-6 * scale``) of the positions
-    on the diagonal of T whose eigenvalues lie in the band.
+    on the diagonal of T whose eigenvalues lie in the band, which ``split``
+    makes contiguous.
     ``m1_estimate`` is ``max ||S^n|| = max ||T^n||`` over ``n <= horizon``,
     a lower bound on ``sup_n ||S^n||`` that can fall far short of it: on
     ``[[1, 1], [0, exp(i d)]]`` with ``d = 1e-3`` it reads 64.005 at horizon
@@ -197,6 +198,28 @@ class PowerBoundReport:
                     m1 = max(m1, float(np.linalg.svd(run, compute_uv=False).max()))
         return m1
 
+    @cached_property
+    def split(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(T, Q, labels)``: ``schur`` reordered by LAPACK ``ztrsen`` (on copies).
+
+        The interior positions lead, then each cluster in order, contiguous;
+        ``labels`` is -1 on the interior and g on ``clusters[g]``.  Each call
+        moves the labels up to the least g out of place (where the running
+        max exceeds the sorted labels) to the front; the complex ``ztrsen``
+        fails only on illegal arguments.
+        """
+        t, q = self.schur
+        labels = np.full(t.shape[0], -1)
+        labels[[i for c in self.clusters for i in c]] = [g for g, c in enumerate(self.clusters) for _ in c]
+        while True:
+            order = np.sort(labels)
+            out = np.flatnonzero(np.maximum.accumulate(labels) > order)
+            if not out.size:
+                return t, q, labels
+            lead = labels <= order[out[0]]
+            t, q, *_ = scipy.linalg.lapack.ztrsen(lead.astype(np.int32), t, q, job="N")
+            labels = np.concatenate([labels[lead], labels[~lead]])
+
     @property
     def criterion(self) -> dict:
         return {
@@ -220,16 +243,17 @@ class PowerBoundReport:
 
 def _clusters(eigs: list[complex], positions: list[int], cluster_tol: float) -> tuple[tuple[int, ...], ...]:
     """Greedy clusters of ``eigs[positions]``: each takes the unclustered positions near the first."""
-    remaining = list(positions)
-    clusters = []
+    clusters, remaining = [], list(positions)
     while remaining:
-        first = remaining.pop(0)
-        cluster, rest = [first], []
-        for i in remaining:
-            (cluster if abs(eigs[i] - eigs[first]) <= cluster_tol else rest).append(i)
-        clusters.append(tuple(cluster))
-        remaining = rest
+        near = [abs(eigs[i] - eigs[remaining[0]]) <= cluster_tol for i in remaining]
+        clusters.append(tuple(i for i, c in zip(remaining, near) if c))
+        remaining = [i for i, c in zip(remaining, near) if not c]
     return tuple(clusters)
+
+
+def _cluster_phases(eigs: list[complex], clusters: tuple[tuple[int, ...], ...]) -> list[complex]:
+    """The phase ``lam / |lam|`` of the first eigenvalue of each cluster, one per cluster."""
+    return [eigs[c[0]] / abs(eigs[c[0]]) for c in clusters]
 
 
 def certify_power_bounded(
@@ -301,12 +325,12 @@ def invariant_metric(
 
     X is the limit of the averages of ``S*^j S^j``, ``X = sum E* E`` over
     the Riesz projectors E of S onto its eigenvalues, built in O(n^3) from
-    the complex Schur form ``S = Q T Q*`` of the ``certify_power_bounded``
-    report: its eigenvalue clusters are made contiguous on the diagonal of
-    T (LAPACK ``ztrsen``), a cluster whose block is not scalar within
-    ``1e-12 * max(1, ||S||)`` is split into its (distinct) eigenvalues, and
-    Sylvester solves against the trailing part of T (``ztrsyl``) give
-    ``T = V D V^{-1}`` with D block diagonal.  Then
+    the ``split`` of the ``certify_power_bounded`` report: one reorder on
+    the report, ``S = Q T Q*`` with each cluster of the one phase rule
+    contiguous on the diagonal of T.  A cluster whose block is not scalar
+    within ``1e-12 * max(1, ||S||)`` is split into its (distinct)
+    eigenvalues, and Sylvester solves against the trailing part of T
+    (``ztrsyl``) give ``T = V D V^{-1}`` with D block diagonal.  Then
     ``X = Q V^{-*} blockdiag((V* V)_ii) V^{-1} Q*``, hermitized; one ``eigh``
     gives its norm and decides its positivity.
 
@@ -328,8 +352,6 @@ def _metric_eigh(s: np.ndarray, tol: ToleranceConfig) -> tuple[np.ndarray, np.nd
             "invariant fixed points are not positive definite: "
             f"S is not power bounded ({reason}, eigenvalue {lam:.6g})"
         )
-    t, q = report.schur
-    eigs = np.diag(t)
     interior = n - sum(map(len, report.clusters))
     if interior:
         raise AssumptionError(
@@ -338,22 +360,14 @@ def _metric_eigh(s: np.ndarray, tol: ToleranceConfig) -> tuple[np.ndarray, np.nd
             "inside the unit disc); S is not similar to an isometry"
         )
 
-    # The complex ztrsen and ztrsyl fail only on illegal arguments; ztrsyl's
-    # info = 1 (equal eigenvalues in two blocks) ends in the checks on X.
-    labels = np.empty(n, dtype=int)
-    for g, cluster in enumerate(report.clusters):
-        labels[list(cluster)] = g
-    for g in range(labels.max()):
-        lead = labels <= g
-        if not lead[: np.count_nonzero(lead)].all():
-            t, q, eigs, *_ = scipy.linalg.lapack.ztrsen(lead.astype(np.int32), t, q, job="N")
-            labels = np.concatenate([labels[lead], labels[~lead]])
-
+    # The complex ztrsyl fails only on illegal arguments; its info = 1 (equal
+    # eigenvalues in two blocks) ends in the checks on X.
+    t, q, labels = report.split
     edges = [*np.flatnonzero(np.diff(labels, prepend=-1)), n]
     bounds = [0]
     for lo, hi in zip(edges[:-1], edges[1:]):
         if hi - lo > 1:
-            offset = frobenius(t[lo:hi, lo:hi] - np.mean(eigs[lo:hi]) * np.eye(hi - lo))
+            offset = frobenius(t[lo:hi, lo:hi] - np.mean(np.diag(t[lo:hi, lo:hi])) * np.eye(hi - lo))
             if offset > _SCALAR_TOL * report.scale:
                 bounds.extend(range(lo + 1, hi))
         bounds.append(hi)
@@ -576,16 +590,6 @@ class PFReport:
         return out
 
 
-def _phases(eigenvalues: np.ndarray) -> list[complex]:
-    """The distinct phases ``lam / |lam|`` of nonzero ``eigenvalues``, merged within 1e-12."""
-    phases: list[complex] = []
-    for lam in eigenvalues.tolist():
-        mu = lam / abs(lam)
-        if all(abs(mu - u) > 1e-12 for u in phases):
-            phases.append(mu)
-    return phases
-
-
 def _eigenspaces(
     a: np.ndarray, phases: list[complex], tol: ToleranceConfig
 ) -> tuple[float, list[tuple[np.ndarray, np.ndarray | None]]]:
@@ -629,15 +633,13 @@ def pf_property_check(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> PFRe
     sum of a unitary and a matrix of spectral radius below 1.
 
     A is certified once by ``certify_power_bounded`` (a matrix that is not
-    power bounded raises ``AssumptionError``).  The property is accepted on
-    the report's Schur form ``A = Q T Q*``, reordered by one LAPACK
-    ``ztrsen`` (a copy; the report keeps its own) so that the positions
-    outside the unimodular clusters lead: ``T = [[C0, K], [0, C1]]``.  It
-    holds when ``||K||_F <= zero_threshold(||A||_F)`` and
-    ``||C1* C1 - I||_F <= zero_threshold(||A||_F^2)``, in O(n^3).
+    power bounded raises ``AssumptionError``): one reorder on the report,
+    one phase rule.  It is accepted, in O(n^3), on the report's ``split``
+    ``T = [[C0, K], [0, C1]]`` (interior first) when ``||K||_F <=
+    zero_threshold(||A||_F)`` and ``||C1* C1 - I||_F <= zero_threshold(||A||_F^2)``.
 
-    Otherwise each distinct phase mu of the diagonal of the report's Schur
-    form at the unimodular clusters is searched for a witness: the image of
+    Otherwise each unimodular cluster of the report is searched for a
+    witness at one phase mu, that of its first eigenvalue: the image of
     the numerical null space E of ``A - mu I`` under ``mu A* - I`` must
     vanish below ``zero_threshold(||A - mu I||)``, the rank cutoff and
     threshold of the vectorized maps at ``V = mu I``, whose singular values
@@ -649,8 +651,8 @@ def pf_property_check(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> PFRe
 
     The two tests differ only in a tolerance band.  With Q a unitary,
     ``Q [[1, 0, 0], [0, 1, eps], [0, 0, 0.5]] Q*`` is accepted by the
-    split up to eps ~ 1.5e-8, where the witness search alone would fail it
-    from eps ~ 5.1e-9; ``Q [[1, 0, 0], [0, -1, eps], [0, 0, 0]] Q*`` is
+    split up to eps ~ 1.51e-8, where the witness search alone would fail it
+    from eps ~ 5.10e-9; ``Q [[1, 0, 0], [0, -1, eps], [0, 0, 0]] Q*`` is
     rejected by the split from eps ~ 1.42e-8, but no phase witnesses a
     failure before eps ~ 2.01e-8, so it holds up to there.
     """
@@ -662,20 +664,15 @@ def pf_property_check(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> PFRe
             f"pf_property_check requires a power bounded matrix ({reason}, eigenvalue {lam:.6g})"
         )
     n = a.shape[0]
-    t = report.schur[0]
-    unimodular = sorted(i for cluster in report.clusters for i in cluster)
-    lead = np.ones(n, dtype=bool)
-    lead[unimodular] = False
-    k = n - len(unimodular)
-    if 0 < k < n and not lead[:k].all():
-        t = scipy.linalg.lapack.ztrsen(lead.astype(np.int32), t, report.schur[1], job="N", wantq=0)[0]
+    t, _, labels = report.split
+    k = int(np.count_nonzero(labels < 0))
     scale = frobenius(a)
     if (
         frobenius(t[:k, k:]) <= tol.zero_threshold(scale)
         and frobenius(adjoint(t[k:, k:]) @ t[k:, k:] - np.eye(n - k)) <= tol.zero_threshold(scale**2)
     ):
         return PFReport(satisfies_pf=True)
-    for mu in _phases(np.diag(report.schur[0])[unimodular]):
+    for mu in _cluster_phases(np.diag(report.schur[0]).tolist(), report.clusters):
         _, [(_, x)] = _eigenspaces(a, [mu], tol)
         if x is not None:
             return PFReport(False, (mu * np.eye(n, dtype=complex), np.outer(x, x.conj())))
@@ -707,12 +704,13 @@ def ascent_bound_check(
     derivation ``X -> A X - X V*`` against ``X -> A* X - X V``, both
     decided on the n x n eigenspaces of ``_eigenspaces``.  The elementary
     operator's ascent is the largest index of ``A - nu I`` over the
-    eigenvalues nu of V, and its inclusion is ``ker(A - nu) <=
-    ker(A* - conj(nu))`` for each; the derivation, with blocks
-    ``A - conj(nu) I``, gives the same at ``conj(nu)``.  Requires V to be
-    an isometry.  The paper's bound, that inclusion forces ascent at most
-    1, is checked by ``suites.run_pf_ascent`` against the Kronecker
-    reference.
+    phases nu, one per cluster of V's eigenvalues, in the unimodular band
+    or not (V's scale ``max(1, ||V||_2)`` is 1 at tolerance), and its
+    inclusion is ``ker(A - nu) <= ker(A* - conj(nu))`` for each; the
+    derivation, with blocks ``A - conj(nu) I``, gives the same at
+    ``conj(nu)``.  Requires V to be an isometry.  The paper's bound, that
+    inclusion forces ascent at most 1, is checked by
+    ``suites.run_pf_ascent`` against the Kronecker reference.
     """
     a = as_matrix(a, square=True, name="A")
     v = as_matrix(v, square=True, name="V")
@@ -721,7 +719,8 @@ def ascent_bound_check(
     if iso_res > tol.zero_threshold(tol.scale_of(v) ** 2):
         raise AssumptionError(f"V is not an isometry (residual {iso_res:.3e})")
 
-    spectrum = _phases(np.linalg.eigvals(v))
+    eigs = np.linalg.eigvals(v).tolist()
+    spectrum = _cluster_phases(eigs, _clusters(eigs, range(len(eigs)), _CLUSTER_TOL))
     eye = np.eye(a.shape[0], dtype=complex)
     results = []
     for phases in (spectrum, np.conj(spectrum).tolist()):

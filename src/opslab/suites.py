@@ -460,16 +460,16 @@ def run_pf_ascent(seed: int = 0, count: int = 50, dim_max: int = 5) -> SuiteResu
 
     The oracle is ``minv.kernel_included`` and ``minv.ascent`` on the
     n^2 x n^2 Kronecker matrices of the elementary operator and the
-    derivation, at the identity, a Haar unitary and ``V = mu I`` for every
-    distinct unimodular phase mu of A's own eigenvalues.  Both
+    derivation, at the identity, a Haar unitary and ``V = mu I`` at the
+    phase mu of each unimodular cluster of A's own eigenvalues, taken by
+    the band and phase rule of A's certificate.  Both
     ``(inclusion, ascent)`` pairs of ``metric.ascent_bound_check`` must
     equal the oracle's, whose inclusion must force ascent at most 1; the
-    PF verdict, accepted on the certificate's Schur form, must be true
+    PF verdict, accepted on the certificate's split, must be true
     exactly when the elementary operator's inclusion holds at every probe,
-    and each counterexample must solve
-    ``A X V* = X`` (``witness_forward``) but not ``A* X V = X``
-    (``witness_backward``).  The oracle's SVDs have n^2 rows, so its cost
-    grows as n^6.
+    and each counterexample must solve ``A X V* = X`` (``witness_forward``)
+    but not ``A* X V = X`` (``witness_backward``).  The oracle's SVDs have
+    n^2 rows, so its cost grows as n^6.
     """
     result = SuiteResult("pf-ascent")
     bounds = BOUNDS[result.name]
@@ -488,10 +488,11 @@ def run_pf_ascent(seed: int = 0, count: int = 50, dim_max: int = 5) -> SuiteResu
         else:
             a = gen.gen_power_bounded(n, int(rng.integers(0, 2**63)))
 
-        phases = []  # V = mu I at A's unimodular phases reaches every PF kernel
-        for lam in np.linalg.eigvals(a):
-            if abs(abs(lam) - 1.0) < 1e-8 and all(abs(lam / abs(lam) - mu) > 1e-8 for mu in phases):
-                phases.append(lam / abs(lam))
+        # V = mu I at A's unimodular phases reaches every PF kernel.
+        cert = metric.certify_power_bounded(a)
+        eigs = np.linalg.eigvals(a).tolist()
+        in_band = [i for i, lam in enumerate(eigs) if abs(1.0 - abs(lam)) <= cert.band]
+        phases = metric._cluster_phases(eigs, metric._clusters(eigs, in_band, metric._CLUSTER_TOL * cert.scale))
         eye = np.eye(n, dtype=complex)
         probes = [eye, gen.haar_unitary(n, rng), *(mu * eye for mu in phases)]
         all_included = True

@@ -138,6 +138,15 @@ def test_check_rejects_malformed_file(tmp_path, capsys):
     assert "data length" in err
 
 
+@pytest.mark.parametrize("sizes", ['"rows": true, "cols": true', '"rows": 1, "cols": 1.0'])
+def test_check_refuses_sizes_that_are_not_integers(tmp_path, capsys, sizes):
+    # JSON true parses to a Python bool, an int subclass; it is refused like 1.0.
+    bad = tmp_path / "bad.json"
+    bad.write_text(f'{{{sizes}, "data": [[1, 0]]}}')
+    code, out, err = run(capsys, "check", "power-bounded", "--s", str(bad))
+    assert (code, out, err) == (2, "", "error: S: rows/cols must be positive integers\n")
+
+
 def test_check_missing_file(tmp_path, capsys):
     code, _, err = run(capsys, "check", "m-isometry", "--s", str(tmp_path / "nope.json"), "--m", "1")
     assert code == 2

@@ -215,6 +215,8 @@ def test_matrix_json_malformed_messages(data, message):
         {"rows": 2, "cols": 2, "data": [[1, 0]] * 3},
         {"rows": 2, "cols": 2},
         {"rows": -1, "cols": 2, "data": []},
+        {"rows": True, "cols": True, "data": [[1, 0]]},
+        {"rows": 1, "cols": 1.0, "data": [[1, 0]]},
         {"rows": 1, "cols": 1, "data": [[float("nan"), 0.0]]},
         {"rows": 1, "cols": 1, "data": [[1.0]]},
         [1, 2, 3],

@@ -732,7 +732,7 @@ def _pf_edge(diagonal, eps):
 
 def test_pf_split_accepts_the_band_below_its_threshold():
     # On Q [[1, 0, 0], [0, 1, eps], [0, 0, 0.5]] Q* the per-phase search
-    # finds a witness from eps ~ 5.1e-9; the split accepts up to ~ 1.5e-8.
+    # finds a witness from eps ~ 5.10e-9; the split accepts up to ~ 1.51e-8.
     a = _pf_edge([1.0, 1.0, 0.5], 1e-8)
     assert pf_property_check(a).satisfies_pf
     assert not ascent_bound_check(a, np.eye(3))[0][0]  # the search alone would witness a failure
@@ -773,6 +773,113 @@ def test_only_the_certificate_takes_a_schur_form():
                     if isinstance(node, ast.Call) and ast.unparse(node.func) == "scipy.linalg.schur":
                         callers.add(func.name)
     assert callers == {"certify_power_bounded"}
+
+
+def test_only_the_split_reorders_a_schur_form():
+    # One reorder on the report and one phase rule: every ztrsen call in the
+    # package lies in PowerBoundReport.split, and the 1e-12 phase merge is gone.
+    def ztrsen_calls(tree):
+        return [n for n in ast.walk(tree) if isinstance(n, ast.Call) and ast.unparse(n.func).endswith("ztrsen")]
+
+    package = [ast.parse(path.read_text()) for path in Path(metric.__file__).parent.glob("*.py")]
+    report = next(n for n in ast.walk(ast.parse(Path(metric.__file__).read_text()))
+                  if isinstance(n, ast.ClassDef) and n.name == "PowerBoundReport")
+    split = next(f for f in report.body if isinstance(f, ast.FunctionDef) and f.name == "split")
+    assert sum(len(ztrsen_calls(tree)) for tree in package) == len(ztrsen_calls(split)) == 1
+    assert not hasattr(metric, "_phases")
+
+
+def test_split_puts_the_interior_first_and_each_cluster_contiguous(monkeypatch):
+    # Interleaved clusters on the diagonal of an upper triangular T: one call
+    # moves the interior to the front, one gathers cluster 0, cluster 1 then
+    # stands in place.
+    rng = derive_rng(43)
+    diagonal = [1.0, 0.5, 1j, 1.0, 0.3, 1j, -1.0, 1.0]
+    t = np.triu(rng.standard_normal((8, 8)), 1) + np.diag(diagonal)
+    q = haar_unitary(8, rng)
+    report = metric.PowerBoundReport(
+        bounded=True, spectral_radius=1.0, unimodular_semisimple=True, schur=(t, q), scale=1.0,
+        band=1e-8, clusters=((0, 3, 7), (2, 5), (6,)), horizon=64,
+    )
+    calls = _count_calls(monkeypatch, scipy.linalg.lapack, "ztrsen")
+    t2, q2, labels = report.split
+    assert len(calls) == 2 and report.schur[0] is t
+    assert labels.tolist() == [-1, -1, 0, 0, 0, 1, 1, 2]
+    assert_allclose(np.diag(t2), [0.5, 0.3, 1.0, 1.0, 1.0, 1j, 1j, -1.0], atol=1e-12)
+    assert np.array_equal(t2, np.triu(t2))
+    assert_allclose(q2 @ t2 @ adjoint(q2), q @ t @ adjoint(q), atol=1e-12)
+    assert report.split is report.split
+
+
+def _two_close_phases(delta, coupled):
+    """``Q D Q*`` for ``D = diag(1, exp(i delta), 0.5)`` with ``D[coupled, 2] = 1``, a fixed Haar Q."""
+    d = np.diag([1.0, np.exp(1j * delta), 0.5]).astype(complex)
+    d[coupled, 2] = 1.0
+    q = haar_unitary(3, derive_rng(41))
+    return q @ d @ adjoint(q)
+
+
+@pytest.mark.parametrize("coupled", [0, 1])
+@pytest.mark.parametrize("delta, clusters", [(1e-9, 1), (1e-4, 2)])
+def test_close_unimodular_phases_match_the_kronecker_oracle(delta, clusters, coupled):
+    """Two unimodular eigenvalues delta apart, one coupled to the interior 0.5.
+
+    The certificate's phase rule merges them into one cluster within
+    ``1e-6 * max(1, ||A||_2)``, and the witness search probes one phase per
+    cluster.  A 1e-12 merge of phases, which probes both, disagrees with
+    it on this family only when the coupled eigenvalue is not the first of
+    its cluster on the Schur diagonal, for delta from 2.92e-8 (where the
+    null space of ``A - mu I`` at the first phase stops holding the coupled
+    eigenvector) to 1.46e-6 (= 1e-6 * ||A||_2, where the cluster splits):
+    there the split rejects, the first phase has no witness, and the
+    verdict is accepted.  At 1e-9 and 1e-4 both rules give the oracle's
+    verdict.
+    """
+    a = _two_close_phases(delta, coupled)
+    assert len(certify_power_bounded(a).clusters) == clusters
+    phases = [1.0, np.exp(1j * delta)]
+    oracle = [kernel_included(*suites._kronecker_maps(a, mu * np.eye(3))[:2]) for mu in phases]
+    report = pf_property_check(a)
+    assert not report.satisfies_pf and not all(oracle)
+    v, x = report.counterexample
+    e_fwd, e_bwd, *_ = suites._kronecker_maps(a, v)
+    x_vec = x.reshape(-1, order="F")
+    assert np.linalg.norm(e_fwd @ x_vec) <= 1e-8
+    assert np.linalg.norm(e_bwd @ x_vec) > 1e-6
+    mu = v[0, 0]
+    assert_allclose(v, mu * np.eye(3), atol=0.0)
+    assert min(abs(mu - p) for p in phases) <= 1e-12
+    probes = [mu * np.eye(3) for mu in phases]
+    if clusters == 1:  # V's two eigenvalues merge into one probed phase
+        probes.append(np.diag([1.0, np.exp(1j * delta), -1.0]))
+    for v in probes:
+        assert ascent_bound_check(a, v) == _ascent_reference(a, v)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="derivation ascent 2 against the Kronecker reference's 3: at nu = exp(1e-4 i) the ranks of "
+    "the powers of A - conj(nu) I at the 2.4e-8 cutoff read 3, 3, 2, 1, so its block index stops at 0",
+)
+def test_ascent_of_two_separate_close_phases_of_v_matches_the_kronecker_oracle():
+    a = _two_close_phases(1e-4, 0)
+    v = np.diag([1.0, np.exp(1e-4j), -1.0])
+    assert ascent_bound_check(a, v) == _ascent_reference(a, v)
+
+
+def test_ascent_bound_probes_a_phase_whose_modulus_is_outside_the_band():
+    # V passes its isometry check (residual 6e-8 against 1e-10 + 8e-8) with
+    # an eigenvalue of modulus 1 - 3e-8, outside the unimodular band 1e-8,
+    # and its phase 1 is still probed: the Jordan block of A at 1 shows.
+    rng = derive_rng(42)
+    a = scipy.linalg.block_diag(gen_jordan(2, 1.0), 0.5 * np.eye(6))
+    w = haar_unitary(8, rng)
+    phases = np.exp(2j * np.pi * np.arange(1, 8) / 8)
+    v = w @ np.diag([1.0 - 3e-8, *phases]) @ adjoint(w)
+    assert abs(1.0 - np.abs(np.linalg.eigvals(v))).max() > DEFAULT_TOL.rel_tol
+    exact = w @ np.diag([1.0, *phases]) @ adjoint(w)
+    assert ascent_bound_check(a, v) == ascent_bound_check(a, exact) == ((False, 2), (False, 2))
 
 
 def test_ascent_bound_unitary_pair():
