@@ -12,18 +12,18 @@ Around that core this module provides:
   criterion (spectral radius at most 1, unimodular eigenvalues
   semisimple), read off one complex Schur form of S; its report hands
   the metric and the Putnam-Fuglede check one reorder (the ``split`` of
-  the interior and the unimodular clusters) and one phase rule (the
-  clusters), with the sup of power norms a witness computed when read;
+  the interior and the unimodular clusters), with the sup of power norms
+  a witness computed when read;
 * Douglas factorization ``A = B C`` from one SVD of B: the minimal-norm
   factor, range inclusion decided once by its residual, and the
   optimality value ``inf {lam : A A* <= lam B B*} = ||C||^2``;
 * the Putnam-Fuglede check for the elementary operator ``X -> A X V* - X``
   against its adjoint-side companion, accepted in O(n^3) on the
   certificate's split and refuted by a witness on the n x n eigenspace of
-  ``A - mu I`` at the failing phase mu of a unimodular cluster;
+  ``A - mu I`` at a failing unimodular phase mu;
 * the ``(inclusion, ascent)`` pairs of that map and of the derivation
   ``X -> A X - X V*``, decided on the same eigenspaces by one helper, one
-  n x n SVD per cluster of V's eigenvalues, with no n^2 x n^2 map;
+  n x n SVD per distinct phase of V, with no n^2 x n^2 map;
 * the simultaneous similarity of a power-bounded pair (S, T) with
   vanishing defect to a conjugate pair of unitaries.
 
@@ -204,21 +204,19 @@ class PowerBoundReport:
 
         The interior positions lead, then each cluster in order, contiguous;
         ``labels`` is -1 on the interior and g on ``clusters[g]``.  Each call
-        moves the labels up to the least g out of place (where the running
-        max exceeds the sorted labels) to the front; the complex ``ztrsen``
-        fails only on illegal arguments.
+        moves the labels up to the least one out of place to the front,
+        keeping the order within both groups; the complex ``ztrsen`` fails
+        only on illegal arguments.
         """
         t, q = self.schur
-        labels = np.full(t.shape[0], -1)
-        labels[[i for c in self.clusters for i in c]] = [g for g, c in enumerate(self.clusters) for _ in c]
-        while True:
-            order = np.sort(labels)
-            out = np.flatnonzero(np.maximum.accumulate(labels) > order)
-            if not out.size:
-                return t, q, labels
-            lead = labels <= order[out[0]]
-            t, q, *_ = scipy.linalg.lapack.ztrsen(lead.astype(np.int32), t, q, job="N")
-            labels = np.concatenate([labels[lead], labels[~lead]])
+        label = {i: g for g, cluster in enumerate(self.clusters) for i in cluster}
+        labels = [label.get(i, -1) for i in range(t.shape[0])]
+        order = sorted(labels)
+        while labels != order:
+            pivot = min(g for g, h in zip(labels, order) if g != h)
+            t, q, *_ = scipy.linalg.lapack.ztrsen([g <= pivot for g in labels], t, q, job="N")
+            labels = sorted(labels, key=lambda g: g > pivot)
+        return t, q, np.array(labels)
 
     @property
     def criterion(self) -> dict:
@@ -243,17 +241,26 @@ class PowerBoundReport:
 
 def _clusters(eigs: list[complex], positions: list[int], cluster_tol: float) -> tuple[tuple[int, ...], ...]:
     """Greedy clusters of ``eigs[positions]``: each takes the unclustered positions near the first."""
-    clusters, remaining = [], list(positions)
+    remaining = list(positions)
+    clusters = []
     while remaining:
-        near = [abs(eigs[i] - eigs[remaining[0]]) <= cluster_tol for i in remaining]
-        clusters.append(tuple(i for i, c in zip(remaining, near) if c))
-        remaining = [i for i, c in zip(remaining, near) if not c]
+        first = remaining.pop(0)
+        cluster, rest = [first], []
+        for i in remaining:
+            (cluster if abs(eigs[i] - eigs[first]) <= cluster_tol else rest).append(i)
+        clusters.append(tuple(cluster))
+        remaining = rest
     return tuple(clusters)
 
 
-def _cluster_phases(eigs: list[complex], clusters: tuple[tuple[int, ...], ...]) -> list[complex]:
-    """The phase ``lam / |lam|`` of the first eigenvalue of each cluster, one per cluster."""
-    return [eigs[c[0]] / abs(eigs[c[0]]) for c in clusters]
+def _distinct_phases(eigs: list[complex], positions: list[int]) -> list[complex]:
+    """The phases ``lam / |lam|`` of ``eigs[positions]``, merged by ``_clusters`` within 1e-12.
+
+    Far below any rank cutoff: two phases a cutoff apart have eigenspaces
+    that differ, so a merge as wide as the clusters would miss one.
+    """
+    phases = [eigs[i] / abs(eigs[i]) for i in positions]
+    return [phases[c[0]] for c in _clusters(phases, range(len(phases)), 1e-12)]
 
 
 def certify_power_bounded(
@@ -326,11 +333,11 @@ def invariant_metric(
     X is the limit of the averages of ``S*^j S^j``, ``X = sum E* E`` over
     the Riesz projectors E of S onto its eigenvalues, built in O(n^3) from
     the ``split`` of the ``certify_power_bounded`` report: one reorder on
-    the report, ``S = Q T Q*`` with each cluster of the one phase rule
-    contiguous on the diagonal of T.  A cluster whose block is not scalar
-    within ``1e-12 * max(1, ||S||)`` is split into its (distinct)
-    eigenvalues, and Sylvester solves against the trailing part of T
-    (``ztrsyl``) give ``T = V D V^{-1}`` with D block diagonal.  Then
+    the report, ``S = Q T Q*`` with each eigenvalue cluster contiguous on
+    the diagonal of T.  A cluster whose block is not scalar within
+    ``1e-12 * max(1, ||S||)`` is split into its (distinct) eigenvalues, and
+    Sylvester solves against the trailing part of T (``ztrsyl``) give
+    ``T = V D V^{-1}`` with D block diagonal.  Then
     ``X = Q V^{-*} blockdiag((V* V)_ii) V^{-1} Q*``, hermitized; one ``eigh``
     gives its norm and decides its positivity.
 
@@ -638,8 +645,8 @@ def pf_property_check(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> PFRe
     ``T = [[C0, K], [0, C1]]`` (interior first) when ``||K||_F <=
     zero_threshold(||A||_F)`` and ``||C1* C1 - I||_F <= zero_threshold(||A||_F^2)``.
 
-    Otherwise each unimodular cluster of the report is searched for a
-    witness at one phase mu, that of its first eigenvalue: the image of
+    Otherwise each distinct phase mu (``_distinct_phases``) of the Schur
+    diagonal at the report's clusters is searched for a witness: the image of
     the numerical null space E of ``A - mu I`` under ``mu A* - I`` must
     vanish below ``zero_threshold(||A - mu I||)``, the rank cutoff and
     threshold of the vectorized maps at ``V = mu I``, whose singular values
@@ -672,7 +679,8 @@ def pf_property_check(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> PFRe
         and frobenius(adjoint(t[k:, k:]) @ t[k:, k:] - np.eye(n - k)) <= tol.zero_threshold(scale**2)
     ):
         return PFReport(satisfies_pf=True)
-    for mu in _cluster_phases(np.diag(report.schur[0]).tolist(), report.clusters):
+    unimodular = sorted(i for cluster in report.clusters for i in cluster)
+    for mu in _distinct_phases(np.diag(report.schur[0]).tolist(), unimodular):
         _, [(_, x)] = _eigenspaces(a, [mu], tol)
         if x is not None:
             return PFReport(False, (mu * np.eye(n, dtype=complex), np.outer(x, x.conj())))
@@ -704,13 +712,14 @@ def ascent_bound_check(
     derivation ``X -> A X - X V*`` against ``X -> A* X - X V``, both
     decided on the n x n eigenspaces of ``_eigenspaces``.  The elementary
     operator's ascent is the largest index of ``A - nu I`` over the
-    phases nu, one per cluster of V's eigenvalues, in the unimodular band
-    or not (V's scale ``max(1, ||V||_2)`` is 1 at tolerance), and its
-    inclusion is ``ker(A - nu) <= ker(A* - conj(nu))`` for each; the
-    derivation, with blocks ``A - conj(nu) I``, gives the same at
-    ``conj(nu)``.  Requires V to be an isometry.  The paper's bound, that
-    inclusion forces ascent at most 1, is checked by
-    ``suites.run_pf_ascent`` against the Kronecker reference.
+    distinct phases nu (``_distinct_phases``) of all of V's eigenvalues,
+    in the unimodular band or not (an isometry that passes its check can
+    have moduli outside it), and its inclusion is ``ker(A - nu) <=
+    ker(A* - conj(nu))`` for each; the derivation, with blocks
+    ``A - conj(nu) I``, gives the same at ``conj(nu)``.  Requires V to be
+    an isometry.  The paper's bound, that inclusion forces ascent at most
+    1, is checked by ``suites.run_pf_ascent`` against the Kronecker
+    reference.
     """
     a = as_matrix(a, square=True, name="A")
     v = as_matrix(v, square=True, name="V")
@@ -720,7 +729,7 @@ def ascent_bound_check(
         raise AssumptionError(f"V is not an isometry (residual {iso_res:.3e})")
 
     eigs = np.linalg.eigvals(v).tolist()
-    spectrum = _cluster_phases(eigs, _clusters(eigs, range(len(eigs)), _CLUSTER_TOL))
+    spectrum = _distinct_phases(eigs, range(len(eigs)))
     eye = np.eye(a.shape[0], dtype=complex)
     results = []
     for phases in (spectrum, np.conj(spectrum).tolist()):

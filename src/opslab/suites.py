@@ -460,9 +460,10 @@ def run_pf_ascent(seed: int = 0, count: int = 50, dim_max: int = 5) -> SuiteResu
 
     The oracle is ``minv.kernel_included`` and ``minv.ascent`` on the
     n^2 x n^2 Kronecker matrices of the elementary operator and the
-    derivation, at the identity, a Haar unitary and ``V = mu I`` at the
-    phase mu of each unimodular cluster of A's own eigenvalues, taken by
-    the band and phase rule of A's certificate.  Both
+    derivation, at the identity, a Haar unitary and ``V = mu I`` at each
+    distinct phase mu of A's own ``eigvals`` within 1e-8 of the circle,
+    merged only within 1e-12, so a phase the library merged too widely
+    would still be probed here.  Both
     ``(inclusion, ascent)`` pairs of ``metric.ascent_bound_check`` must
     equal the oracle's, whose inclusion must force ascent at most 1; the
     PF verdict, accepted on the certificate's split, must be true
@@ -489,10 +490,9 @@ def run_pf_ascent(seed: int = 0, count: int = 50, dim_max: int = 5) -> SuiteResu
             a = gen.gen_power_bounded(n, int(rng.integers(0, 2**63)))
 
         # V = mu I at A's unimodular phases reaches every PF kernel.
-        cert = metric.certify_power_bounded(a)
         eigs = np.linalg.eigvals(a).tolist()
-        in_band = [i for i, lam in enumerate(eigs) if abs(1.0 - abs(lam)) <= cert.band]
-        phases = metric._cluster_phases(eigs, metric._clusters(eigs, in_band, metric._CLUSTER_TOL * cert.scale))
+        in_band = [i for i, lam in enumerate(eigs) if abs(abs(lam) - 1.0) < 1e-8]
+        phases = metric._distinct_phases(eigs, in_band)
         eye = np.eye(n, dtype=complex)
         probes = [eye, gen.haar_unitary(n, rng), *(mu * eye for mu in phases)]
         all_included = True

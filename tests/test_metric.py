@@ -777,7 +777,8 @@ def test_only_the_certificate_takes_a_schur_form():
 
 def test_only_the_split_reorders_a_schur_form():
     # One reorder on the report and one phase rule: every ztrsen call in the
-    # package lies in PowerBoundReport.split, and the 1e-12 phase merge is gone.
+    # package lies in PowerBoundReport.split, and metric._phases is gone (each
+    # phase merge goes through _clusters).
     def ztrsen_calls(tree):
         return [n for n in ast.walk(tree) if isinstance(n, ast.Call) and ast.unparse(n.func).endswith("ztrsen")]
 
@@ -820,20 +821,19 @@ def _two_close_phases(delta, coupled):
 
 
 @pytest.mark.parametrize("coupled", [0, 1])
-@pytest.mark.parametrize("delta, clusters", [(1e-9, 1), (1e-4, 2)])
+@pytest.mark.parametrize("delta, clusters", [(1e-9, 1), (1e-7, 1), (1e-4, 2)])
 def test_close_unimodular_phases_match_the_kronecker_oracle(delta, clusters, coupled):
     """Two unimodular eigenvalues delta apart, one coupled to the interior 0.5.
 
-    The certificate's phase rule merges them into one cluster within
-    ``1e-6 * max(1, ||A||_2)``, and the witness search probes one phase per
-    cluster.  A 1e-12 merge of phases, which probes both, disagrees with
-    it on this family only when the coupled eigenvalue is not the first of
-    its cluster on the Schur diagonal, for delta from 2.92e-8 (where the
-    null space of ``A - mu I`` at the first phase stops holding the coupled
-    eigenvector) to 1.46e-6 (= 1e-6 * ||A||_2, where the cluster splits):
-    there the split rejects, the first phase has no witness, and the
-    verdict is accepted.  At 1e-9 and 1e-4 both rules give the oracle's
-    verdict.
+    The certificate merges them into one cluster within ``1e-6 *
+    max(1, ||A||_2)`` = 1.46e-6, but the witness search probes every phase
+    of a cluster, merged only within 1e-12.  Probing one phase per cluster,
+    the first on the Schur diagonal, disagrees with the oracle on this
+    family when the coupled eigenvalue is the second, for delta from
+    2.92e-8 (where the null space of ``A - mu I`` at the first phase stops
+    holding the coupled eigenvector) to 1.46e-6 (where the cluster splits):
+    there it accepts a matrix whose Kronecker inclusion fails.  delta =
+    1e-7 lies in that band, 1e-9 below it and 1e-4 above it.
     """
     a = _two_close_phases(delta, coupled)
     assert len(certify_power_bounded(a).clusters) == clusters
