@@ -87,18 +87,20 @@ _CLUSTER_TOL = 1e-6
 # the certificate's isometry check at n = 6.
 _SCALAR_TOL = 1e-12
 
-# Powers of T that ``m1_estimate`` forms and holds in memory at a time.
-_POWER_CHUNK = 64
+# Bytes of powers of T that ``m1_estimate`` holds at a time; the
+# temporaries of its Gram screen take a 32nd of that.
+_POWER_BYTES = 256 * 1024
 
-# Relative slack of the Frobenius bound that lets ``m1_estimate`` skip the
-# SVD of a power: it exceeds the rounding of a computed sigma_max and of a
-# computed Frobenius norm together (derived in ``m1_estimate``).
-_FRO_SLACK = 1e-10
+# Relative slack of the Frobenius and Gram bounds that let ``m1_estimate``
+# skip the SVD of a power: it exceeds the rounding of a computed sigma_max
+# and of a computed bound together (derived in ``m1_estimate``).
+_BOUND_SLACK = 1e-10
 
-# Below this running max ``m1_estimate`` skips no SVD: the squares that
-# make up a Frobenius norm under about 1e-154 underflow and lose their
-# relative accuracy, while above 1e-150 underflow costs under 1e-23 * n^2.
-_FRO_FLOOR = 1e-150
+# Below this running max ``m1_estimate`` skips no SVD, and below its square
+# root it takes no Gram bound: the squares that make up a Frobenius norm
+# under about 1e-154 underflow and lose their relative accuracy, while
+# above 1e-150 underflow costs under 1e-23 * n^2.
+_BOUND_FLOOR = 1e-150
 
 
 @dataclass(frozen=True)
@@ -136,66 +138,90 @@ class PowerBoundReport:
     def m1_estimate(self) -> float:
         """``max ||T^n||_2`` over ``n <= horizon``; ``inf`` once a power overflows.
 
-        The powers are formed one product at a time, ``_POWER_CHUNK`` of
-        them per chunk, so a long horizon holds one chunk in memory.  A
-        chunk with a non-finite entry ends the witness at ``inf``.
+        The powers are formed one product at a time into one buffer of at
+        most ``_POWER_BYTES = 256 KiB`` (64 powers at n = 16, 16 at n = 32,
+        4 at n = 64), a chunk at a time, in two passes.  The chunks are
+        full but the first, so the last one holds the last powers.  The
+        first pass forms every power and keeps only its Frobenius norm F
+        (8 bytes a power) and the power of largest F; a power with a
+        non-finite entry ends the witness at ``inf``.  The SVD of that
+        power starts the running max m1.  The second pass visits the
+        powers whose bound can still beat m1: first the last chunk, still
+        in the buffer, then, forming the powers again from I by the same
+        products (so bit for bit), the earlier chunks up to the last one
+        that holds such a power.  An input that grows fast enough for its
+        last power to beat every earlier F takes one pass and one SVD.
 
-        Since ``sigma_max(A) <= ||A||_F``, a power whose Frobenius norm F
-        satisfies ``F * (1 + delta) <= m1``, the running max, cannot raise
-        it, and its SVD is skipped.  Each chunk takes the Frobenius norms
-        of all its powers in one pass.  A power whose squares overflow
+        A power whose bound B satisfies ``B * (1 + delta) <= m1`` cannot
+        raise m1, and its SVD is skipped.  Its first bound is F, since
+        ``sigma_max(P) <= ||P||_F``.  A power whose squares overflow
         (entries past about 1e154) has its F taken again, scaled by the
         power of two that brings its largest real or imaginary part into
         [0.5, 1) and scaled back after the square root; both scalings are
-        exact, so its bound stays finite and rigorous.  Then it takes the
-        SVD of its power of largest F, then one batched SVD of the
-        contiguous run of the chunk that holds every other power still
-        able to raise the max.  The run is a view of the chunk, never a
-        copy: a chunk whose powers all survive is taken in place, and one
-        whose powers all fall below the max takes no SVD.
+        exact, so its bound stays finite and rigorous.  The powers of a
+        chunk that F leaves in play are screened again by the Gram bound
+        ``sigma_max(P)^2 <= min(||P* P||_F, ||P* P||_inf)`` (the largest
+        eigenvalue of ``P* P`` is at most any induced or consistent norm of
+        it), in sub-batches whose conjugates and Grams take at most
+        ``_POWER_BYTES // 32 = 8 KiB`` (4 powers at n = 8, one from n = 16
+        on).  A Gram norm that overflows (entries of P past about 1e154,
+        or 1e77 for the squares that make up ``||P* P||_F``) reads ``inf`` or
+        ``nan`` and drops out of the min, down to F.  The powers still in
+        play take their SVDs in sub-batches of the same size, gathered from
+        the chunk in order of decreasing bound, until no bound beats m1.
 
-        ``delta = _FRO_SLACK = 1e-10`` covers rounding, with unit roundoff
-        ``u = 2^-53``.  A backward-stable SVD gives the sigma of a power
-        within ``p(n) u`` of the exact one relatively, ``p(n)`` a small
-        multiple of n.  The computed F sums ``2 n^2`` nonnegative rounded
-        squares and takes a square root, so it is within ``(n^2 + 1) u``
-        of the exact F relatively, as long as underflow does not enter:
-        no SVD is skipped while ``m1 < _FRO_FLOOR = 1e-150``, and in a
-        scaled power only squares below ``2^-1000`` of the largest
-        underflow.  The two errors together stay below delta for n up to
-        about 900, with a margin above 10 at n = 256, so a skipped power
-        has a computed sigma of at most m1.  The result is bit-equal to the max of one SVD per
-        power: a max is exact, and every sigma comes from the same
-        per-matrix LAPACK call, batched or not.
+        ``delta = _BOUND_SLACK = 1e-10`` covers rounding, with unit
+        roundoff ``u = 2^-53``.  A backward-stable SVD gives the sigma of a
+        power within ``p(n) u`` of the exact one relatively, ``p(n)`` a
+        small multiple of n.  The computed F sums ``2 n^2`` nonnegative
+        rounded squares and takes a square root, so it is within
+        ``(n^2 + 1) u`` of the exact F relatively.  The computed ``P* P``
+        is within ``2 (n + 2) u |P|* |P|`` entrywise (complex inner
+        products), and ``|P|* |P|`` has both norms at most n sigma^2
+        (``||P||_F^2`` and ``||P||_1 ||P||_inf``), so with the rounding of
+        the norms themselves sigma^2 exceeds the computed Gram bound by at
+        most about ``3 n^2 u`` relatively and sigma its square root by
+        ``1.5 n^2 u``.  Underflow is kept out by a floor: no SVD is skipped
+        while ``m1 < _BOUND_FLOOR = 1e-150``, no Gram bound is taken while
+        ``m1^2 < _BOUND_FLOOR`` (the entries of ``P* P`` are of the order of
+        sigma^2), and in a scaled power only squares below ``2^-1000`` of the
+        largest underflow.  The errors together stay below delta for n up
+        to about 750, with a margin above 8 at n = 256, so a skipped power
+        has a computed sigma of at most m1.  The result is bit-equal to the
+        max of one SVD per power: a max is exact, and every sigma comes
+        from the same per-matrix LAPACK call, batched or not.
         """
         t = self.schur[0]
         n = t.shape[0]
-        m1 = 0.0
-        power = np.eye(n, dtype=complex)
+        chunk = min(self.horizon, max(1, _POWER_BYTES // t.nbytes))
+        batch = max(1, _POWER_BYTES // 32 // (2 * t.nbytes))
+        stack = np.empty((chunk, n, n), dtype=complex)
+        fro = np.empty(self.horizon)
+        # Every chunk is full but the first, so the last ``chunk`` powers
+        # stay in the buffer; the last chunk starts at ``ends[-2]``.
+        ends = range(self.horizon, 0, -chunk)[::-1]
+        chunks = list(zip([0, *ends[:-1]], ends))
         with np.errstate(over="ignore", invalid="ignore"):
-            for start in range(0, self.horizon, _POWER_CHUNK):
-                stack = np.empty((min(_POWER_CHUNK, self.horizon - start), n, n), dtype=complex)
-                for k in range(len(stack)):
-                    power = stack[k] = power @ t
-                if not np.isfinite(stack).all():
+            power = np.eye(n, dtype=complex)
+            for start, end in chunks:
+                block = stack[: end - start]
+                power = _form_powers(power, t, block)
+                fro[start:end] = _frobenius(block, batch)
+                k = start + int(np.argmax(fro[start:end]))  # argmax picks a nan first
+                if not np.isfinite(fro[k]):
                     return np.inf
-                flat = stack.view(np.float64).reshape(len(stack), -1)
-                fro = np.sqrt(np.einsum("ij,ij->i", flat, flat))
-                huge = np.flatnonzero(fro == np.inf)
-                if huge.size:
-                    _, exp = np.frexp(np.abs(flat[huge]).max(axis=1))
-                    scaled = np.ldexp(flat[huge], -exp[:, None])
-                    fro[huge] = np.ldexp(np.sqrt(np.einsum("ij,ij->i", scaled, scaled)), exp)
-                bound = fro * (1.0 + _FRO_SLACK)
-                top = int(np.argmax(bound))
-                if m1 >= _FRO_FLOOR and bound[top] <= m1:
-                    continue
-                m1 = max(m1, float(np.linalg.svd(stack[top], compute_uv=False).max()))
-                live = np.flatnonzero(bound > m1) if m1 >= _FRO_FLOOR else np.arange(len(stack))
-                live = live[live != top]
-                if live.size:
-                    run = stack[live[0] : live[-1] + 1]
-                    m1 = max(m1, float(np.linalg.svd(run, compute_uv=False).max()))
+                if start == 0 or fro[k] > fro[top]:
+                    top = k
+                    top_power = block[k - start] if end == self.horizon else block[k - start].copy()
+            m1 = float(np.linalg.svd(top_power, compute_uv=False).max())
+            fro[top] = -np.inf  # settled
+            m1 = _settle(m1, block, fro[start:], batch)
+            power = np.eye(n, dtype=complex)
+            for start, end in chunks[:-1]:
+                if not _live(m1, fro[start : ends[-2]]).any():
+                    break
+                power = _form_powers(power, t, stack[: end - start])
+                m1 = _settle(m1, stack[: end - start], fro[start:end], batch)
         return m1
 
     @cached_property
@@ -237,6 +263,76 @@ class PowerBoundReport:
             lam, reason = self.witness
             out["witness"] = {"eigenvalue": [lam.real, lam.imag], "reason": reason}
         return out
+
+
+def _form_powers(power: np.ndarray, t: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """Fill ``block`` with ``power t``, ``power t^2``, ... one product at a time; return the last."""
+    for k in range(len(block)):
+        power = np.matmul(power, t, out=block[k])
+    return power
+
+
+def _frobenius(block: np.ndarray, batch: int) -> np.ndarray:
+    """``||P||_F`` of each P in ``block``, finite whenever P is (``m1_estimate``)."""
+    flat = block.reshape(len(block), -1).view(np.float64)
+    fro = np.sqrt(np.einsum("ij,ij->i", flat, flat))
+    huge = np.flatnonzero(fro == np.inf)
+    for i in range(0, huge.size, batch):
+        rows = huge[i : i + batch]
+        _, exp = np.frexp(np.abs(flat[rows]).max(axis=1))
+        scaled = np.ldexp(flat[rows], -exp[:, None])
+        fro[rows] = np.ldexp(np.sqrt(np.einsum("ij,ij->i", scaled, scaled)), exp)
+    return fro
+
+
+def _live(m1: float, bound: np.ndarray) -> np.ndarray:
+    """Which bounds, with their slack, can beat ``m1``; below the floor, all but a settled -inf."""
+    return bound * (1.0 + _BOUND_SLACK) > (m1 if m1 >= _BOUND_FLOOR else -np.inf)
+
+
+def _gram_bound(block: np.ndarray, live: np.ndarray, batch: int) -> np.ndarray:
+    """``sqrt(min(||P* P||_F, ||P* P||_inf))`` of each P in ``block`` (``m1_estimate``).
+
+    Taken ``batch`` powers at a time from each live one not yet covered,
+    and ``inf`` elsewhere.
+    """
+    n = block.shape[1]
+    fro2, rows = np.full((2, len(block)), np.inf)
+    conj = np.empty((min(batch, len(block)), n, n), dtype=complex)
+    gram = np.empty_like(conj)
+    covered = 0
+    for lo in np.flatnonzero(live).tolist():
+        if lo < covered:
+            continue
+        covered = lo + batch
+        p = block[lo:covered]
+        k = len(p)
+        g = np.matmul(np.conjugate(p, out=conj[:k]).swapaxes(1, 2), p, out=gram[:k])
+        flat = g.reshape(k, -1).view(np.float64)
+        np.einsum("ij,ij->i", flat, flat, out=fro2[lo : lo + k])
+        # |P* P| reuses the first half of the spent conjugates: a contiguous
+        # view, so abs allocates no temporary.
+        mag = conj.reshape(-1).view(np.float64)[: k * n * n].reshape(k, n, n)
+        np.abs(g, out=mag).sum(axis=2).max(axis=1, out=rows[lo : lo + k])
+    return np.sqrt(np.fmin(np.sqrt(fro2), rows))
+
+
+def _settle(m1: float, block: np.ndarray, fro: np.ndarray, batch: int) -> float:
+    """Raise ``m1`` to the largest sigma of the powers in ``block`` that can beat it (``m1_estimate``)."""
+    bound = fro
+    live = _live(m1, fro)
+    if m1 * m1 >= _BOUND_FLOOR and live.any():
+        bound = np.fmin(fro, _gram_bound(block, live, batch))
+        live &= _live(m1, bound)
+    order = np.flatnonzero(live)
+    order = order[np.argsort(-bound[order], kind="stable")]
+    for i in range(0, order.size, batch):
+        take = order[i : i + batch]
+        take = take[_live(m1, bound[take])]
+        if not take.size:
+            break
+        m1 = max(m1, float(np.linalg.svd(block[take], compute_uv=False).max()))
+    return m1
 
 
 def _clusters(eigs: list[complex], positions: list[int], cluster_tol: float) -> tuple[tuple[int, ...], ...]:

@@ -1,10 +1,13 @@
 import ast
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from opslab import (
@@ -148,69 +151,131 @@ def conjugated(m, seed):
 TRANSIENT = np.array([[0.5, 10.0], [0.0, 0.5]], dtype=complex)
 
 
+def radius_scaled(n, radius, seed):
+    """A random complex n x n matrix scaled to spectral radius ``radius``."""
+    rng = derive_rng(seed)
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return radius * g / np.max(np.abs(np.linalg.eigvals(g)))
+
+
+def unimodular_with_huge_coupling(size):
+    """``[[1, size], [0, exp(0.3 i)]]``: bounded powers with entries near ``size / 0.15``."""
+    return np.array([[1.0, size], [0.0, np.exp(0.3j)]])
+
+
 @pytest.mark.parametrize("horizon", [1, 63, 64, 65, 200])
 def test_m1_estimate_equals_the_per_power_norms(horizon):
     operators = [gen_power_bounded(n, seed=n) for n in (2, 5, 8)]
     operators += [gen_jordan(k, lam) for k, lam in [(2, 1.0), (3, np.exp(0.4j)), (4, 0.9), (3, 1.02)]]
-    rng = derive_rng(11)
-    growing = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
     operators += [
-        1.05 * growing / np.max(np.abs(np.linalg.eigvals(growing))),  # radius > 1
+        radius_scaled(6, 1.05, seed=11),  # radius > 1
         conjugated(gen_jordan(3, np.exp(0.7j)), seed=5),  # unimodular Jordan block
         hyperbolic_orthogonal_example(1.0),
         TRANSIENT,
+        1e-100 * TRANSIENT,  # below the floor of the Gram bound
         1e-170 * TRANSIENT,  # Frobenius squares underflow
         np.diag([1e3, 0.5]),  # Frobenius squares overflow
+        unimodular_with_huge_coupling(1e100),  # ||P* P||_F overflows, ||P* P||_inf does not
+        unimodular_with_huge_coupling(1e160),  # P* P overflows, P is finite
         haar_unitary(6, derive_rng(12)),  # every power ties
+        haar_unitary(24, derive_rng(13)),
         np.array([[0.0, 2.0], [0.5, 0.0]]),  # S^2 = I: the odd powers share the max
     ]
+    if horizon in (64, 200):
+        # Four powers fill the budget at n = 64, so these span 16 and 50 chunks.
+        operators += [gen_power_bounded(64, seed=64), radius_scaled(64, 1.02, seed=3)]
     for s in operators:
         report = certify_power_bounded(s, horizon=horizon)
         assert report.m1_estimate == per_power_m1(report.schur[0], horizon)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(2, 6),
+    seed=st.integers(0, 2**32 - 1),
+    radius=st.floats(0.5, 1.1),
+    coupling=st.floats(0.0, 10.0),
+    horizon=st.integers(1, 200),
+)
+def test_m1_estimate_equals_the_per_power_norms_on_random_operators(n, seed, radius, coupling, horizon):
+    # A unitary conjugate of a triangular T: eigenvalues of modulus up to
+    # radius, the first on it, and a strictly upper part that sets the transient.
+    rng = np.random.default_rng(seed)
+    moduli = radius * np.concatenate([[1.0], rng.uniform(0.0, 1.0, n - 1)])
+    t = np.diag(moduli * np.exp(2j * np.pi * rng.random(n)))
+    t += coupling * np.triu(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), 1)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    report = certify_power_bounded(q @ t @ q.conj().T, horizon=horizon)
+    assert report.m1_estimate == per_power_m1(report.schur[0], horizon)
+
+
 def test_m1_estimate_overflows_to_inf_without_a_warning():
-    # 1.5^n overflows near n = 1750, in the 28th chunk; the pytest
-    # configuration turns any numpy warning into an error.
+    # 1.5^n overflows near n = 1750; the pytest configuration turns any
+    # numpy warning into an error.
     report = certify_power_bounded(np.array([[1.5, 1.0], [0.0, -1.5]]), horizon=4000)
     assert report.m1_estimate == np.inf
     assert certify_power_bounded(np.diag([1e300, 1.0]), horizon=3).m1_estimate == np.inf
 
 
-def svd_batches(monkeypatch, report):
-    """``report.m1_estimate`` and the number of matrices of each SVD it takes."""
-    batches = []
+def svd_count(monkeypatch, report):
+    """``report.m1_estimate`` and the number of matrices its SVDs take."""
+    count = 0
     svd = np.linalg.svd
 
-    def recording_svd(a, *args, **kwargs):
-        batches.append(1 if np.ndim(a) == 2 else len(a))
+    def counting_svd(a, *args, **kwargs):
+        nonlocal count
+        count += 1 if np.ndim(a) == 2 else len(a)
         return svd(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
     m1 = report.m1_estimate
     monkeypatch.undo()
-    return m1, batches
+    return m1, count
 
 
 def test_m1_estimate_svds_only_the_powers_that_can_set_the_max(monkeypatch):
     s = np.array([[1.0, 1.0], [0.0, np.exp(1e-3j)]])
     report = certify_power_bounded(s, horizon=4000)
-    m1, batches = svd_batches(monkeypatch, report)
+    m1, count = svd_count(monkeypatch, report)
     assert m1 == pytest.approx(2000.0, abs=1e-3)
     assert m1 == per_power_m1(report.schur[0], 4000)
-    assert max(batches) <= 64
+    assert count <= 8
     # e^n grows so fast that the SVD of the last power settles the max.
-    _, batches = svd_batches(monkeypatch, certify_power_bounded(hyperbolic_orthogonal_example(1.0)))
-    assert batches == [1]
+    assert svd_count(monkeypatch, certify_power_bounded(hyperbolic_orthogonal_example(1.0)))[1] == 1
     # So does 1e3^n, whose entries pass 1e154 at n = 52: each power is
     # scaled before its entries are squared, so its bound stays finite.
-    _, batches = svd_batches(monkeypatch, certify_power_bounded(np.diag([1e3, 0.5])))
-    assert batches == [1]
-    # A decaying transient reaches its max in the first chunk; the later
-    # chunks of a horizon of ten chunks take no SVD.
-    _, first = svd_batches(monkeypatch, certify_power_bounded(TRANSIENT, horizon=64))
-    _, ten = svd_batches(monkeypatch, certify_power_bounded(TRANSIENT, horizon=640))
+    assert svd_count(monkeypatch, certify_power_bounded(np.diag([1e3, 0.5])))[1] == 1
+    # So does a growing input over sixteen chunks of four powers (n = 64).
+    assert svd_count(monkeypatch, certify_power_bounded(radius_scaled(64, 1.05, seed=3)))[1] == 1
+    # A decaying transient reaches its max in its first powers; ten times
+    # the horizon takes no more SVDs.
+    _, first = svd_count(monkeypatch, certify_power_bounded(TRANSIENT, horizon=64))
+    _, ten = svd_count(monkeypatch, certify_power_bounded(TRANSIENT, horizon=640))
     assert first and ten == first
+
+
+@pytest.mark.parametrize("n", [16, 24, 32])
+def test_m1_estimate_svds_few_powers_of_power_bounded_operators(monkeypatch, n):
+    # One SVD per power would take 512 matrices on these eight operators;
+    # the Frobenius bound alone leaves 269, 328 and 273 at n = 16, 24, 32.
+    counts = [svd_count(monkeypatch, certify_power_bounded(gen_power_bounded(n, seed)))[1] for seed in range(8)]
+    assert sum(counts) <= 32
+
+
+@pytest.mark.parametrize("n", [16, 32, 64, 128])
+def test_m1_estimate_holds_its_powers_in_a_fixed_budget(n):
+    report = certify_power_bounded(gen_power_bounded(n, seed=n))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        report.m1_estimate
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # All 64 powers at once read 0.27, 1.08, 4.3 and 17.3 MiB.
+    budget = {16: 0.27 * 2**20, 32: 1.1 * 2**20}.get(n, metric._POWER_BYTES + 4 * 16 * n * n)
+    assert peak <= budget
 
 
 def test_certify_names_a_rounding_split_jordan_block():
