@@ -11,10 +11,7 @@ and sweep suites that exercise all of it.
 from .conj import (
     Conjugation,
     conjugate_operator,
-    entrywise_conjugation,
-    hyperbolic_orthogonal_example,
     is_mc_isometric,
-    make_conjugation,
     mc_isometry_defect,
 )
 from .errors import (
@@ -28,10 +25,8 @@ from .matcore import (
     DEFAULT_TOL,
     ToleranceConfig,
     adjoint,
-    as_matrix,
     frobenius,
     load_matrix,
-    matrix_from_json_dict,
     matrix_to_json_dict,
     null_space,
     numerical_rank,

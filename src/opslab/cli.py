@@ -11,8 +11,11 @@ conjugations as ``{"J": <matrix>}``.  Exit code 0 means every verdict
 passed, 1 means a check failed or a solver hypothesis was violated, and 2
 means malformed input or usage.  Only ``generate`` and ``suite`` draw random
 numbers, all behind ``--seed``; ``check`` and ``solve`` are deterministic.
-``main`` builds its parser on its first call and reuses it for every later
-request in the process; ``build_parser`` returns a fresh one.
+Each kind takes the operands ``KINDS`` lists for it, after the kind: a
+missing, foreign or abbreviated flag is a usage error (exit 2), and
+``opslab check m-isometry --help`` lists a kind's operands.  ``main``
+builds its parser on its first call and reuses it for every later request
+in the process; ``build_parser`` returns a fresh one.
 """
 
 from __future__ import annotations
@@ -35,16 +38,31 @@ from .matcore import (
     matrix_to_json_dict,
 )
 
-CHECK_KINDS = ("left-m-inverse", "m-isometry", "mc-isometry", "power-bounded", "pf-property")
-SOLVE_KINDS = ("invariant-metric", "similarity", "canonical-inverse", "douglas")
-GENERATORS = (
-    "jordan",
-    "similar-isometry",
-    "left-m-pair",
-    "power-bounded",
-    "conjugation",
-    "one-c-isometry",
-)
+# The operands of each kind of each command: the flags it requires, and the
+# flags it may take with their defaults.  A kind's parser takes no others.
+KINDS = {
+    "check": {
+        "left-m-inverse": (("--s", "--t", "--m"), {}),
+        "m-isometry": (("--s", "--m"), {}),
+        "mc-isometry": (("--s", "--conj", "--m"), {}),
+        "power-bounded": (("--s",), {"--horizon": 64}),
+        "pf-property": (("--s",), {}),
+    },
+    "solve": {
+        "invariant-metric": (("--s",), {}),
+        "similarity": (("--s", "--t"), {"--m": 1}),
+        "canonical-inverse": (("--s",), {"--p": None, "--m": 1}),
+        "douglas": (("--a", "--b"), {}),
+    },
+    "generate": {
+        "jordan": (("--k", "--lambda"), {}),
+        "similar-isometry": (("--n",), {}),
+        "left-m-pair": (("--n", "--m"), {}),
+        "power-bounded": (("--n",), {}),
+        "conjugation": (("--n",), {}),
+        "one-c-isometry": (("--n",), {"--hyperbolic": False, "--t": 1.0}),
+    },
+}
 # The sweeps of each paper claim in suites.GATES order; perfbench's tracer rebinds them.
 SUITES = {
     claim: tuple(gate.runner for gate in suites.GATES if gate.claim == claim)
@@ -117,39 +135,23 @@ def _load_conjugation(path, tol) -> Conjugation:
     return Conjugation.from_json_dict(load_json(path, "conjugation file"), tol)
 
 
-def _require_m(args) -> int:
-    if args.m is None:
-        raise ArgumentError("this check requires --m")
-    if args.m < 1:
-        raise ArgumentError("--m must be >= 1")
-    return args.m
-
-
 def _cmd_check(args, tol: ToleranceConfig) -> Report:
     report = Report(command=f"check {args.kind}", tolerances=_tol_dict(tol))
+    s = load_matrix(args.s, "S")
     if args.kind == "left-m-inverse":
-        s = load_matrix(args.s, "S")
-        t = load_matrix(args.t, "T") if args.t else None
-        if t is None:
-            raise ArgumentError("left-m-inverse requires --t")
-        ok, residual = minv.is_left_m_inverse(s, t, _require_m(args), tol)
+        ok, residual = minv.is_left_m_inverse(s, load_matrix(args.t, "T"), args.m, tol)
         report.add_verdict("left-m-inverse", ok, residual)
     elif args.kind == "m-isometry":
-        s = load_matrix(args.s, "S")
-        ok, residual = minv.is_left_m_inverse(s, adjoint(s), _require_m(args), tol)
+        ok, residual = minv.is_left_m_inverse(s, adjoint(s), args.m, tol)
         report.add_verdict("m-isometry", ok, residual)
     elif args.kind == "mc-isometry":
-        s = load_matrix(args.s, "S")
-        if not args.conj:
-            raise ArgumentError("mc-isometry requires --conj")
         c = _load_conjugation(args.conj, tol)
         # One recursion pass of (CSC, S*) gives order m and order 1.
-        profile = minv.defect_profile(conjugate_operator(c, s), adjoint(s), _require_m(args), tol)
+        profile = minv.defect_profile(conjugate_operator(c, s), adjoint(s), args.m, tol)
         passed, residual = profile[-1]
         report.add_verdict("mc-isometry", passed, residual)
         report.artifacts["one_c_isometric"] = profile[0][0]
     elif args.kind == "power-bounded":
-        s = load_matrix(args.s, "S")
         pb = metric.certify_power_bounded(s, horizon=args.horizon, tol=tol)
         report.add_verdict("power-bounded", pb.bounded)
         if args.json:  # the text report does not print the power-norm witness
@@ -158,7 +160,6 @@ def _cmd_check(args, tol: ToleranceConfig) -> Report:
             lam, reason = pb.witness
             report.artifacts["witness"] = f"{reason} (eigenvalue {lam:.6g})"
     elif args.kind == "pf-property":
-        s = load_matrix(args.s, "S")
         pf = metric.pf_property_check(s, tol)
         report.add_verdict("pf-property", pf.satisfies_pf)
         report.artifacts["report"] = pf.to_json_dict()
@@ -179,11 +180,8 @@ def _cmd_solve(args, tol: ToleranceConfig) -> Report:
         )
     elif args.kind == "similarity":
         s = load_matrix(args.s, "S")
-        if not args.t:
-            raise ArgumentError("similarity requires --t")
         t = load_matrix(args.t, "T")
-        m = _require_m(args)
-        u1, u2, p, residual = metric.similar_to_unitary(metric.similarity_certificate(s, tol), t, m, tol)
+        u1, u2, p, residual = metric.similar_to_unitary(metric.similarity_certificate(s, tol), t, args.m, tol)
         report.add_verdict("unitary-models", True, residual)
         report.artifacts["U1"] = matrix_to_json_dict(u1)
         report.artifacts["U2"] = matrix_to_json_dict(u2)
@@ -194,12 +192,10 @@ def _cmd_solve(args, tol: ToleranceConfig) -> Report:
             cert = metric.extract_isometry(s, load_matrix(args.p, "P"), tol)
         else:
             cert = metric.similarity_certificate(s, tol)
-        t, residual = metric.canonical_left_m_inverse(cert, _require_m(args), tol)
+        t, residual = metric.canonical_left_m_inverse(cert, args.m, tol)
         report.add_verdict("canonical-inverse", True, residual)
         report.artifacts["T"] = matrix_to_json_dict(t)
     elif args.kind == "douglas":
-        if not (args.a and args.b):
-            raise ArgumentError("douglas requires --a and --b")
         a = load_matrix(args.a, "A")
         b = load_matrix(args.b, "B")
         c, mu2 = metric.douglas_factor(a, b, tol)  # refuses unless ran(A) <= ran(B)
@@ -211,16 +207,14 @@ def _cmd_solve(args, tol: ToleranceConfig) -> Report:
 
 def _generate_one(args, seed: int) -> tuple[dict, dict]:
     """One generated instance: (payload, parameter metadata)."""
-    if args.generator == "jordan":
-        if args.k is None or args.lam is None:
-            raise ArgumentError("jordan requires --k and --lambda")
+    if args.kind == "jordan":
         lam = parse_complex(args.lam)
         return (
             matrix_to_json_dict(gen.gen_jordan(args.k, lam)),
             {"k": args.k, "lambda": [lam.real, lam.imag]},
         )
-    if args.generator == "similar-isometry":
-        s, p0, u = gen.gen_similar_isometry(_require_n(args), seed)
+    if args.kind == "similar-isometry":
+        s, p0, u = gen.gen_similar_isometry(args.n, seed)
         return (
             {
                 "S": matrix_to_json_dict(s),
@@ -229,27 +223,24 @@ def _generate_one(args, seed: int) -> tuple[dict, dict]:
             },
             {"n": args.n},
         )
-    if args.generator == "left-m-pair":
-        n, m = _require_n(args), _require_m(args)  # the pair is a left m-inverse at every m
-        s, t = gen.gen_left_m_pair(n, seed)
+    if args.kind == "left-m-pair":  # the pair is a left m-inverse at every m
+        s, t = gen.gen_left_m_pair(args.n, seed)
         return (
             {
-                "m": m,
+                "m": args.m,
                 "S": matrix_to_json_dict(s),
                 "T": matrix_to_json_dict(t),
             },
             {"n": args.n, "m": args.m},
         )
-    if args.generator == "power-bounded":
+    if args.kind == "power-bounded":
         return (
-            matrix_to_json_dict(gen.gen_power_bounded(_require_n(args), seed)),
+            matrix_to_json_dict(gen.gen_power_bounded(args.n, seed)),
             {"n": args.n},
         )
-    if args.generator == "conjugation":
-        return gen.gen_conjugation(_require_n(args), seed).to_json_dict(), {"n": args.n}
-    s, c = gen.gen_1c_isometry(
-        _require_n(args), seed, hyperbolic=args.hyperbolic, t=args.t
-    )
+    if args.kind == "conjugation":
+        return gen.gen_conjugation(args.n, seed).to_json_dict(), {"n": args.n}
+    s, c = gen.gen_1c_isometry(args.n, seed, hyperbolic=args.hyperbolic, t=args.t)
     return (
         {
             "hyperbolic": args.hyperbolic,
@@ -261,12 +252,12 @@ def _generate_one(args, seed: int) -> tuple[dict, dict]:
 
 
 def _cmd_generate(args) -> Report:
-    report = Report(command=f"generate {args.generator}", tolerances=None, seed=args.seed)
+    report = Report(command=f"generate {args.kind}", tolerances=None, seed=args.seed)
     if args.count < 1:
         raise ArgumentError("--count must be >= 1")
     if args.count == 1:
         single, params = _generate_one(args, args.seed)
-        meta = {"generator": args.generator, "seed": args.seed, "parameters": params}
+        meta = {"generator": args.kind, "seed": args.seed, "parameters": params}
         payload = single if isinstance(single, dict) and "rows" in single else {**meta, **single}
     else:  # corpus manifest: metadata plus an array of instances
         instances = []
@@ -275,7 +266,7 @@ def _cmd_generate(args) -> Report:
             one, params = _generate_one(args, int(gen.derive_rng(args.seed, i).integers(0, 2**63)))
             instances.append(one)
         meta = {
-            "generator": args.generator,
+            "generator": args.kind,
             "seed": args.seed,
             "count": args.count,
             "parameters": params,
@@ -306,12 +297,6 @@ def _cmd_suite(args) -> Report:
     return report
 
 
-def _require_n(args) -> int:
-    if args.n is None or args.n < 1:
-        raise ArgumentError("this generator requires --n >= 1")
-    return args.n
-
-
 def _tol_dict(tol: ToleranceConfig) -> dict:
     return {"abs_tol": tol.abs_tol, "rel_tol": tol.rel_tol}
 
@@ -327,57 +312,62 @@ def _int64(text: str) -> int:
     return value
 
 
+def _positive(text: str) -> int:
+    """The type of ``--m``, ``--n`` and ``--k``: a 64-bit integer of at least 1."""
+    value = _int64(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _operand(command: str, flag: str) -> dict:
+    """The argparse keywords of one operand of ``KINDS``."""
+    if flag in ("--m", "--n", "--k"):
+        return {"type": _positive}
+    if flag == "--horizon":
+        return {"type": _int64}
+    if flag == "--lambda":
+        return {"dest": "lam", "help": 'complex literal "a+bi"'}
+    if flag == "--hyperbolic":
+        return {"action": "store_true"}
+    if command == "generate":  # --t, the hyperbolic family's parameter
+        return {"type": float}
+    return {"help": "conjugation JSON file" if flag == "--conj" else "matrix JSON file"}
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="opslab", description=__doc__)
+    # Without allow_abbrev=False a kind's parser would read --a as --abs-tol.
+    parser = argparse.ArgumentParser(prog="opslab", description=__doc__, allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
+    helps = {
+        "check": "run a verdict-style check",
+        "solve": "solve for a certificate",
+        "generate": "write a seeded instance",
+    }
+    for command, kinds in KINDS.items():
+        p_command = sub.add_parser(command, help=helps[command], allow_abbrev=False)
+        p_kinds = p_command.add_subparsers(dest="kind", required=True)
+        for kind, (required, optional) in kinds.items():
+            p = p_kinds.add_parser(kind, allow_abbrev=False)
+            for flag in required:
+                p.add_argument(flag, required=True, **_operand(command, flag))
+            for flag, default in optional.items():
+                p.add_argument(flag, default=default, **_operand(command, flag))
+            if command == "generate":  # check and solve draw no random numbers
+                p.add_argument("--count", type=_int64, default=1, help="instances per manifest")
+                p.add_argument("--out")
+                p.add_argument("--seed", type=_int64, default=0)
+            else:  # suites pin their own tolerances; generators use none
+                p.add_argument("--abs-tol", type=float, default=1e-10)
+                p.add_argument("--rel-tol", type=float, default=1e-8)
+            p.add_argument("--json", action="store_true", help="machine-readable report")
 
-    def common(p, seeded):  # check and solve draw no random numbers
-        if seeded:
-            p.add_argument("--seed", type=_int64, default=0)
-        p.add_argument("--json", action="store_true", help="machine-readable report")
-
-    def tolerances(p):  # suites pin their own tolerances; generators use none
-        p.add_argument("--abs-tol", type=float, default=1e-10)
-        p.add_argument("--rel-tol", type=float, default=1e-8)
-
-    p_check = sub.add_parser("check", help="run a verdict-style check")
-    p_check.add_argument("kind", choices=CHECK_KINDS)
-    p_check.add_argument("--s", help="matrix JSON file")
-    p_check.add_argument("--t", help="matrix JSON file")
-    p_check.add_argument("--conj", help="conjugation JSON file")
-    p_check.add_argument("--m", type=_int64)
-    p_check.add_argument("--horizon", type=_int64, default=64)
-    common(p_check, seeded=False)
-    tolerances(p_check)
-
-    p_solve = sub.add_parser("solve", help="solve for a certificate")
-    p_solve.add_argument("kind", choices=SOLVE_KINDS)
-    p_solve.add_argument("--s")
-    p_solve.add_argument("--t")
-    p_solve.add_argument("--p")
-    p_solve.add_argument("--a")
-    p_solve.add_argument("--b")
-    p_solve.add_argument("--m", type=_int64, default=1)
-    common(p_solve, seeded=False)
-    tolerances(p_solve)
-
-    p_gen = sub.add_parser("generate", help="write a seeded instance")
-    p_gen.add_argument("generator", choices=GENERATORS)
-    p_gen.add_argument("--n", type=_int64)
-    p_gen.add_argument("--k", type=_int64)
-    p_gen.add_argument("--m", type=_int64)
-    p_gen.add_argument("--lambda", dest="lam", help='complex literal "a+bi"')
-    p_gen.add_argument("--hyperbolic", action="store_true")
-    p_gen.add_argument("--t", type=float, default=1.0)
-    p_gen.add_argument("--count", type=_int64, default=1, help="instances per manifest")
-    p_gen.add_argument("--out")
-    common(p_gen, seeded=True)
-
-    p_suite = sub.add_parser("suite", help="run a verification sweep")
+    p_suite = sub.add_parser("suite", help="run a verification sweep", allow_abbrev=False)
     p_suite.add_argument("name", choices=sorted(SUITES))
     p_suite.add_argument("--count", type=_int64, help="default: each sweep's gate count")
     p_suite.add_argument("--dim-max", type=_int64, help="default: each sweep's gate size")
-    common(p_suite, seeded=True)
+    p_suite.add_argument("--seed", type=_int64, default=0)
+    p_suite.add_argument("--json", action="store_true", help="machine-readable report")
     return parser
 
 
@@ -396,14 +386,7 @@ def main(argv=None) -> int:
             report = _cmd_suite(args)
         else:
             tol = ToleranceConfig(abs_tol=args.abs_tol, rel_tol=args.rel_tol)
-            if args.command == "check":
-                if not args.s:
-                    raise ArgumentError("check requires --s")
-                report = _cmd_check(args, tol)
-            else:
-                if args.kind != "douglas" and not args.s:
-                    raise ArgumentError("solve requires --s")
-                report = _cmd_solve(args, tol)
+            report = (_cmd_check if args.command == "check" else _cmd_solve)(args, tol)
     except (ArgumentError, MatrixFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

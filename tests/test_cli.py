@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,10 +12,8 @@ import pytest
 import opslab
 from opslab import (
     cli,
-    entrywise_conjugation,
     gen,
     is_mc_isometric,
-    matrix_from_json_dict,
     matrix_to_json_dict,
     metric,
     minv,
@@ -22,12 +21,16 @@ from opslab import (
     suites,
 )
 from opslab.cli import main, parse_complex
+from opslab.conj import entrywise_conjugation
 from opslab.gen import gen_jordan, gen_left_m_pair, gen_similar_isometry
-from opslab.matcore import dump_json
+from opslab.matcore import dump_json, matrix_from_json_dict
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse usage errors, read as perfbench's call_cli reads them
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -150,6 +153,101 @@ def test_check_refuses_sizes_that_are_not_integers(tmp_path, capsys, sizes):
 def test_check_missing_file(tmp_path, capsys):
     code, _, err = run(capsys, "check", "m-isometry", "--s", str(tmp_path / "nope.json"), "--m", "1")
     assert code == 2
+
+
+# A value each operand parses; argparse refuses before any file is read.
+VALUES = {"--m": ["2"], "--n": ["3"], "--k": ["2"], "--lambda": ["1"], "--horizon": ["8"], "--hyperbolic": []}
+# The flags every kind of a command takes besides its operands.
+COMMON = {
+    "check": {"--help", "--abs-tol", "--rel-tol", "--json"},
+    "solve": {"--help", "--abs-tol", "--rel-tol", "--json"},
+    "generate": {"--help", "--count", "--out", "--seed", "--json"},
+}
+KIND_ROWS = [(command, kind, *operands) for command, kinds in cli.KINDS.items() for kind, operands in kinds.items()]
+
+
+def operands(command, flags):
+    values = {**VALUES, "--t": ["1.5"]} if command == "generate" else VALUES
+    return [x for flag in flags for x in [flag, *values.get(flag, ["x.json"])]]
+
+
+def foreign(command, required, optional):
+    """The flags other kinds of the command take and this kind does not."""
+    taken = {flag for req, opt in cli.KINDS[command].values() for flag in (*req, *opt)}
+    return sorted(taken - set(required) - set(optional))
+
+
+@pytest.mark.parametrize(
+    "command, kind, flag",
+    [(c, k, flag) for c, k, required, _ in KIND_ROWS for flag in required],
+)
+def test_each_missing_required_operand_is_a_usage_error(capsys, command, kind, flag):
+    required = cli.KINDS[command][kind][0]
+    code, out, err = run(capsys, command, kind, *operands(command, [f for f in required if f != flag]))
+    assert (code, out) == (2, "")
+    assert f"the following arguments are required: {flag}" in err
+
+
+@pytest.mark.parametrize(
+    "command, kind, flag",
+    [(c, k, flag) for c, k, required, optional in KIND_ROWS for flag in foreign(c, required, optional)],
+)
+def test_each_foreign_operand_is_a_usage_error(capsys, command, kind, flag):
+    # A flag only another kind reads would otherwise be accepted and ignored.
+    required = cli.KINDS[command][kind][0]
+    code, out, err = run(capsys, command, kind, *operands(command, [*required, flag]))
+    assert (code, out) == (2, "")
+    assert f"unrecognized arguments: {flag}" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["suite", "thm24", "--dim", "3"], "unrecognized arguments: --dim 3"),  # not --dim-max
+        (["solve", "invariant-metric", "--s", "x.json", "--a", "0.5"], "unrecognized arguments: --a 0.5"),
+        (["check", "power-bounded", "--s", "x.json", "--hor", "8"], "unrecognized arguments: --hor 8"),
+        (["check", "--s", "x.json", "power-bounded"], "invalid choice: 'x.json'"),  # operands follow the kind
+        (["check", "--json", "power-bounded", "--s", "x.json"], "unrecognized arguments: --json"),
+    ],
+)
+def test_abbreviated_and_misplaced_flags_are_usage_errors(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert message in err
+
+
+@pytest.mark.parametrize("kind, flag", [("jordan", "--k"), ("left-m-pair", "--n"), ("left-m-pair", "--m")])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_sizes_below_one_are_usage_errors(capsys, kind, flag, value):
+    argv = [x for f in cli.KINDS["generate"][kind][0] for x in [f, value if f == flag else "2"]]
+    code, out, err = run(capsys, "generate", kind, *argv)
+    assert (code, out) == (2, "")
+    assert f"argument {flag}: must be >= 1, got {value}" in err
+
+
+@pytest.mark.parametrize(
+    "argv, operand, given, default",
+    [
+        (["check", "power-bounded", "--s", "s.json"], ["--horizon", "8"], 8, 64),
+        (["solve", "similarity", "--s", "s.json", "--t", "t.json"], ["--m", "3"], 3, 1),
+        (["solve", "canonical-inverse", "--s", "s.json"], ["--p", "p.json"], "p.json", None),
+        (["solve", "canonical-inverse", "--s", "s.json"], ["--m", "3"], 3, 1),
+        (["generate", "one-c-isometry", "--n", "2"], ["--hyperbolic"], True, False),
+        (["generate", "one-c-isometry", "--n", "2"], ["--t", "2.5"], 2.5, 1.0),
+    ],
+)
+def test_optional_operands_parse_and_default(argv, operand, given, default):
+    dest = operand[0].lstrip("-")
+    parser = cli.build_parser()
+    assert getattr(parser.parse_args(argv + operand), dest) == given
+    assert getattr(parser.parse_args(argv), dest) == default
+
+
+@pytest.mark.parametrize("command, kind, required, optional", KIND_ROWS)
+def test_each_kinds_help_lists_exactly_its_operands(capsys, command, kind, required, optional):
+    code, out, _ = run(capsys, command, kind, "--help")
+    assert code == 0
+    assert set(re.findall(r"--[a-z][\w-]*", out)) == {*required, *optional} | COMMON[command]
 
 
 def test_check_mc_isometry(tmp_path, capsys):

@@ -9,15 +9,13 @@ from opslab import (
     certify_power_bounded,
     conjugate_operator,
     defect,
-    entrywise_conjugation,
-    hyperbolic_orthogonal_example,
     is_left_m_inverse,
     is_mc_isometric,
-    make_conjugation,
     mc_isometry_defect,
     minv,
     suites,
 )
+from opslab.conj import entrywise_conjugation, hyperbolic_orthogonal_example, make_conjugation
 from opslab.gen import gen_1c_isometry, gen_conjugation, gen_power_bounded
 from opslab.suites import _mc_defect_antilinear
 

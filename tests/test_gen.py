@@ -9,9 +9,9 @@ from opslab import (
     defect_profile,
     is_mc_isometric,
     is_left_m_inverse,
-    make_conjugation,
     similarity_certificate,
 )
+from opslab.conj import make_conjugation
 from opslab.gen import (
     gen_1c_isometry,
     gen_conjugation,

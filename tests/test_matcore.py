@@ -14,14 +14,12 @@ from opslab import (
     MatrixFormatError,
     ToleranceConfig,
     adjoint,
-    as_matrix,
     certify_power_bounded,
     load_matrix,
-    matrix_from_json_dict,
     matrix_to_json_dict,
     operator_norm,
 )
-from opslab.matcore import dump_json, load_json
+from opslab.matcore import as_matrix, dump_json, load_json, matrix_from_json_dict
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 

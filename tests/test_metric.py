@@ -23,7 +23,6 @@ from opslab import (
     douglas_factor,
     extract_isometry,
     frobenius,
-    hyperbolic_orthogonal_example,
     invariant_metric,
     is_left_m_inverse,
     kernel_included,
@@ -35,6 +34,7 @@ from opslab import (
     similarity_certificate,
 )
 from opslab import suites
+from opslab.conj import hyperbolic_orthogonal_example
 from opslab.gen import (
     derive_rng,
     gen_1c_isometry,

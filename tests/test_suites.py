@@ -80,6 +80,27 @@ def test_only_the_sweep_and_generate_derive_an_instance_rng():
     assert callers == {"_instance", "_cmd_generate"}
 
 
+def test_suites_call_no_private_name_of_metric():
+    # A sweep's oracle must not share the rule it checks, e.g. metric's phase merge.
+    tree = ast.parse(Path(suites.__file__).read_text())
+    private = {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "metric"
+        and node.attr.startswith("_")
+    }
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("metric")
+        for alias in node.names
+        if alias.name.startswith("_")
+    }
+    assert private | imported == set()
+
+
 SEEDED_GATES = [gate for gate in suites.GATES if gate.seeded]
 
 
