@@ -13,7 +13,9 @@ means malformed input or usage.  Only ``generate`` and ``suite`` draw random
 numbers, all behind ``--seed``; ``check`` and ``solve`` are deterministic.
 Each kind takes the operands ``KINDS`` lists for it, after the kind: a
 missing, foreign or abbreviated flag is a usage error (exit 2), and
-``opslab check m-isometry --help`` lists a kind's operands.  ``main``
+``opslab check m-isometry --help`` lists a kind's operands.  The
+``parameters`` of a generated instance's metadata are those operands,
+named without dashes, with ``--lambda`` as ``[re, im]``.  ``main``
 builds its parser on its first call and reuses it for every later request
 in the process; ``build_parser`` returns a fresh one.
 """
@@ -27,7 +29,7 @@ from dataclasses import dataclass, field
 
 from . import gen, metric, minv, suites
 from .conj import Conjugation, conjugate_operator
-from .errors import ArgumentError, AssumptionError, MatrixFormatError, OpslabError
+from .errors import ArgumentError, AssumptionError, OpslabError
 from .matcore import (
     ToleranceConfig,
     adjoint,
@@ -111,9 +113,7 @@ class Report:
             tail = f" (residual {entry['residual']:.3e})" if "residual" in entry else ""
             print(f"verdict {name}: {status}{tail}")
         for name, value in self.artifacts.items():
-            if isinstance(value, str):
-                print(f"{name}: {value}")
-            elif isinstance(value, (int, float, bool)):
+            if isinstance(value, (str, int, float)):  # bool is an int
                 print(f"{name}: {value}")
             elif name == "metadata":
                 print(f"{name}: {dump_json(value)}")
@@ -131,10 +131,6 @@ def parse_complex(text: str) -> complex:
         raise ArgumentError(f"invalid complex literal {text!r}") from exc
 
 
-def _load_conjugation(path, tol) -> Conjugation:
-    return Conjugation.from_json_dict(load_json(path, "conjugation file"), tol)
-
-
 def _cmd_check(args, tol: ToleranceConfig) -> Report:
     report = Report(command=f"check {args.kind}", tolerances=_tol_dict(tol))
     s = load_matrix(args.s, "S")
@@ -145,7 +141,7 @@ def _cmd_check(args, tol: ToleranceConfig) -> Report:
         ok, residual = minv.is_left_m_inverse(s, adjoint(s), args.m, tol)
         report.add_verdict("m-isometry", ok, residual)
     elif args.kind == "mc-isometry":
-        c = _load_conjugation(args.conj, tol)
+        c = Conjugation.from_json_dict(load_json(args.conj, "conjugation file"), tol)
         # One recursion pass of (CSC, S*) gives order m and order 1.
         profile = minv.defect_profile(conjugate_operator(c, s), adjoint(s), args.m, tol)
         passed, residual = profile[-1]
@@ -205,73 +201,40 @@ def _cmd_solve(args, tol: ToleranceConfig) -> Report:
     return report
 
 
-def _generate_one(args, seed: int) -> tuple[dict, dict]:
-    """One generated instance: (payload, parameter metadata)."""
-    if args.kind == "jordan":
-        lam = parse_complex(args.lam)
-        return (
-            matrix_to_json_dict(gen.gen_jordan(args.k, lam)),
-            {"k": args.k, "lambda": [lam.real, lam.imag]},
-        )
-    if args.kind == "similar-isometry":
-        s, p0, u = gen.gen_similar_isometry(args.n, seed)
-        return (
-            {
-                "S": matrix_to_json_dict(s),
-                "P0": matrix_to_json_dict(p0),
-                "U": matrix_to_json_dict(u),
-            },
-            {"n": args.n},
-        )
-    if args.kind == "left-m-pair":  # the pair is a left m-inverse at every m
-        s, t = gen.gen_left_m_pair(args.n, seed)
-        return (
-            {
-                "m": args.m,
-                "S": matrix_to_json_dict(s),
-                "T": matrix_to_json_dict(t),
-            },
-            {"n": args.n, "m": args.m},
-        )
-    if args.kind == "power-bounded":
-        return (
-            matrix_to_json_dict(gen.gen_power_bounded(args.n, seed)),
-            {"n": args.n},
-        )
-    if args.kind == "conjugation":
-        return gen.gen_conjugation(args.n, seed).to_json_dict(), {"n": args.n}
-    s, c = gen.gen_1c_isometry(args.n, seed, hyperbolic=args.hyperbolic, t=args.t)
-    return (
-        {
-            "hyperbolic": args.hyperbolic,
-            "S": matrix_to_json_dict(s),
-            "J": matrix_to_json_dict(c.j),
-        },
-        {"n": args.n, "hyperbolic": args.hyperbolic, "t": args.t},
-    )
+def _generate_one(kind: str, params: dict, seed: int) -> dict:
+    """The payload of one instance of ``kind`` at ``params``, the metadata's parameters."""
+    if kind == "jordan":
+        return matrix_to_json_dict(gen.gen_jordan(params["k"], complex(*params["lambda"])))
+    if kind == "similar-isometry":
+        s, p0, u = gen.gen_similar_isometry(params["n"], seed)
+        return {"S": matrix_to_json_dict(s), "P0": matrix_to_json_dict(p0), "U": matrix_to_json_dict(u)}
+    if kind == "left-m-pair":  # the pair is a left m-inverse at every m
+        s, t = gen.gen_left_m_pair(params["n"], seed)
+        return {"m": params["m"], "S": matrix_to_json_dict(s), "T": matrix_to_json_dict(t)}
+    if kind == "power-bounded":
+        return matrix_to_json_dict(gen.gen_power_bounded(params["n"], seed))
+    if kind == "conjugation":
+        return gen.gen_conjugation(params["n"], seed).to_json_dict()
+    s, c = gen.gen_1c_isometry(params["n"], seed, hyperbolic=params["hyperbolic"], t=params["t"])
+    return {"hyperbolic": params["hyperbolic"], "S": matrix_to_json_dict(s), "J": matrix_to_json_dict(c.j)}
 
 
 def _cmd_generate(args) -> Report:
     report = Report(command=f"generate {args.kind}", tolerances=None, seed=args.seed)
-    if args.count < 1:
-        raise ArgumentError("--count must be >= 1")
+    required, optional = KINDS["generate"][args.kind]
+    params = {flag[2:]: getattr(args, flag[2:]) for flag in (*required, *optional)}
+    if "lambda" in params:
+        lam = parse_complex(params["lambda"])
+        params["lambda"] = [lam.real, lam.imag]
+    meta = {"generator": args.kind, "seed": args.seed, "parameters": params}
     if args.count == 1:
-        single, params = _generate_one(args, args.seed)
-        meta = {"generator": args.kind, "seed": args.seed, "parameters": params}
-        payload = single if isinstance(single, dict) and "rows" in single else {**meta, **single}
+        single = _generate_one(args.kind, params, args.seed)
+        payload = single if "rows" in single else {**meta, **single}
     else:  # corpus manifest: metadata plus an array of instances
-        instances = []
-        params = {}
-        for i in range(args.count):  # instance i derives from derive_rng(seed, i), as in the sweeps
-            one, params = _generate_one(args, int(gen.derive_rng(args.seed, i).integers(0, 2**63)))
-            instances.append(one)
-        meta = {
-            "generator": args.kind,
-            "seed": args.seed,
-            "count": args.count,
-            "parameters": params,
-        }
-        payload = {**meta, "instances": instances}
+        meta["count"] = args.count
+        # instance i derives from derive_rng(seed, i), as in the sweeps
+        seeds = (int(gen.derive_rng(args.seed, i).integers(0, 2**63)) for i in range(args.count))
+        payload = {**meta, "instances": [_generate_one(args.kind, params, seed) for seed in seeds]}
     report.add_verdict("generated", True)
     report.artifacts["metadata"] = meta
     if args.out:
@@ -313,7 +276,7 @@ def _int64(text: str) -> int:
 
 
 def _positive(text: str) -> int:
-    """The type of ``--m``, ``--n`` and ``--k``: a 64-bit integer of at least 1."""
+    """The type of ``--m``, ``--n``, ``--k`` and ``--count``: a 64-bit integer of at least 1."""
     value = _int64(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
@@ -327,7 +290,7 @@ def _operand(command: str, flag: str) -> dict:
     if flag == "--horizon":
         return {"type": _int64}
     if flag == "--lambda":
-        return {"dest": "lam", "help": 'complex literal "a+bi"'}
+        return {"help": 'complex literal "a+bi"'}
     if flag == "--hyperbolic":
         return {"action": "store_true"}
     if command == "generate":  # --t, the hyperbolic family's parameter
@@ -354,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
             for flag, default in optional.items():
                 p.add_argument(flag, default=default, **_operand(command, flag))
             if command == "generate":  # check and solve draw no random numbers
-                p.add_argument("--count", type=_int64, default=1, help="instances per manifest")
+                p.add_argument("--count", type=_positive, default=1, help="instances per manifest")
                 p.add_argument("--out")
                 p.add_argument("--seed", type=_int64, default=0)
             else:  # suites pin their own tolerances; generators use none
@@ -387,7 +350,7 @@ def main(argv=None) -> int:
         else:
             tol = ToleranceConfig(abs_tol=args.abs_tol, rel_tol=args.rel_tol)
             report = (_cmd_check if args.command == "check" else _cmd_solve)(args, tol)
-    except (ArgumentError, MatrixFormatError, OSError) as exc:
+    except (ArgumentError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AssumptionError as exc:

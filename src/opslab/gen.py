@@ -124,19 +124,13 @@ def gen_power_bounded(n: int, seed: int) -> np.ndarray:
         raise ArgumentError("dimension must be >= 2")
     rng = derive_rng(seed)
     k = int(rng.integers(0, n + 1))
-    blocks = []
+    d = np.zeros((n, n), dtype=complex)
     if k > 0:
-        blocks.append(np.diag(np.exp(1j * _separated_phases(k, rng))))
+        d[:k, :k] = np.diag(np.exp(1j * _separated_phases(k, rng)))
     if n - k > 0:
         g = rng.standard_normal((n - k, n - k)) + 1j * rng.standard_normal((n - k, n - k))
         rho = max(np.abs(np.linalg.eigvals(g)).max(), 1e-3)
-        blocks.append(g * (0.9 * rng.uniform(0.5, 1.0) / rho))
-    d = blocks[0] if len(blocks) == 1 else np.block(
-        [
-            [blocks[0], np.zeros((blocks[0].shape[0], blocks[1].shape[1]))],
-            [np.zeros((blocks[1].shape[0], blocks[0].shape[1])), blocks[1]],
-        ]
-    )
+        d[k:, k:] = g * (0.9 * rng.uniform(0.5, 1.0) / rho)
     w = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     uu, sv, vh = np.linalg.svd(w)
     sv = np.clip(sv, sv.max() / COND_CLIP, None)

@@ -112,10 +112,10 @@ class PowerBoundReport:
     semisimple).  ``witness`` holds ``(eigenvalue, reason)`` when
     unbounded.  The spectral analysis behind the verdict is kept for its
     consumers: the complex Schur pair ``(T, Q)`` of ``S = Q T Q*``,
-    ``scale = max(1, ||S||_2)``, the unimodular ``band = rel_tol * max(1,
-    rho)`` and the ``clusters`` (within ``1e-6 * scale``) of the positions
-    on the diagonal of T whose eigenvalues lie in the band, which ``split``
-    makes contiguous.
+    ``scale = max(1, ||S||_2)`` and the ``clusters`` (within ``1e-6 *
+    scale``) of the positions on the diagonal of T whose eigenvalues lie in
+    the unimodular band ``|1 - |lambda|| <= rel_tol * max(1, rho)``, which
+    ``split`` makes contiguous.
     ``m1_estimate`` is ``max ||S^n|| = max ||T^n||`` over ``n <= horizon``,
     a lower bound on ``sup_n ||S^n||`` that can fall far short of it: on
     ``[[1, 1], [0, exp(i d)]]`` with ``d = 1e-3`` it reads 64.005 at horizon
@@ -129,7 +129,6 @@ class PowerBoundReport:
     unimodular_semisimple: bool
     schur: tuple[np.ndarray, np.ndarray] = field(repr=False, compare=False)
     scale: float
-    band: float
     clusters: tuple[tuple[int, ...], ...]
     horizon: int
     witness: tuple[complex, str] | None = None
@@ -244,20 +243,16 @@ class PowerBoundReport:
             labels = sorted(labels, key=lambda g: g > pivot)
         return t, q, np.array(labels)
 
-    @property
-    def criterion(self) -> dict:
-        return {
-            "spectral_radius": self.spectral_radius,
-            "unimodular_semisimple": self.unimodular_semisimple,
-        }
-
     def to_json_dict(self) -> dict:
         m1 = self.m1_estimate
         out = {
             "bounded": self.bounded,
             "m1_estimate": m1 if np.isfinite(m1) else None,
             "horizon": self.horizon,
-            "criterion": self.criterion,
+            "criterion": {
+                "spectral_radius": self.spectral_radius,
+                "unimodular_semisimple": self.unimodular_semisimple,
+            },
         }
         if self.witness is not None:
             lam, reason = self.witness
@@ -414,7 +409,6 @@ def certify_power_bounded(
         unimodular_semisimple=semisimple,
         schur=(t, q),
         scale=scale,
-        band=band,
         clusters=clusters,
         horizon=horizon,
         witness=witness,

@@ -3,8 +3,11 @@
 Each suite generates a deterministic corpus, runs one family of checks at
 pinned bounds, and reports per-instance violations plus worst-case
 residual statistics.  Instance i of a seeded sweep at seed S draws from
-``gen.derive_rng(S, i)``, its dimension first; ``_sweep`` tags it
-``instance i (n=...)`` and reports an ``OpslabError`` its check raises as
+``gen.derive_rng(S, i)``, its dimension first, and is tagged
+``instance i (n=...)``; a fixed instance (a Jordan block, a hyperbolic
+pair) is tagged by its parameters.  Every instance of every gate, seeded
+or fixed, goes through ``_check_instance``, which counts it and reports
+each message of its check, and an ``OpslabError`` the check raises, as
 its violation.  The independent oracles that library calls do not
 run for themselves live here: the Douglas pencil, the rigidity of power-bounded
 m-isometries, and the n^2 x n^2 Kronecker maps that the Putnam-Fuglede
@@ -158,21 +161,20 @@ def run_jordan_strictness(k_max: int = 4) -> SuiteResult:
     result = SuiteResult("jordan-strictness")
     _require(result.name, "k_max", k_max, 1)
     decision_tol = ToleranceConfig(abs_tol=BOUNDS[result.name]["decision_abs_tol"], rel_tol=0.0)
+
+    def check(k, lam):
+        j = gen.gen_jordan(k, lam)
+        profile = minv.defect_profile(j, adjoint(j), 2 * k, decision_tol)
+        order = next((m for m, (ok, _) in enumerate(profile, start=1) if ok), None)
+        if order != 2 * k - 1:
+            yield f"minimal defect order {order}, expected {2 * k - 1}"
+        bounded = metric.certify_power_bounded(j).bounded
+        if bounded != (k == 1):
+            yield f"power bounded verdict {bounded}"
+
     for k in range(1, k_max + 1):
         for lam in (1.0, -1.0, 1j, np.exp(0.7j)):
-            j = gen.gen_jordan(k, lam)
-            profile = minv.defect_profile(j, adjoint(j), 2 * k, decision_tol)
-            order = next((m for m, (ok, _) in enumerate(profile, start=1) if ok), None)
-            if order != 2 * k - 1:
-                result.violations.append(
-                    f"J_{k}({lam}): minimal defect order {order}, expected {2 * k - 1}"
-                )
-            bounded = metric.certify_power_bounded(j).bounded
-            if bounded != (k == 1):
-                result.violations.append(
-                    f"J_{k}({lam}): power bounded verdict {bounded}"
-                )
-            result.instances += 1
+            _check_instance(result, f"J_{k}({lam})", check, k, lam)
     return result
 
 
@@ -429,15 +431,16 @@ def run_c_isometry_rigidity(
         if gap > gap_bound:
             yield f"collapsed and antilinear (4,C) defects differ (relative {gap:.3e})"
 
+    def check_hyperbolic(t):
+        s, c = gen.gen_1c_isometry(2, 0, hyperbolic=True, t=t)
+        if not conj_mod.is_mc_isometric(s, c, 1)[0]:
+            yield "not (1,C)-isometric"
+        if metric.certify_power_bounded(s).bounded:
+            yield "unexpectedly power bounded"
+
     _sweep(result, seed, count, 2, dim_max, check)
     for t in (0.5, 1.0, 2.0):
-        s, c = gen.gen_1c_isometry(2, 0, hyperbolic=True, t=t)
-        tag = f"hyperbolic t={t}"
-        if not conj_mod.is_mc_isometric(s, c, 1)[0]:
-            result.violations.append(f"{tag}: not (1,C)-isometric")
-        if metric.certify_power_bounded(s).bounded:
-            result.violations.append(f"{tag}: unexpectedly power bounded")
-        result.instances += 1
+        _check_instance(result, f"hyperbolic t={t}", check_hyperbolic, t)
     return result
 
 

@@ -216,10 +216,13 @@ def test_abbreviated_and_misplaced_flags_are_usage_errors(capsys, argv, message)
     assert message in err
 
 
-@pytest.mark.parametrize("kind, flag", [("jordan", "--k"), ("left-m-pair", "--n"), ("left-m-pair", "--m")])
+@pytest.mark.parametrize(
+    "kind, flag", [("jordan", "--k"), ("left-m-pair", "--n"), ("left-m-pair", "--m"), ("power-bounded", "--count")]
+)
 @pytest.mark.parametrize("value", ["0", "-1"])
 def test_sizes_below_one_are_usage_errors(capsys, kind, flag, value):
-    argv = [x for f in cli.KINDS["generate"][kind][0] for x in [f, value if f == flag else "2"]]
+    sizes = {**dict.fromkeys(cli.KINDS["generate"][kind][0], "2"), flag: value}
+    argv = [x for item in sizes.items() for x in item]
     code, out, err = run(capsys, "generate", kind, *argv)
     assert (code, out) == (2, "")
     assert f"argument {flag}: must be >= 1, got {value}" in err
@@ -286,6 +289,26 @@ def test_check_mc_isometry_takes_one_recursion_pass(tmp_path, capsys, monkeypatc
     }
     assert out == dump_json(expected) + "\n"
     assert '"tolerances":{"abs_tol":1e-10,"rel_tol":1e-8}' in out
+
+
+@pytest.mark.parametrize(
+    "conj, m, message",
+    [
+        ("[]", "1", 'error: conjugation JSON must be an object with a "J" field'),
+        ('{"K": 1}', "1", 'error: conjugation JSON must be an object with a "J" field'),
+        (dump_json({"J": matrix_to_json_dict(np.eye(2, dtype=complex))}), "1",
+         "error: S must match the conjugation dimension 2, got (3, 3)"),
+        (dump_json({"J": matrix_to_json_dict(np.eye(3, dtype=complex))}), "two",
+         "argument --m: invalid int value: 'two'"),
+    ],
+)
+def test_check_mc_isometry_refuses_operands_that_do_not_fit(tmp_path, capsys, conj, m, message):
+    s_path = write_matrix(tmp_path / "s.json", np.eye(3))
+    conj_path = tmp_path / "conj.json"
+    conj_path.write_text(conj)
+    code, out, err = run(capsys, "check", "mc-isometry", "--s", s_path, "--conj", str(conj_path), "--m", m)
+    assert (code, out) == (2, "")
+    assert message in err
 
 
 @pytest.mark.parametrize("operand", ["--s", "--t", "--conj"])
@@ -641,6 +664,7 @@ def test_generate_one_c_isometry_hyperbolic_at_large_t(tmp_path, capsys, t):
          "error: lambda must be a finite complex number (both parts finite), got (nan+0j)"),
         (["jordan", "--k", "2", "--lambda", "1e400+0i"],
          "error: lambda must be a finite complex number (both parts finite), got (inf+0j)"),
+        (["jordan", "--k", "2", "--lambda", "1+2x"], "error: invalid complex literal '1+2x'"),
     ],
 )
 def test_generate_refuses_parameters_that_overflow(capsys, argv, message):

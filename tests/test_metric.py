@@ -865,7 +865,7 @@ def test_split_puts_the_interior_first_and_each_cluster_contiguous(monkeypatch):
     q = haar_unitary(8, rng)
     report = metric.PowerBoundReport(
         bounded=True, spectral_radius=1.0, unimodular_semisimple=True, schur=(t, q), scale=1.0,
-        band=1e-8, clusters=((0, 3, 7), (2, 5), (6,)), horizon=64,
+        clusters=((0, 3, 7), (2, 5), (6,)), horizon=64,
     )
     calls = _count_calls(monkeypatch, scipy.linalg.lapack, "ztrsen")
     t2, q2, labels = report.split

@@ -2,6 +2,7 @@ import ast
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from opslab import conj, gen, metric, minv, suites
@@ -52,6 +53,48 @@ def test_a_raising_instance_is_that_instance_violation(monkeypatch, sweep, dim_m
     assert len(result.violations) == 1
     assert re.fullmatch(rf"instance {k} \(n=\d+\): AssumptionError: injected", result.violations[0])
     assert result.instances == count + unseeded
+
+
+@pytest.mark.parametrize(
+    "sweep, kwargs, tags",
+    [
+        (suites.run_jordan_strictness, {}, [f"J_2({lam})" for lam in (1.0, -1.0, 1j, np.exp(0.7j))]),
+        (suites.run_c_isometry_rigidity, {"count": 2, "dim_max": 3}, [f"hyperbolic t={t}" for t in (0.5, 1.0, 2.0)]),
+    ],
+    ids=["jordan-strictness", "c-isometry-rigidity"],
+)
+def test_a_raising_fixed_instance_is_that_instance_violation(monkeypatch, sweep, kwargs, tags):
+    # The fixed 2x2 instances: J_2(lam) and the hyperbolic family; the
+    # seeded c-isometry instances do not certify power boundedness.
+    instances = sweep(**kwargs).instances
+    original = metric.certify_power_bounded
+
+    def failing(s, *args, **kw):
+        if s.shape[0] == 2:
+            raise AssumptionError("injected")
+        return original(s, *args, **kw)
+
+    monkeypatch.setattr(metric, "certify_power_bounded", failing)
+    result = sweep(**kwargs)
+    assert result.violations == [f"{tag}: AssumptionError: injected" for tag in tags]
+    assert result.instances == instances
+
+
+def test_only_check_instance_counts_and_reports_an_instance():
+    # One function counts, tags and reports every instance of every gate.
+    writers = set()
+    for func in ast.walk(ast.parse(Path(suites.__file__).read_text())):
+        if isinstance(func, ast.FunctionDef):
+            for node in ast.walk(func):
+                if isinstance(node, (ast.Assign, ast.AugAssign)):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                    targets = [node.func.value]  # result.violations.append(...)
+                else:
+                    continue
+                if any(isinstance(t, ast.Attribute) and t.attr in ("violations", "instances") for t in targets):
+                    writers.add(func.name)
+    assert writers == {"_check_instance"}
 
 
 def test_sweeps_refuse_an_empty_or_undersized_run():
