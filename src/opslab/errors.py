@@ -5,13 +5,14 @@ shape, negative order, unparsable file).  ``AssumptionError`` flags inputs
 that are well formed but fail a mathematical hypothesis discovered during
 the computation (not power bounded, range inclusion fails, no positive
 definite fixed point).  ``IdentityCheckError`` means a certificate's own
-residual check failed: ``invariant_metric``, ``extract_isometry`` (whose
-checks ``similarity_certificate`` shares), ``canonical_left_m_inverse`` and
-``similar_to_unitary`` check the residual they return, and raise it when
-that residual exceeds its bound.  Seeing one
-means a bug or a genuinely inconsistent input, never a routine user error;
-the cross-checks between two decisions of one claim live in the sweeps of
-``suites`` and the tests.
+residual check failed: ``invariant_metric`` (its X),
+``similarity_certificate`` and ``extract_isometry`` (the three residuals
+of a ``SimilarityCertificate``, once, in ``metric._conjugate``; a supplied
+P that fails the metric identity is an ``AssumptionError``),
+``canonical_left_m_inverse`` and ``similar_to_unitary`` check each residual
+they return; the CLI re-judges none.  Seeing one means a bug or a genuinely
+inconsistent input, never a routine user error; the cross-checks between
+two decisions of one claim live in the sweeps of ``suites`` and the tests.
 """
 
 

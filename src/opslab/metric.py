@@ -31,10 +31,10 @@ Each call decides its claim once.  The independent cross-checks of the
 paper's implications (the Kronecker reference of the Putnam-Fuglede
 inclusion and of the ascent bound, the rigidity of power-bounded
 m-isometries) are the oracles of the sweeps in ``suites``.  A certificate
-(``invariant_metric``, ``extract_isometry``, ``canonical_left_m_inverse``,
-``similar_to_unitary``) raises ``IdentityCheckError`` only when the
-residual it returns fails its own check; the first two hold theirs in
-``_metric_eigh`` and ``_conjugate``, shared with ``similarity_certificate``.
+checks each residual it returns once, and raises ``IdentityCheckError``
+only when one fails: ``invariant_metric`` checks X, and both similarity
+certificates check their three in ``_conjugate`` (a supplied P that fails
+the metric identity is refused with ``AssumptionError``).
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ import numpy as np
 import scipy.linalg
 
 from . import minv
-from .errors import ArgumentError, AssumptionError, IdentityCheckError
+from .errors import ArgumentError, AssumptionError, IdentityCheckError, OpslabError
 from .matcore import (
     DEFAULT_TOL,
     ToleranceConfig,
@@ -142,9 +142,9 @@ class PowerBoundReport:
         4 at n = 64), a chunk at a time, in two passes.  The chunks are
         full but the first, so the last one holds the last powers.  The
         first pass forms every power and keeps only its Frobenius norm F
-        (8 bytes a power) and the power of largest F; a power with a
-        non-finite entry ends the witness at ``inf``.  The SVD of that
-        power starts the running max m1.  The second pass visits the
+        (8 bytes a power, 256 KiB at most) and the power of largest F; a
+        power with a non-finite entry ends the witness at ``inf``.  The SVD
+        of that power starts the running max m1.  The second pass visits the
         powers whose bound can still beat m1: first the last chunk, still
         in the buffer, then, forming the powers again from I by the same
         products (so bit for bit), the earlier chunks up to the last one
@@ -371,11 +371,11 @@ def certify_power_bounded(
     not semisimple; the verdict is unbounded either way.  The decision
     reads the spectrum alone; the sup of power norms over ``n <= horizon``
     is computed only when the report's ``m1_estimate`` is read, and never
-    enters the decision.
+    enters the decision; a horizon outside ``[1, 32768]`` is an ``ArgumentError``.
     """
     s = as_matrix(s, square=True, name="S")
-    if horizon < 1:
-        raise ArgumentError(f"horizon must be >= 1, got {horizon}")
+    if not 1 <= horizon <= _POWER_BYTES // 8:
+        raise ArgumentError(f"horizon must be in [1, {_POWER_BYTES // 8}], got {horizon}")
     n = s.shape[0]
     t, q = scipy.linalg.schur(s, output="complex")
     eigs = np.diag(t)
@@ -436,11 +436,16 @@ def invariant_metric(
     fixed point is singular) or X is not positive definite at tolerance, and
     ``IdentityCheckError`` when ``||S* X S - X||_F > zero_threshold(||S||_F^2)``.
     """
-    return _metric_eigh(as_matrix(s, square=True, name="S"), tol)[0]
+    s = as_matrix(s, square=True, name="S")
+    x = _metric_eigh(s, tol)[0]
+    residual = frobenius(adjoint(s) @ x @ s - x)
+    if residual > tol.zero_threshold(tol.scale_of(s) ** 2):
+        raise IdentityCheckError(f"invariant metric has residual {residual:.3e}")
+    return x
 
 
 def _metric_eigh(s: np.ndarray, tol: ToleranceConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``invariant_metric`` of a validated S, with ``w, U`` of ``X = U diag(w) U*``."""
+    """X of ``invariant_metric`` for a validated S, unchecked, with ``w, U`` of ``X = U diag(w) U*``."""
     n = s.shape[0]
     report = certify_power_bounded(s, tol=tol)
     if not report.bounded:
@@ -489,11 +494,6 @@ def _metric_eigh(s: np.ndarray, tol: ToleranceConfig) -> tuple[np.ndarray, np.nd
             f"invariant fixed point is not positive definite "
             f"(smallest eigenvalue {w[0]:.3e}); S is not similar to an isometry"
         )
-    residual = frobenius(adjoint(s) @ x @ s - x)
-    if residual > tol.zero_threshold(tol.scale_of(s) ** 2):
-        raise IdentityCheckError(
-            f"invariant metric has residual {residual:.3e}"
-        )
     return x, w, u
 
 
@@ -537,8 +537,8 @@ def extract_isometry(
     Requires P Hermitian positive definite with ``S* P^2 S = P^2`` within
     tolerance; one ``eigh`` of its Hermitian part decides positivity and
     gives ``P^{-1}``.  V then satisfies ``V* V = I`` at the same accuracy
-    amplified by the conditioning of P.  Returns the certificate with the
-    metric and isometry residuals that were checked.
+    amplified by the conditioning of P.  Returns the certificate, whose
+    three residuals ``_conjugate`` checked.
     """
     s = as_matrix(s, square=True, name="S")
     p = as_matrix(p, square=True, name="P")
@@ -548,29 +548,33 @@ def extract_isometry(
     w, u = np.linalg.eigh(0.5 * (p + adjoint(p)))
     if w[0] <= tol.zero_threshold(1.0) * max(1.0, w[-1]):
         raise ArgumentError("P must be positive definite")
-    return _conjugate(s, p, (u / w) @ adjoint(u), tol)
+    return _conjugate(s, p, (u / w) @ adjoint(u), tol, AssumptionError)
 
 
-def _conjugate(s: np.ndarray, p: np.ndarray, p_inv: np.ndarray, tol: ToleranceConfig) -> SimilarityCertificate:
-    """The certificate of ``V = P S P^{-1}`` for validated S and P, given ``p_inv = P^{-1}``."""
+def _conjugate(
+    s: np.ndarray, p: np.ndarray, p_inv: np.ndarray, tol: ToleranceConfig, metric_error: type[OpslabError]
+) -> SimilarityCertificate:
+    """The certificate of ``V = P S P^{-1}`` for validated S and P, given ``p_inv = P^{-1}``.
+
+    Checks each residual it returns, once; a failed metric check raises ``metric_error``.
+    """
     p2 = p @ p
     metric_res = frobenius(adjoint(s) @ p2 @ s - p2)
     if metric_res > tol.zero_threshold(tol.scale_of(s) ** 2 * tol.scale_of(p2)):
-        raise AssumptionError(
-            f"P^2 is not an invariant metric for S (residual {metric_res:.3e})"
-        )
+        raise metric_error(f"P^2 is not an invariant metric for S (residual {metric_res:.3e})")
     v = p @ s @ p_inv
     iso_res = frobenius(adjoint(v) @ v - np.eye(s.shape[0]))
     if iso_res > tol.zero_threshold(tol.scale_of(v) ** 2):
-        raise IdentityCheckError(
-            f"extracted conjugate is not an isometry (residual {iso_res:.3e})"
-        )
+        raise IdentityCheckError(f"extracted conjugate is not an isometry (residual {iso_res:.3e})")
+    sim_res = frobenius(p @ s - v @ p)
+    if sim_res > tol.zero_threshold(tol.scale_of(p) * tol.scale_of(s)):
+        raise IdentityCheckError(f"P S and V P differ (residual {sim_res:.3e})")
     return SimilarityCertificate(
         p=p,
         v=v,
         residual_metric=metric_res,
         residual_isometry=iso_res,
-        residual_similarity=frobenius(p @ s - v @ p),
+        residual_similarity=sim_res,
         s=s.copy(),
         p_inv=p_inv,
     )
@@ -582,14 +586,15 @@ def similarity_certificate(
     """Certify S by ``X = invariant_metric(S)``, ``P = X^(1/2)``, ``V = P S P^{-1}``.
 
     The ``eigh`` ``X = U diag(w) U*`` of ``invariant_metric`` gives P and
-    ``P^{-1}`` as ``U diag(w^(+-1/2)) U*``, hermitized.
+    ``P^{-1}`` as ``U diag(w^(+-1/2)) U*``, hermitized; a failed check of
+    ``_conjugate`` (on ``P^2``, not X) raises ``IdentityCheckError``.
     """
     s = as_matrix(s, square=True, name="S")
     _, w, u = _metric_eigh(s, tol)
     root = np.sqrt(w)
     p = (u * root) @ adjoint(u)
     p_inv = (u / root) @ adjoint(u)
-    return _conjugate(s, 0.5 * (p + adjoint(p)), 0.5 * (p_inv + adjoint(p_inv)), tol)
+    return _conjugate(s, 0.5 * (p + adjoint(p)), 0.5 * (p_inv + adjoint(p_inv)), tol, IdentityCheckError)
 
 
 def canonical_left_m_inverse(
@@ -844,10 +849,11 @@ def similar_to_unitary(
 
     with ``G = cert.p`` and ``R`` the ``p`` of
     ``similarity_certificate(T*)``; each ``V* V = I`` is checked by
-    ``extract_isometry``.  The two models are conjugate:
+    ``_conjugate``.  The two models are conjugate:
     ``U1 = P U2 P^{-1}`` for ``P = G^{-1} R^{-1}`` and ``P^{-1} = R G``,
-    which is verified before returning ``(U1, U2, P, residual)``, with ``residual`` the
-    spectral norm of ``U1 - P U2 P^{-1}`` that was checked.
+    which is verified before returning ``(U1, U2, P, residual)``, with
+    ``residual`` the spectral norm of ``U1 - P U2 P^{-1}`` that was checked
+    against the fixed ``1e-7 * max(1, ||U1||_2)``, which ``tol`` does not move.
     """
     t = as_matrix(t, square=True, name="T")
     ok, residual = minv.is_left_m_inverse(cert.s, t, m, tol)

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import json
 import os
 import re
@@ -114,6 +115,19 @@ def test_check_power_bounded_rejects_zero_horizon(tmp_path, capsys):
     code, _, err = run(capsys, "check", "power-bounded", "--s", eye, "--horizon", "0")
     assert code == 2
     assert "horizon" in err
+
+
+def test_check_power_bounded_takes_horizons_up_to_32768(tmp_path, capsys):
+    # The witness keeps 8 bytes a power, 256 KiB at the largest horizon; a
+    # larger one is refused before anything is allocated.
+    s = write_matrix(tmp_path / "s.json", gen.gen_power_bounded(3, 0))
+    code, out, _ = run(capsys, "check", "power-bounded", "--s", s, "--json", "--horizon", "32768")
+    assert code == 0
+    assert json.loads(out)["artifacts"]["report"]["horizon"] == 32768
+    for horizon in ("32769", "1000000000000"):
+        code, out, err = run(capsys, "check", "power-bounded", "--s", s, "--json", "--horizon", horizon)
+        assert (code, out) == (2, "")
+        assert err == f"error: horizon must be in [1, 32768], got {horizon}\n"
 
 
 def test_check_left_m_inverse(tmp_path, capsys):
@@ -425,6 +439,17 @@ def test_solve_invariant_metric_on_generated_instance(tmp_path, capsys):
     assert report["verdicts"]["metric"]["pass"]
     assert report["verdicts"]["isometry"]["pass"]
     assert "P" in report["artifacts"]["certificate"]
+    # The verdicts carry the residuals the certificate checked.
+    residuals = report["artifacts"]["certificate"]["residuals"]
+    assert {name: v["residual"] for name, v in report["verdicts"].items()} == residuals
+
+
+def test_cli_makes_no_tolerance_decision():
+    # Every residual a command reports was judged by the library call that
+    # computed it; the CLI compares nothing against a threshold.
+    tree = ast.parse(Path(cli.__file__).read_text())
+    uses = [node for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr == "zero_threshold"]
+    assert uses == []
 
 
 def test_solve_invariant_metric_decaying_fails(tmp_path, capsys):

@@ -14,6 +14,7 @@ from opslab import (
     DEFAULT_TOL,
     ArgumentError,
     AssumptionError,
+    IdentityCheckError,
     OpslabError,
     adjoint,
     ascent,
@@ -509,6 +510,60 @@ def test_similarity_certificate_pipeline():
     assert set(payload["residuals"]) == {"metric", "isometry", "similarity"}
     assert np.array_equal(cert.s, s) and cert.s is not s
     assert "s=" not in repr(cert)
+
+
+def test_a_failed_similarity_residual_is_an_internal_error():
+    # P^-1 W for a unitary W != I makes V = W an isometry and S* P^2 S = P^2
+    # hold for S = I, but P S = V P fails: the certificate refuses it.
+    p = np.diag([1.0, 2.0]).astype(complex)
+    w = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    with pytest.raises(IdentityCheckError, match="P S and V P differ"):
+        metric._conjugate(np.eye(2, dtype=complex), p, np.linalg.inv(p) @ w, DEFAULT_TOL, AssumptionError)
+
+
+def test_a_failed_metric_residual_is_internal_for_a_computed_p(monkeypatch):
+    # A computed P whose square misses the metric identity is a bug of the
+    # library; a supplied one is a refused hypothesis.
+    s, _, _ = gen_similar_isometry(4, seed=21)
+    original = metric._metric_eigh
+
+    def skewed(*args):
+        x, w, u = original(*args)
+        return x, w * np.linspace(1.0, 2.0, len(w)), u
+
+    monkeypatch.setattr(metric, "_metric_eigh", skewed)
+    with pytest.raises(IdentityCheckError, match="not an invariant metric"):
+        similarity_certificate(s)
+    with pytest.raises(AssumptionError, match="not an invariant metric"):
+        extract_isometry(s, np.eye(4, dtype=complex))
+
+
+def test_similarity_certificate_evaluates_the_metric_identity_once(monkeypatch):
+    # S* enters only S* P^2 S - P^2, so one adjoint of S per certificate.
+    s, _, _ = gen_similar_isometry(5, seed=12)
+    args = []
+    original = metric.adjoint
+    monkeypatch.setattr(metric, "adjoint", lambda m: args.append(m) or original(m))
+    similarity_certificate(s)
+    assert sum(np.array_equal(m, s) for m in args) == 1
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=IdentityCheckError,
+    reason="the rounding of V = P S P^-1 grows like cond(P)^2 = 1e8 here, but the isometry "
+    "threshold zero_threshold(||V||_F^2) ignores it: residual 2.919e-8 against 2.01e-8",
+)
+def test_an_ill_conditioned_power_bounded_input_is_certified_or_refused():
+    rng = derive_rng(7)
+    v, u = haar_unitary(2, rng), haar_unitary(2, rng)
+    p0 = u @ np.diag([1.0, 1e-4]) @ adjoint(u)
+    s = np.linalg.solve(p0, v @ p0)
+    assert certify_power_bounded(s).bounded
+    try:
+        similarity_certificate(s)
+    except AssumptionError:
+        pass
 
 
 # ---------------------------------------------------------------------------
@@ -1209,8 +1264,7 @@ def test_identity_check_error_is_raised_only_by_certificates():
                         and getattr(node.exc.func, "id", None) == "IdentityCheckError"
                     ):
                         raisers.add(func.name)
-    # invariant_metric and similarity_certificate check X in _metric_eigh, which
-    # also returns its eigendecomposition; extract_isometry and
-    # similarity_certificate check V in _conjugate, given P and P^-1.
-    certificates = {"_metric_eigh", "_conjugate", "canonical_left_m_inverse", "similar_to_unitary"}
+    # invariant_metric checks its X; extract_isometry and similarity_certificate
+    # check the three residuals of their certificate in _conjugate.
+    certificates = {"invariant_metric", "_conjugate", "canonical_left_m_inverse", "similar_to_unitary"}
     assert raisers == certificates
