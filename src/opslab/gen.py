@@ -62,7 +62,15 @@ def random_positive_definite(n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _separated_phases(k: int, rng: np.random.Generator) -> np.ndarray:
-    """k angles in [0, 2pi) with pairwise circular gaps above _PHASE_GAP."""
+    """k angles in [0, 2pi) with pairwise circular gaps above _PHASE_GAP.
+
+    Up to 1000 sorted uniform draws are tried first.  If none is separated
+    (at k in the hundreds), the gaps are drawn instead: each is _PHASE_GAP
+    plus a Dirichlet share of the rest of the circle, placed from a
+    uniform start.
+    """
+    if k * _PHASE_GAP >= 2.0 * np.pi:
+        raise ArgumentError(f"cannot separate {k} phases by {_PHASE_GAP}; dimension too large")
     for _ in range(1000):
         theta = np.sort(rng.uniform(0.0, 2.0 * np.pi, size=k))
         if k == 1:
@@ -70,7 +78,8 @@ def _separated_phases(k: int, rng: np.random.Generator) -> np.ndarray:
         gaps = np.diff(np.concatenate([theta, [theta[0] + 2.0 * np.pi]]))
         if gaps.min() > _PHASE_GAP:
             return theta
-    raise ArgumentError(f"could not separate {k} phases; dimension too large")
+    gaps = _PHASE_GAP + (2.0 * np.pi - k * _PHASE_GAP) * rng.dirichlet(np.ones(k))
+    return np.sort((rng.uniform(0.0, 2.0 * np.pi) + np.cumsum(gaps)) % (2.0 * np.pi))
 
 
 def gen_jordan(k: int, lam: complex) -> np.ndarray:

@@ -96,7 +96,7 @@ _POWER_BYTES = 256 * 1024
 # and of a computed bound together (derived in ``m1_estimate``).
 _BOUND_SLACK = 1e-10
 
-# Below this running max ``m1_estimate`` skips no SVD, and below its square
+# Below this running max ``m1_estimate`` skips no SVD, and below its fourth
 # root it takes no Gram bound: the squares that make up a Frobenius norm
 # under about 1e-154 underflow and lose their relative accuracy, while
 # above 1e-150 underflow costs under 1e-23 * n^2.
@@ -159,36 +159,46 @@ class PowerBoundReport:
         [0.5, 1) and scaled back after the square root; both scalings are
         exact, so its bound stays finite and rigorous.  The powers of a
         chunk that F leaves in play are screened again by the Gram bound
-        ``sigma_max(P)^2 <= min(||P* P||_F, ||P* P||_inf)`` (the largest
-        eigenvalue of ``P* P`` is at most any induced or consistent norm of
-        it), in sub-batches whose conjugates and Grams take at most
-        ``_POWER_BYTES // 32 = 8 KiB`` (4 powers at n = 8, one from n = 16
-        on).  A Gram norm that overflows (entries of P past about 1e154,
-        or 1e77 for the squares that make up ``||P* P||_F``) reads ``inf`` or
-        ``nan`` and drops out of the min, down to F.  The powers still in
-        play take their SVDs in sub-batches of the same size, gathered from
-        the chunk in order of decreasing bound, until no bound beats m1.
+        ``sigma_max(P) <= ||G^2||_F^(1/4)`` with ``G = P* P``, since
+        ``sigma_max(P)^4 = lambda_max(G^2) <= ||G^2||_F``; it is tight when
+        one singular value dominates and loose by at most ``n^(1/8)``.  It
+        is taken over runs of consecutive live powers, in sub-batches
+        whose conjugates and Grams take at most ``_POWER_BYTES // 32 =
+        8 KiB`` (4 powers at n = 8, one from n = 16 on), with ``G^2``
+        written into the spent conjugates.  A bound that overflows
+        (entries of P past about 1e38, whose eighth powers make up
+        ``||G^2||_F^2``) reads ``inf`` or ``nan`` and drops out of the
+        min, down to F.  The powers still in play then take one SVD each,
+        best bound first, until no bound beats m1.
 
         ``delta = _BOUND_SLACK = 1e-10`` covers rounding, with unit
-        roundoff ``u = 2^-53``.  A backward-stable SVD gives the sigma of a
-        power within ``p(n) u`` of the exact one relatively, ``p(n)`` a
-        small multiple of n.  The computed F sums ``2 n^2`` nonnegative
-        rounded squares and takes a square root, so it is within
-        ``(n^2 + 1) u`` of the exact F relatively.  The computed ``P* P``
-        is within ``2 (n + 2) u |P|* |P|`` entrywise (complex inner
-        products), and ``|P|* |P|`` has both norms at most n sigma^2
-        (``||P||_F^2`` and ``||P||_1 ||P||_inf``), so with the rounding of
-        the norms themselves sigma^2 exceeds the computed Gram bound by at
-        most about ``3 n^2 u`` relatively and sigma its square root by
-        ``1.5 n^2 u``.  Underflow is kept out by a floor: no SVD is skipped
-        while ``m1 < _BOUND_FLOOR = 1e-150``, no Gram bound is taken while
-        ``m1^2 < _BOUND_FLOOR`` (the entries of ``P* P`` are of the order of
-        sigma^2), and in a scaled power only squares below ``2^-1000`` of the
-        largest underflow.  The errors together stay below delta for n up
-        to about 750, with a margin above 8 at n = 256, so a skipped power
-        has a computed sigma of at most m1.  The result is bit-equal to the
-        max of one SVD per power: a max is exact, and every sigma comes
-        from the same per-matrix LAPACK call, batched or not.
+        roundoff ``u = 2^-53`` and the error bounds of floating-point sums
+        and matrix products (Higham, *Accuracy and Stability of Numerical
+        Algorithms*, 2002, section 3.5).  A backward-stable SVD gives the
+        sigma of a power within ``p(n) u`` of the exact one relatively,
+        ``p(n)`` a small multiple of n.  The computed F sums ``2 n^2``
+        nonnegative rounded squares and takes a square root, so it is
+        within ``(n^2 + 1) u`` of the exact F relatively.  A computed
+        complex product ``A B`` is within ``c u |A| |B|`` entrywise,
+        ``c = 2 (n + 2)``, and ``|| |A| |B| ||_F <= ||A||_F ||B||_F``.  So
+        the computed G is ``G + E1`` with ``||E1||_F <= c u ||P||_F^2 <=
+        c n u sigma^2``, the computed ``G^2`` is within ``c u ||G||_F^2 <=
+        c n u sigma^4`` of the square of the computed G, and that square
+        within ``2 sigma^2 ||E1||_F`` of ``G^2``: ``6 n (n + 2) u sigma^4``
+        in all.  Since ``||G^2||_F >= sigma^4``, and the norm adds
+        ``(n^2 + 1) u``, sigma^4 exceeds the computed ``||G^2||_F`` by at
+        most about ``7 n^2 u`` relatively, and sigma the fourth root of it
+        (three correctly rounded square roots) by ``1.75 n^2 u``.
+        Underflow is kept out by a floor: no SVD is skipped while ``m1 <
+        _BOUND_FLOOR = 1e-150``, no Gram bound is taken while ``m1^4 <
+        _BOUND_FLOOR`` (the entries of ``G^2`` are of the order of sigma^4,
+        so the eighth powers they sum to stay above ``_BOUND_FLOOR^2``),
+        and in a scaled power only squares below ``2^-1000`` of the largest
+        underflow.  The errors together stay below delta for n up to about
+        700, with a margin above 7 at n = 256, so a skipped power has a
+        computed sigma of at most m1.  The result is bit-equal to the max
+        of one SVD per power: a max is exact, and every sigma comes from
+        the same ``operator_norm`` call.
         """
         t = self.schur[0]
         n = t.shape[0]
@@ -212,7 +222,7 @@ class PowerBoundReport:
                 if start == 0 or fro[k] > fro[top]:
                     top = k
                     top_power = block[k - start] if end == self.horizon else block[k - start].copy()
-            m1 = float(np.linalg.svd(top_power, compute_uv=False).max())
+            m1 = operator_norm(top_power)
             fro[top] = -np.inf  # settled
             m1 = _settle(m1, block, fro[start:], batch)
             power = np.eye(n, dtype=complex)
@@ -286,13 +296,13 @@ def _live(m1: float, bound: np.ndarray) -> np.ndarray:
 
 
 def _gram_bound(block: np.ndarray, live: np.ndarray, batch: int) -> np.ndarray:
-    """``sqrt(min(||P* P||_F, ||P* P||_inf))`` of each P in ``block`` (``m1_estimate``).
+    """``||(P* P)^2||_F^(1/4)`` of each P in ``block`` (``m1_estimate``).
 
     Taken ``batch`` powers at a time from each live one not yet covered,
     and ``inf`` elsewhere.
     """
     n = block.shape[1]
-    fro2, rows = np.full((2, len(block)), np.inf)
+    fro2 = np.full(len(block), np.inf)
     conj = np.empty((min(batch, len(block)), n, n), dtype=complex)
     gram = np.empty_like(conj)
     covered = 0
@@ -303,30 +313,22 @@ def _gram_bound(block: np.ndarray, live: np.ndarray, batch: int) -> np.ndarray:
         p = block[lo:covered]
         k = len(p)
         g = np.matmul(np.conjugate(p, out=conj[:k]).swapaxes(1, 2), p, out=gram[:k])
-        flat = g.reshape(k, -1).view(np.float64)
+        # (P* P)^2 goes into the spent conjugates.
+        flat = np.matmul(g, g, out=conj[:k]).reshape(k, -1).view(np.float64)
         np.einsum("ij,ij->i", flat, flat, out=fro2[lo : lo + k])
-        # |P* P| reuses the first half of the spent conjugates: a contiguous
-        # view, so abs allocates no temporary.
-        mag = conj.reshape(-1).view(np.float64)[: k * n * n].reshape(k, n, n)
-        np.abs(g, out=mag).sum(axis=2).max(axis=1, out=rows[lo : lo + k])
-    return np.sqrt(np.fmin(np.sqrt(fro2), rows))
+    return np.sqrt(np.sqrt(np.sqrt(fro2)))
 
 
 def _settle(m1: float, block: np.ndarray, fro: np.ndarray, batch: int) -> float:
     """Raise ``m1`` to the largest sigma of the powers in ``block`` that can beat it (``m1_estimate``)."""
     bound = fro
     live = _live(m1, fro)
-    if m1 * m1 >= _BOUND_FLOOR and live.any():
+    if m1 >= _BOUND_FLOOR**0.25 and live.any():
         bound = np.fmin(fro, _gram_bound(block, live, batch))
-        live &= _live(m1, bound)
-    order = np.flatnonzero(live)
-    order = order[np.argsort(-bound[order], kind="stable")]
-    for i in range(0, order.size, batch):
-        take = order[i : i + batch]
-        take = take[_live(m1, bound[take])]
-        if not take.size:
+    for i in np.argsort(-bound, kind="stable").tolist():
+        if not _live(m1, bound[i]):
             break
-        m1 = max(m1, float(np.linalg.svd(block[take], compute_uv=False).max()))
+        m1 = max(m1, operator_norm(block[i]))
     return m1
 
 
@@ -627,8 +629,8 @@ def canonical_left_m_inverse(
 
 def douglas_factor(
     a: np.ndarray, b: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL
-) -> tuple[np.ndarray, float]:
-    """Minimal factor C with ``A = B C``, plus its optimality value.
+) -> tuple[np.ndarray, float, float]:
+    """Minimal factor C with ``A = B C``, plus its optimality value and residual.
 
     One SVD ``B = U S V*`` does all the work.  Its rank r counts the
     singular values above ``zero_threshold(s_1)``, and
@@ -638,9 +640,10 @@ def douglas_factor(
     as ``||(I - U_r U_r*) A||_F`` so that a large ``||C||`` neither enters
     the scale nor amplifies rounding; otherwise ``AssumptionError`` names
     the residual column of largest norm.
-    Returns ``(C, mu2)`` with ``mu2 = ||S_r^-1 U_r* A||_2^2 = ||C||^2``,
-    which by Douglas's lemma is the least ``lam`` with
-    ``A A* <= lam B B*``.  The independent checks (the pencil
+    Returns ``(C, mu2, residual)`` with ``mu2 = ||S_r^-1 U_r* A||_2^2 =
+    ||C||^2``, which by Douglas's lemma is the least ``lam`` with
+    ``A A* <= lam B B*``, and the factor residual that passed the check.
+    The independent checks (``||B C - A||_F`` itself, the pencil
     ``(A A*, B B*)`` on ran(B), ``ker C = ker A`` and ``C`` orthogonal to
     ``ker B``) are the oracle of ``suites.run_douglas``.
     """
@@ -650,16 +653,17 @@ def douglas_factor(
     u, sv, vh = np.linalg.svd(b, full_matrices=False)
     r = int(np.sum(sv > tol.zero_threshold(sv[0])))
     ua = adjoint(u[:, :r]) @ a
-    residual = a - u[:, :r] @ ua
-    if frobenius(residual) > tol.zero_threshold(tol.scale_of(a, b)):
-        witness = residual[:, int(np.argmax(np.linalg.norm(residual, axis=0)))]
+    off = a - u[:, :r] @ ua
+    residual = frobenius(off)
+    if residual > tol.zero_threshold(tol.scale_of(a, b)):
+        witness = off[:, int(np.argmax(np.linalg.norm(off, axis=0)))]
         witness = witness / np.linalg.norm(witness)
         raise AssumptionError(
             "ran(A) is not contained in ran(B); no factor exists "
             f"(witness direction {np.round(witness, 6).tolist()})"
         )
     coef = ua / sv[:r, None]
-    return adjoint(vh[:r]) @ coef, operator_norm(coef) ** 2
+    return adjoint(vh[:r]) @ coef, operator_norm(coef) ** 2, residual
 
 
 # ---------------------------------------------------------------------------

@@ -312,7 +312,7 @@ def run_douglas(seed: int = 0, count: int = 200, dim_max: int = 8) -> SuiteResul
 
     def check(rng, n, i):
         a, b, c0 = _douglas_instance(rng, n)
-        c, mu2 = metric.douglas_factor(a, b, tol)
+        c, mu2, _ = metric.douglas_factor(a, b, tol)
         res = frobenius(b @ c - a)
         result.record("factor_residual", res)
         if res > rel * max(1.0, frobenius(a), frobenius(b)):

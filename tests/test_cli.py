@@ -482,6 +482,15 @@ def test_solve_douglas_projection(tmp_path, capsys):
     np.testing.assert_allclose(c, b, atol=1e-10)
 
 
+def test_solve_douglas_reports_the_residual_the_factor_was_checked_by(tmp_path, capsys):
+    a, b, _ = suites._douglas_instance(np.random.default_rng(3), 6)
+    a_path = write_matrix(tmp_path / "a.json", a)
+    b_path = write_matrix(tmp_path / "b.json", b)
+    code, out, _ = run(capsys, "solve", "douglas", "--a", a_path, "--b", b_path, "--json")
+    assert code == 0
+    assert json.loads(out)["verdicts"]["douglas"] == {"pass": True, "residual": metric.douglas_factor(a, b)[2]}
+
+
 def test_solve_canonical_inverse(tmp_path, capsys):
     out_file = tmp_path / "inst.json"
     run(capsys, "generate", "similar-isometry", "--n", "3", "--seed", "5",
@@ -607,6 +616,14 @@ def test_generate_roundtrip_bit_identical(tmp_path, capsys):
         "--out", str(out_file))
     second = matrix_from_json_dict(json.loads(out_file.read_text()))
     assert np.array_equal(first, second)
+
+
+def test_generate_power_bounded_at_n_256(tmp_path, capsys):
+    out_file = tmp_path / "s.json"
+    code, _, err = run(capsys, "generate", "power-bounded", "--n", "256", "--seed", "2", "--out", str(out_file))
+    assert (code, err) == (0, "")
+    s = matrix_from_json_dict(json.loads(out_file.read_text()))
+    assert np.array_equal(s, gen.gen_power_bounded(256, 2))
 
 
 def test_generate_conjugation_validates(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -13,6 +15,9 @@ from opslab import (
 )
 from opslab.conj import make_conjugation
 from opslab.gen import (
+    _PHASE_GAP,
+    _separated_phases,
+    derive_rng,
     gen_1c_isometry,
     gen_conjugation,
     gen_jordan,
@@ -94,6 +99,39 @@ def test_gen_power_bounded_always_certifies():
         assert certify_power_bounded(s).bounded
     with pytest.raises(ArgumentError):
         gen_power_bounded(1, 0)
+
+
+def test_gen_power_bounded_draws_are_unchanged():
+    # The rejection draws of _separated_phases build every draw at
+    # n = 2..16, seeds 0..99; their sha256 holds that its fallback touches
+    # none of them.
+    digest = hashlib.sha256()
+    for n in range(2, 17):
+        for seed in range(100):
+            digest.update(gen_power_bounded(n, seed).tobytes())
+    assert digest.hexdigest() == "f795067812ce47ca29509cb5fd4ca9f1a59133c500a317e512e07db1f14e9680"
+
+
+def test_gen_power_bounded_builds_at_n_256():
+    # Seeds 2, 3, 7, 13, 15 and 18 draw 208 to 242 phases, which 1000
+    # uniform draws do not separate.
+    for seed in range(20):
+        s = gen_power_bounded(256, seed)
+        assert s.shape == (256, 256) and np.isfinite(s).all()
+
+
+@pytest.mark.parametrize("k", [300, 3000, 6283])
+def test_separated_phases_falls_back_to_drawn_gaps(k):
+    theta = _separated_phases(k, derive_rng(k))
+    gaps = np.diff(np.concatenate([theta, [theta[0] + 2.0 * np.pi]]))
+    assert theta.size == k and 0.0 <= theta[0] and theta[-1] < 2.0 * np.pi
+    assert gaps.min() > _PHASE_GAP
+
+
+def test_separated_phases_refuses_more_phases_than_the_circle_holds():
+    # 6284 gaps of 1e-3 exceed 2 pi.
+    with pytest.raises(ArgumentError, match="cannot separate 6284 phases"):
+        _separated_phases(6284, derive_rng(0))
 
 
 def test_gen_conjugation_valid_and_deterministic():

@@ -1,6 +1,7 @@
 import ast
 import json
 import tracemalloc
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -261,6 +262,42 @@ def test_m1_estimate_svds_few_powers_of_power_bounded_operators(monkeypatch, n):
     # the Frobenius bound alone leaves 269, 328 and 273 at n = 16, 24, 32.
     counts = [svd_count(monkeypatch, certify_power_bounded(gen_power_bounded(n, seed)))[1] for seed in range(8)]
     assert sum(counts) <= 32
+
+
+def ladder_power_bounded(n, seed):
+    """The ``check power-bounded`` input of the benchmark's ladder at ``seed`` (first repeat).
+
+    ``W (D1 + D0) W^-1``: D1 holds n // 2 unimodular phases with gaps of at
+    least pi / (n // 2), D0 is a Gaussian block scaled to spectral radius
+    0.8, and W is a unitary times a Hermitian positive definite factor of
+    condition 10.  The draws follow ``perfbench/inputs.power_bounded``.
+    """
+    key = [seed] + [zlib.crc32(part.encode()) for part in ("ladder", "power-bounded")] + [n, 0]
+    rng = np.random.default_rng(np.random.SeedSequence(key))
+    k = n // 2
+    d = np.zeros((n, n), dtype=complex)
+    theta = 2.0 * np.pi * (np.arange(k) + rng.uniform(0.0, 0.5, k)) / k
+    d[:k, :k] = np.diag(np.exp(1j * theta))
+    g = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+    d[k:, k:] = g * (0.8 / np.abs(np.linalg.eigvals(g)).max())
+    sv = np.exp(rng.uniform(0.0, np.log(10.0), n))
+    sv[0], sv[-1] = 1.0, 10.0
+    q = haar_unitary(n, rng)
+    w = haar_unitary(n, rng) @ ((q * sv) @ q.conj().T)
+    return w @ np.linalg.solve(w.T, d.T).T
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("n", [16, 24, 32])
+def test_m1_estimate_svds_few_powers_of_the_ladder_draws(monkeypatch, n, seed):
+    # Half the spectrum unimodular puts several singular values of each
+    # power near the max, where a screen by ||P* P||^(1/2) leaves most of
+    # the 64 powers to their SVDs.
+    report = certify_power_bounded(ladder_power_bounded(n, seed))
+    assert report.bounded
+    m1, count = svd_count(monkeypatch, report)
+    assert m1 == per_power_m1(report.schur[0], 64)
+    assert count <= 8
 
 
 @pytest.mark.parametrize("n", [16, 32, 64, 128])
@@ -576,7 +613,7 @@ def test_douglas_factor_projection_case():
     u, sv, vh = np.linalg.svd(b)
     sv[2:] = 0.0
     b = (u * sv) @ vh
-    c, mu2 = douglas_factor(b, b)
+    c, mu2, _ = douglas_factor(b, b)
     # C is the orthogonal projection onto the row space of B.
     assert_allclose(c @ c, c, atol=1e-10)
     assert_allclose(adjoint(c), c, atol=1e-10)
@@ -587,14 +624,14 @@ def test_douglas_factor_invertible_case():
     rng = np.random.default_rng(4)
     b = rng.standard_normal((3, 3)) + 3 * np.eye(3)
     a = rng.standard_normal((3, 3))
-    c, _ = douglas_factor(a, b)
+    c, _, _ = douglas_factor(a, b)
     assert_allclose(c, np.linalg.solve(b, a), atol=1e-9)
 
 
 def test_douglas_factor_rank_one_example():
     a = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
     b = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-    c, mu2 = douglas_factor(a, b)
+    c, mu2, _ = douglas_factor(a, b)
     assert_allclose(c, np.array([[0.0, 0.0], [1.0, 0.0]]), atol=1e-12)
     assert mu2 == pytest.approx(1.0, abs=1e-10)
 
@@ -619,11 +656,22 @@ def test_douglas_mu_matches_factor_norm():
             b = (u * sv) @ vh
         c0 = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         a = b @ c0
-        c, mu2 = douglas_factor(a, b)
+        c, mu2, _ = douglas_factor(a, b)
         assert_allclose(c, np.linalg.pinv(b) @ a, atol=1e-10 * max(1.0, np.linalg.norm(c)))
         assert operator_norm(c) ** 2 == pytest.approx(mu2, rel=1e-10)
         assert suites._pencil_top(a, b, DEFAULT_TOL) == pytest.approx(mu2, rel=1e-6, abs=1e-8)
         assert operator_norm(c) <= operator_norm(c0) + 1e-8
+
+
+def test_douglas_factor_returns_the_residual_it_checked():
+    # ||(I - U_r U_r*) A||_F and ||B C - A||_F agree to rounding, and both
+    # sit below the threshold that decided range inclusion.
+    for seed in range(20):
+        a, b, _ = suites._douglas_instance(*suites._instance(seed, 0, 2, 8))
+        c, _, residual = douglas_factor(a, b)
+        threshold = DEFAULT_TOL.zero_threshold(DEFAULT_TOL.scale_of(a, b))
+        assert residual <= threshold
+        assert abs(residual - frobenius(b @ c - a)) <= 1e-3 * threshold
 
 
 def test_douglas_rejects_range_violation():
@@ -671,7 +719,7 @@ def test_douglas_decides_at_the_tolerance_edge(a_diag, b_diag, mu2):
         with pytest.raises(AssumptionError, match="no factor exists"):
             douglas_factor(a, b)
     else:
-        c, got = douglas_factor(a, b)
+        c, got, _ = douglas_factor(a, b)
         assert frobenius(b @ c - a) <= 1e-8
         assert got == pytest.approx(mu2, rel=1e-12)
 
