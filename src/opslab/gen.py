@@ -3,9 +3,12 @@
 All generators are pure functions of their parameters and a 64-bit seed;
 identical seeds reproduce identical matrices bit for bit on one platform.
 Condition numbers of the random similarities are clipped so that the
-certified residual tolerances stay meaningful in double precision: the
-invariant-metric pipeline amplifies errors by up to the fourth power of
-the similarity's condition number.  A parameter that would make a matrix
+certified residual tolerances stay meaningful in double precision.  The
+similarity certificate's residuals grow about linearly in the
+similarity's condition number: on ``P0^-1 V P0`` with n = 2..8 the
+largest, ``P S = V P``, read 4e-7, 5e-6 and 5e-5 of its threshold at
+cond(P0) = 1e2, 1e3 and 1e4, and at 1e5 most computed spectra leave the
+unimodular band and are refused.  A parameter that would make a matrix
 non-finite raises ``ArgumentError`` naming it.
 """
 

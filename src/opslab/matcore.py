@@ -40,6 +40,8 @@ __all__ = [
     "null_space",
     "matrix_to_json_dict",
     "matrix_from_json_dict",
+    "load_json",
+    "dump_json",
     "load_matrix",
 ]
 

@@ -3,8 +3,9 @@
 The central objects are invariant metrics: Hermitian positive definite
 solutions X of ``S* X S = X``, built in O(n^3) from the Riesz spectral
 projectors of S on the Schur form of its certificate.  When one exists,
-its square root P (with ``P^{-1}``, from one eigendecomposition of X)
-conjugates S to an isometry (``P S P^{-1}`` has orthonormal columns), and
+its square root P conjugates S to an isometry (``P S P^{-1}`` has
+orthonormal columns); P, ``P^{-1}`` and that isometry come from one SVD
+of a factor G of ``X = G* G``, at cond(P) and not cond(X) = cond(P)^2.
 ``P^{-2} S* P^{2}`` is a power-bounded left m-inverse of S for every m.
 Around that core this module provides:
 
@@ -121,7 +122,7 @@ class PowerBoundReport:
     ``[[1, 1], [0, exp(i d)]]`` with ``d = 1e-3`` it reads 64.005 at horizon
     64 and 2000.0 at horizon 4000.  It only witnesses the verdict, so it is
     computed on first read and cached, and it is ``inf`` when a power
-    overflows.  The JSON form states the horizon next to it.
+    has a non-finite entry.  The JSON form states the horizon next to it.
     """
 
     bounded: bool
@@ -135,7 +136,7 @@ class PowerBoundReport:
 
     @cached_property
     def m1_estimate(self) -> float:
-        """``max ||T^n||_2`` over ``n <= horizon``; ``inf`` once a power overflows.
+        """``max ||T^n||_2`` over ``n <= horizon``; ``inf`` once a power has a non-finite entry.
 
         The powers are formed one product at a time into one buffer of at
         most ``_POWER_BYTES = 256 KiB`` (64 powers at n = 16, 16 at n = 32,
@@ -157,7 +158,9 @@ class PowerBoundReport:
         (entries past about 1e154) has its F taken again, scaled by the
         power of two that brings its largest real or imaginary part into
         [0.5, 1) and scaled back after the square root; both scalings are
-        exact, so its bound stays finite and rigorous.  The powers of a
+        exact, so its bound stays rigorous, and finite unless F itself
+        passes the largest double: such a power keeps the bound ``inf``
+        and takes its SVD.  The powers of a
         chunk that F leaves in play are screened again by the Gram bound
         ``sigma_max(P) <= ||G^2||_F^(1/4)`` with ``G = P* P``, since
         ``sigma_max(P)^4 = lambda_max(G^2) <= ||G^2||_F``; it is tight when
@@ -217,7 +220,7 @@ class PowerBoundReport:
                 power = _form_powers(power, t, block)
                 fro[start:end] = _frobenius(block, batch)
                 k = start + int(np.argmax(fro[start:end]))  # argmax picks a nan first
-                if not np.isfinite(fro[k]):
+                if np.isnan(fro[k]):
                     return np.inf
                 if start == 0 or fro[k] > fro[top]:
                     top = k
@@ -278,15 +281,21 @@ def _form_powers(power: np.ndarray, t: np.ndarray, block: np.ndarray) -> np.ndar
 
 
 def _frobenius(block: np.ndarray, batch: int) -> np.ndarray:
-    """``||P||_F`` of each P in ``block``, finite whenever P is (``m1_estimate``)."""
+    """``||P||_F`` of each P in ``block`` (``m1_estimate``).
+
+    ``nan`` when P has a non-finite entry, and ``inf`` for a finite P only
+    when ``||P||_F`` itself overflows.
+    """
     flat = block.reshape(len(block), -1).view(np.float64)
     fro = np.sqrt(np.einsum("ij,ij->i", flat, flat))
     huge = np.flatnonzero(fro == np.inf)
     for i in range(0, huge.size, batch):
         rows = huge[i : i + batch]
-        _, exp = np.frexp(np.abs(flat[rows]).max(axis=1))
+        top = np.abs(flat[rows]).max(axis=1)
+        _, exp = np.frexp(top)
         scaled = np.ldexp(flat[rows], -exp[:, None])
-        fro[rows] = np.ldexp(np.sqrt(np.einsum("ij,ij->i", scaled, scaled)), exp)
+        fro_rows = np.ldexp(np.sqrt(np.einsum("ij,ij->i", scaled, scaled)), exp)
+        fro[rows] = np.where(top < np.inf, fro_rows, np.nan)
     return fro
 
 
@@ -429,25 +438,40 @@ def invariant_metric(
     the diagonal of T.  A cluster whose block is not scalar within
     ``1e-12 * max(1, ||S||)`` is split into its (distinct) eigenvalues, and
     Sylvester solves against the trailing part of T (``ztrsyl``) give
-    ``T = V D V^{-1}`` with D block diagonal.  Then
-    ``X = Q V^{-*} blockdiag((V* V)_ii) V^{-1} Q*``, hermitized; one ``eigh``
-    gives its norm and decides its positivity.
+    ``W T W^{-1} = D`` with D block diagonal.  Then ``X = G* G`` for the
+    factor ``G = L* W Q*`` of ``_metric_factor``, and X is returned as
+    ``P^2`` for its square root P, whose positivity that call decided.
 
     Raises ``AssumptionError`` when S is not power bounded, has eigenvalues
     inside the unit disc (all: zero is the only fixed point; some: every
-    fixed point is singular) or X is not positive definite at tolerance, and
+    fixed point is singular) or P is not positive definite at tolerance, and
     ``IdentityCheckError`` when ``||S* X S - X||_F > zero_threshold(||S||_F^2)``.
     """
     s = as_matrix(s, square=True, name="S")
-    x = _metric_eigh(s, tol)[0]
+    p = _metric_factor(s, tol)[0]
+    x = p @ p
     residual = frobenius(adjoint(s) @ x @ s - x)
     if residual > tol.zero_threshold(tol.scale_of(s) ** 2):
         raise IdentityCheckError(f"invariant metric has residual {residual:.3e}")
     return x
 
 
-def _metric_eigh(s: np.ndarray, tol: ToleranceConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """X of ``invariant_metric`` for a validated S, unchecked, with ``w, U`` of ``X = U diag(w) U*``."""
+def _metric_factor(s: np.ndarray, tol: ToleranceConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(P, P^{-1}, V)`` of the similarity certificate of a validated S, unchecked.
+
+    The invariant metric is ``X = G* G`` with ``G = L* W Q*``: Q of the
+    split, W of the decoupling and L the Cholesky factor of the block Gram
+    matrix ``blockdiag((W^{-*} W^{-1})_ii)``, block diagonal like it.  One
+    SVD ``G = U Sigma Y*``, with ``sigma_1`` normalized to 1 so that
+    ``||X|| = 1``, gives ``P = Y Sigma Y*`` and ``P^{-1} = Y Sigma^{-1} Y*``.
+    Since ``P = O G`` with ``O = Y U*`` unitary, ``P S P^{-1} = O (L* D
+    L^{-*}) O*``, and ``L* D L^{-*}`` is the diagonal of T up to the
+    decoupling's rounding: each block of D is 1 x 1 or scalar.  So
+    ``V = O diag(lambda / |lambda|) O*`` for the eigenvalues lambda on that
+    diagonal, unitary to rounding.  P is positive definite when
+    ``sigma_n > zero_threshold(1)``, so up to cond(P) of about 1e8: every
+    step works at cond(P), and X, at cond(P)^2, is not formed here.
+    """
     n = s.shape[0]
     report = certify_power_bounded(s, tol=tol)
     if not report.bounded:
@@ -465,7 +489,8 @@ def _metric_eigh(s: np.ndarray, tol: ToleranceConfig) -> tuple[np.ndarray, np.nd
         )
 
     # The complex ztrsyl fails only on illegal arguments; its info = 1 (equal
-    # eigenvalues in two blocks) ends in the checks on X.
+    # eigenvalues in two blocks) ends in the positivity decision or the
+    # certificate's checks.
     t, q, labels = report.split
     edges = [*np.flatnonzero(np.diff(labels, prepend=-1)), n]
     bounds = [0]
@@ -476,7 +501,7 @@ def _metric_eigh(s: np.ndarray, tol: ToleranceConfig) -> tuple[np.ndarray, np.nd
                 bounds.extend(range(lo + 1, hi))
         bounds.append(hi)
 
-    # Row block i of W = V^{-1} is [0, I, -Y_i], where
+    # Row block i of W is [0, I, -Y_i], where
     # T_ii Y_i - Y_i T_rest = -T_i,rest against the trailing part of T.
     w = np.eye(n, dtype=complex)
     for lo, hi in zip(bounds[:-2], bounds[1:-1]):
@@ -485,26 +510,30 @@ def _metric_eigh(s: np.ndarray, tol: ToleranceConfig) -> tuple[np.ndarray, np.nd
     v, _ = scipy.linalg.lapack.ztrtri(w, unitdiag=1)
     block = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
     gram = np.where(block[:, None] == block, adjoint(v) @ v, 0.0)
-    qw = q @ adjoint(w)
-    x = qw @ gram @ adjoint(qw)
-    x = 0.5 * (x + adjoint(x))
-    w, u = np.linalg.eigh(x)
-    norm = max(w[-1], -w[0])  # the spectral norm of a Hermitian matrix
-    x, w = x / norm, w / norm
-    if w[0] <= tol.zero_threshold(1.0):
+    # Each block of gram is I + Z* Z, at least I, but its rounding can
+    # break the Cholesky once ||Z||^2 nears 1 / (n eps).
+    try:
+        u, sigma, yh = np.linalg.svd(adjoint(np.linalg.cholesky(gram)) @ w @ adjoint(q))
+    except np.linalg.LinAlgError as exc:
+        raise AssumptionError(f"invariant fixed point is not positive definite ({exc})") from exc
+    sigma = sigma / sigma[0]
+    if sigma[-1] <= tol.zero_threshold(1.0):
         raise AssumptionError(
             f"invariant fixed point is not positive definite "
-            f"(smallest eigenvalue {w[0]:.3e}); S is not similar to an isometry"
+            f"(smallest eigenvalue of its square root {sigma[-1]:.3e}); S is not similar to an isometry"
         )
-    return x, w, u
+    y, lam = adjoint(yh), np.diag(t)
+    o = y @ adjoint(u)
+    return (y * sigma) @ yh, (y / sigma) @ yh, (o * (lam / np.abs(lam))) @ adjoint(o)
 
 
 @dataclass(frozen=True)
 class SimilarityCertificate:
     """Witness that S is similar to an isometry through a positive metric.
 
-    ``p`` is Hermitian positive definite, ``v = P S P^{-1}`` is the
-    conjugated isometry, and the residuals record how well
+    ``p`` is Hermitian positive definite, ``v`` is the conjugated isometry
+    ``P S P^{-1}`` (for a computed P, its unitary model from the spectrum
+    of S, ``_metric_factor``), and the residuals record how well
     ``S* P^2 S = P^2``, ``V* V = I`` and ``P S = V P`` hold.  ``s`` is a
     copy of S and ``p_inv`` is ``P^{-1}`` (neither in repr, equality or JSON),
     so the certificate can stand in for S and no consumer inverts P; it
@@ -550,21 +579,30 @@ def extract_isometry(
     w, u = np.linalg.eigh(0.5 * (p + adjoint(p)))
     if w[0] <= tol.zero_threshold(1.0) * max(1.0, w[-1]):
         raise ArgumentError("P must be positive definite")
-    return _conjugate(s, p, (u / w) @ adjoint(u), tol, AssumptionError)
+    p_inv = (u / w) @ adjoint(u)
+    return _conjugate(s, p, p_inv, p @ s @ p_inv, tol, AssumptionError)
 
 
 def _conjugate(
-    s: np.ndarray, p: np.ndarray, p_inv: np.ndarray, tol: ToleranceConfig, metric_error: type[OpslabError]
+    s: np.ndarray, p: np.ndarray, p_inv: np.ndarray, v: np.ndarray, tol: ToleranceConfig,
+    metric_error: type[OpslabError],
 ) -> SimilarityCertificate:
-    """The certificate of ``V = P S P^{-1}`` for validated S and P, given ``p_inv = P^{-1}``.
+    """The certificate of S by P, ``p_inv = P^{-1}`` and ``V``, for validated S and P.
 
-    Checks each residual it returns, once; a failed metric check raises ``metric_error``.
+    Checks each residual it returns, once: ``S* P^2 S = P^2`` within
+    ``zero_threshold(||S||_F^2 ||P^2||_F)``, ``V* V = I`` within
+    ``zero_threshold(||V||_F^2)`` and ``P S = V P`` within
+    ``zero_threshold(||P||_F ||S||_F)``; a failed metric check raises
+    ``metric_error``, the others ``IdentityCheckError``.  The V of
+    ``extract_isometry`` is the product ``P S P^{-1}``, and all three
+    residuals test S.  The V of ``similarity_certificate`` is unitary to
+    rounding by construction, so its isometry residual no longer tests S;
+    the metric and similarity residuals do.
     """
     p2 = p @ p
     metric_res = frobenius(adjoint(s) @ p2 @ s - p2)
     if metric_res > tol.zero_threshold(tol.scale_of(s) ** 2 * tol.scale_of(p2)):
         raise metric_error(f"P^2 is not an invariant metric for S (residual {metric_res:.3e})")
-    v = p @ s @ p_inv
     iso_res = frobenius(adjoint(v) @ v - np.eye(s.shape[0]))
     if iso_res > tol.zero_threshold(tol.scale_of(v) ** 2):
         raise IdentityCheckError(f"extracted conjugate is not an isometry (residual {iso_res:.3e})")
@@ -585,18 +623,16 @@ def _conjugate(
 def similarity_certificate(
     s: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL
 ) -> SimilarityCertificate:
-    """Certify S by ``X = invariant_metric(S)``, ``P = X^(1/2)``, ``V = P S P^{-1}``.
+    """Certify S by P with ``P^2 = invariant_metric(S)`` and ``V = P S P^{-1}``.
 
-    The ``eigh`` ``X = U diag(w) U*`` of ``invariant_metric`` gives P and
-    ``P^{-1}`` as ``U diag(w^(+-1/2)) U*``, hermitized; a failed check of
-    ``_conjugate`` (on ``P^2``, not X) raises ``IdentityCheckError``.
+    P, ``P^{-1}`` and V come from one SVD of the metric's factor
+    (``_metric_factor``), which also decides positivity; V is the unitary
+    model of ``P S P^{-1}``, not the product, so the similarity residual
+    ``P S = V P`` carries the claim.  A failed check of ``_conjugate``
+    raises ``IdentityCheckError``.
     """
     s = as_matrix(s, square=True, name="S")
-    _, w, u = _metric_eigh(s, tol)
-    root = np.sqrt(w)
-    p = (u * root) @ adjoint(u)
-    p_inv = (u / root) @ adjoint(u)
-    return _conjugate(s, 0.5 * (p + adjoint(p)), 0.5 * (p_inv + adjoint(p_inv)), tol, IdentityCheckError)
+    return _conjugate(s, *_metric_factor(s, tol), tol, IdentityCheckError)
 
 
 def canonical_left_m_inverse(

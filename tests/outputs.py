@@ -10,7 +10,11 @@ report of each of the eight acceptance gates of ``workloads.GATES``, at
 their gate sizes, at suite seeds 0-3.  Last it prints the sha256 of each
 ``gen_power_bounded`` and ``gen_similar_isometry`` draw over a fixed grid
 of (n, seed), n = 256 at seeds 0-19 among them, or the error a draw
-raises.  It reads ``perfbench`` and writes only its temporary directory.
+raises.  Last it prints the outcome of ``similarity_certificate`` on two
+ill-conditioned families of inputs similar to a unitary, at seeds 0-199:
+certified with its three residuals, refused with its message, or an
+internal check failure.  It reads ``perfbench`` and writes only its
+temporary directory.
 
 Run it in a checkout of each commit and diff the two files.  It imports
 ``opslab`` from the ``src`` next to it, never an installed copy.  It is not
@@ -23,6 +27,8 @@ import hashlib
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
@@ -38,6 +44,7 @@ REQUEST_SEEDS = (1, 2, 3)
 SUITE_SEEDS = (0, 1, 2, 3)
 GENERATOR_GRID = [(n, seed) for n in (2, 3, 5, 8, 16, 32, 64) for seed in range(10)]
 GENERATOR_GRID += [(256, seed) for seed in range(20)]
+FAMILY_SEEDS = range(200)
 
 
 def digest(draw) -> str:
@@ -46,6 +53,38 @@ def digest(draw) -> str:
     for m in draw if isinstance(draw, tuple) else (draw,):
         h.update(m.tobytes())
     return h.hexdigest()
+
+
+def conditioned_similarity(seed: int) -> np.ndarray:
+    """``P0^-1 V P0``: n = 2..8, V and U Haar, ``P0 = U diag(geomspace(1, 1e-4, n)) U*``."""
+    rng = opslab.gen.derive_rng(seed)
+    n = int(rng.integers(2, 9))
+    v, u = opslab.gen.haar_unitary(n, rng), opslab.gen.haar_unitary(n, rng)
+    p0 = u @ np.diag(np.geomspace(1.0, 1e-4, n)) @ u.conj().T
+    return np.linalg.solve(p0, v @ p0)
+
+
+def coupled_unimodular_pair(seed: int) -> np.ndarray:
+    """``Q ([[1, 1], [0, e^(i d)]] (+) U) Q*``: d log-uniform in [2e-6, 0.1], n = 2..8, U diagonal, Q Haar."""
+    rng = opslab.gen.derive_rng(seed)
+    n = int(rng.integers(2, 9))
+    delta = float(np.exp(rng.uniform(np.log(2e-6), np.log(0.1))))
+    m = np.diag(np.exp(2j * np.pi * rng.random(n))).astype(complex)
+    m[:2, :2] = [[1.0, 1.0], [0.0, np.exp(1j * delta)]]
+    q = opslab.gen.haar_unitary(n, rng)
+    return q @ m @ q.conj().T
+
+
+def certificate_outcome(s: np.ndarray) -> str:
+    """Certified with its residuals, refused with its message, or an internal check failure."""
+    try:
+        cert = opslab.similarity_certificate(s)
+    except opslab.AssumptionError as exc:
+        return f"refused: {exc}"
+    except opslab.IdentityCheckError as exc:
+        return f"internal error: {exc}"
+    residuals = (cert.residual_metric, cert.residual_isometry, cert.residual_similarity)
+    return "certified: metric {:.3e}, isometry {:.3e}, similarity {:.3e}".format(*residuals)
 
 
 def main() -> None:
@@ -78,6 +117,9 @@ def main() -> None:
             except Exception as exc:
                 line = f"raises {type(exc).__name__}: {exc}"
             print(f"{name}({n}, {seed}): {line}")
+    for family in (conditioned_similarity, coupled_unimodular_pair):
+        for seed in FAMILY_SEEDS:
+            print(f"{family.__name__}({seed}): {certificate_outcome(family(seed))}")
 
 
 if __name__ == "__main__":

@@ -182,6 +182,8 @@ def test_m1_estimate_equals_the_per_power_norms(horizon):
         haar_unitary(6, derive_rng(12)),  # every power ties
         haar_unitary(24, derive_rng(13)),
         np.array([[0.0, 2.0], [0.5, 0.0]]),  # S^2 = I: the odd powers share the max
+        np.diag([1.3e308, 1.3e308]),  # ||S||_F overflows, S is finite
+        np.kron(np.eye(3), unimodular_with_huge_coupling(2e307)),  # ||S^n||_F overflows, S^n is finite
     ]
     if horizon in (64, 200):
         # Four powers fill the budget at n = 64, so these span 16 and 50 chunks.
@@ -550,29 +552,41 @@ def test_similarity_certificate_pipeline():
 
 
 def test_a_failed_similarity_residual_is_an_internal_error():
-    # P^-1 W for a unitary W != I makes V = W an isometry and S* P^2 S = P^2
-    # hold for S = I, but P S = V P fails: the certificate refuses it.
+    # For S = I, a unitary V = W != I is an isometry and S* P^2 S = P^2
+    # holds, but P S = V P fails: the certificate refuses it.
     p = np.diag([1.0, 2.0]).astype(complex)
     w = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     with pytest.raises(IdentityCheckError, match="P S and V P differ"):
-        metric._conjugate(np.eye(2, dtype=complex), p, np.linalg.inv(p) @ w, DEFAULT_TOL, AssumptionError)
+        metric._conjugate(np.eye(2, dtype=complex), p, np.linalg.inv(p), w, DEFAULT_TOL, AssumptionError)
 
 
 def test_a_failed_metric_residual_is_internal_for_a_computed_p(monkeypatch):
     # A computed P whose square misses the metric identity is a bug of the
     # library; a supplied one is a refused hypothesis.
     s, _, _ = gen_similar_isometry(4, seed=21)
-    original = metric._metric_eigh
+    original = metric._metric_factor
 
     def skewed(*args):
-        x, w, u = original(*args)
-        return x, w * np.linspace(1.0, 2.0, len(w)), u
+        p, p_inv, v = original(*args)
+        return p @ p, p_inv, v
 
-    monkeypatch.setattr(metric, "_metric_eigh", skewed)
+    monkeypatch.setattr(metric, "_metric_factor", skewed)
     with pytest.raises(IdentityCheckError, match="not an invariant metric"):
         similarity_certificate(s)
     with pytest.raises(AssumptionError, match="not an invariant metric"):
         extract_isometry(s, np.eye(4, dtype=complex))
+
+
+def test_a_failed_cholesky_of_the_metric_is_a_refusal(monkeypatch):
+    # Rounding can make a Gram block I + Z* Z indefinite once ||Z||^2 nears
+    # 1 / (n eps); the CLI catches only OpslabError.
+    def indefinite(a):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    s, _, _ = gen_similar_isometry(3, seed=1)
+    monkeypatch.setattr(np.linalg, "cholesky", indefinite)
+    with pytest.raises(AssumptionError, match="not positive definite"):
+        similarity_certificate(s)
 
 
 def test_similarity_certificate_evaluates_the_metric_identity_once(monkeypatch):
@@ -585,12 +599,6 @@ def test_similarity_certificate_evaluates_the_metric_identity_once(monkeypatch):
     assert sum(np.array_equal(m, s) for m in args) == 1
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=IdentityCheckError,
-    reason="the rounding of V = P S P^-1 grows like cond(P)^2 = 1e8 here, but the isometry "
-    "threshold zero_threshold(||V||_F^2) ignores it: residual 2.919e-8 against 2.01e-8",
-)
 def test_an_ill_conditioned_power_bounded_input_is_certified_or_refused():
     rng = derive_rng(7)
     v, u = haar_unitary(2, rng), haar_unitary(2, rng)
@@ -601,6 +609,33 @@ def test_an_ill_conditioned_power_bounded_input_is_certified_or_refused():
         similarity_certificate(s)
     except AssumptionError:
         pass
+
+
+def test_every_similarity_at_cond_1e4_is_certified():
+    # X = P^2 sits at cond 1e8, where its eigh refused 47 of these 200;
+    # the SVD of the metric's factor works at cond(P).
+    for s, _ in _conditioning_corpus(1e4, 200):
+        similarity_certificate(s)
+
+
+def _coupled_unimodular_pairs(count):
+    """``(Q ([[1, 1], [0, e^(i d)]] (+) U) Q*, d)``: d log-uniform in [2e-6, 0.1], n = 2..8, U diagonal, Q Haar."""
+    rng = np.random.default_rng(12)
+    for _ in range(count):
+        n = int(rng.integers(2, 9))
+        delta = float(np.exp(rng.uniform(np.log(2e-6), np.log(0.1))))
+        u = np.diag(np.exp(2j * np.pi * rng.random(n - 2)))
+        m = scipy.linalg.block_diag([[1.0, 1.0], [0.0, np.exp(1j * delta)]], u)
+        q = haar_unitary(n, rng)
+        yield q @ m @ adjoint(q), delta
+
+
+def test_a_coupled_unimodular_pair_is_certified_at_cond_p_near_2_over_delta():
+    # sup ||S^n|| is about 2 / d, and cond(P) bounds it.  Below d ~ 2e-4,
+    # X = P^2 passed cond 1e8 and its eigh refused it as not positive definite.
+    for s, delta in _coupled_unimodular_pairs(200):
+        cert = similarity_certificate(s)
+        assert 0.99 <= np.linalg.cond(cert.p) * delta / 2 <= 1.01
 
 
 # ---------------------------------------------------------------------------
@@ -1186,20 +1221,21 @@ def test_similar_to_unitary_rejects_non_pair():
 
 
 def test_similarity_roundtrip_builds_one_certificate_per_matrix(monkeypatch):
-    # One invariant metric and its eigendecomposition for S and one for T* per instance.
-    calls = _count_calls(monkeypatch, metric, "_metric_eigh")
+    # One invariant metric factor and its SVD for S and one for T* per instance.
+    calls = _count_calls(monkeypatch, metric, "_metric_factor")
     assert suites.run_similarity_roundtrip(count=5).passed
     assert len(calls) == 10
 
 
 def test_similarity_chain_takes_one_eigendecomposition_and_no_solve(monkeypatch):
     s, t = gen_left_m_pair(5, seed=7)
-    owners = {"schur": scipy.linalg, "svd": np.linalg, "eigh": np.linalg,
-              "eigvalsh": np.linalg, "inv": np.linalg, "solve": np.linalg}
+    owners = {"schur": scipy.linalg, "svd": np.linalg, "eigh": np.linalg, "eigvalsh": np.linalg,
+              "cholesky": np.linalg, "inv": np.linalg, "solve": np.linalg}
     calls = {name: _count_calls(monkeypatch, owner, name) for name, owner in owners.items()}
     cert = similarity_certificate(s)
     counts = {name: len(c) for name, c in calls.items()}
-    assert counts == {"schur": 1, "svd": 1, "eigh": 1, "eigvalsh": 0, "inv": 0, "solve": 0}
+    # The SVDs are ||S|| in the power-bound certificate and the metric's factor.
+    assert counts == {"schur": 1, "svd": 2, "eigh": 0, "eigvalsh": 0, "cholesky": 1, "inv": 0, "solve": 0}
     canonical_left_m_inverse(cert, 2)
     similar_to_unitary(cert, t, 2)
     assert len(calls["inv"]) + len(calls["solve"]) == 0
