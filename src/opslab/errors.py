@@ -8,11 +8,14 @@ definite fixed point).  ``IdentityCheckError`` means a certificate's own
 residual check failed: ``invariant_metric`` (its X),
 ``similarity_certificate`` and ``extract_isometry`` (the three residuals
 of a ``SimilarityCertificate``, once, in ``metric._conjugate``; a supplied
-P that fails the metric identity is an ``AssumptionError``),
-``canonical_left_m_inverse`` and ``similar_to_unitary`` check each residual
-they return; the CLI re-judges none.  Seeing one means a bug or a genuinely
-inconsistent input, never a routine user error; the cross-checks between
-two decisions of one claim live in the sweeps of ``suites`` and the tests.
+P that fails the metric identity is an ``AssumptionError``) and
+``canonical_left_m_inverse`` check each residual they return; the CLI
+re-judges none.  ``similar_to_unitary`` checks T* against S's certificate,
+and a T that is not S^{-1} within tolerance refutes its hypothesis: an
+``AssumptionError``.
+Seeing one means a bug or a genuinely inconsistent input, never a routine
+user error; the cross-checks between two decisions of one claim live in
+the sweeps of ``suites`` and the tests.
 """
 
 

@@ -208,7 +208,8 @@ def run_similarity_roundtrip(
         if res_canon > rel * max(1.0, frobenius(s) * frobenius(t)):
             yield f"canonical residual {res_canon:.3e}"
 
-        # similar_to_unitary raises if this exceeds 1e-7 * max(1, ||U1||).
+        # ||P^-1 T* P - V||_F, which similar_to_unitary checked against
+        # zero_threshold(||V||_F).
         *_, res_u = metric.similar_to_unitary(cert, t, 1, tol)
         result.record("unitary_model_residual", res_u)
 

@@ -581,7 +581,36 @@ def test_solve_similarity_certifies_each_operator_once(tmp_path, capsys, monkeyp
         "--t", write_matrix(tmp_path / "t.json", t), "--m", "2", "--json",
     )
     assert code == 0
-    assert len(calls) == 2  # S and T*
+    assert len(calls) == 1  # S; its certificate also decides T* (T = S^-1)
+
+
+def _near_tolerance_pairs():
+    """(S, T) whose order-2 defect passes only within tolerance and whose T is not S^-1.
+
+    T = diag(e^(i d), 1) against S = I, and T = inv(S) with its eigenphases
+    rotated by e N(0, 1) against S = gen_similar_isometry(4, 3).
+    """
+    for delta in (1e-4, 1e-5, 1e-6):
+        yield np.eye(2, dtype=complex), np.diag([np.exp(1j * delta), 1.0])
+    s, _, _ = gen_similar_isometry(4, 3)
+    rng = np.random.default_rng(0)
+    for eps in (1e-5, 1e-6):
+        w, x = np.linalg.eig(np.linalg.inv(s))
+        yield s, x @ np.diag(w * np.exp(1j * eps * rng.standard_normal(4))) @ np.linalg.inv(x)
+
+
+def test_a_near_tolerance_pair_is_refused_as_not_an_inverse(tmp_path, capsys):
+    # Each passes the order-2 defect check only within tolerance, and T is not
+    # S^-1 within tolerance: a refusal and not an internal error.
+    for s, t in _near_tolerance_pairs():
+        with pytest.raises(opslab.AssumptionError, match="not S\\^-1"):
+            metric.similar_to_unitary(metric.similarity_certificate(s), t, 2)
+        code, _, err = run(
+            capsys, "solve", "similarity", "--s", write_matrix(tmp_path / "s.json", s),
+            "--t", write_matrix(tmp_path / "t.json", t), "--m", "2",
+        )
+        assert code == 1
+        assert err.startswith("error: ") and "internal check failed" not in err
 
 
 @pytest.mark.parametrize("kind", ["invariant-metric", "similarity"])
