@@ -184,7 +184,7 @@ def _cmd_solve(args, tol: ToleranceConfig) -> Report:
             cert = metric.extract_isometry(s, load_matrix(args.p, "P"), tol)
         else:
             cert = metric.similarity_certificate(s, tol)
-        t, residual = metric.canonical_left_m_inverse(cert, args.m, tol)
+        t, residual = metric.canonical_left_m_inverse(cert, tol)
         report.add_verdict("canonical-inverse", True, residual)
         report.artifacts["T"] = matrix_to_json_dict(t)
     elif args.kind == "douglas":
@@ -275,8 +275,10 @@ def _positive(text: str) -> int:
     return value
 
 
-def _operand(command: str, flag: str) -> dict:
+def _operand(command: str, kind: str, flag: str) -> dict:
     """The argparse keywords of one operand of ``KINDS``."""
+    if kind == "canonical-inverse" and flag == "--m":  # T S = I holds every order's defect at 0
+        return {"type": _positive, "help": "any order: every m gives the same T = S^-1"}
     if flag in ("--m", "--n", "--k"):
         return {"type": _positive}
     if flag == "--horizon":
@@ -305,9 +307,9 @@ def build_parser() -> argparse.ArgumentParser:
         for kind, (required, optional) in kinds.items():
             p = p_kinds.add_parser(kind, allow_abbrev=False)
             for flag in required:
-                p.add_argument(flag, required=True, **_operand(command, flag))
+                p.add_argument(flag, required=True, **_operand(command, kind, flag))
             for flag, default in optional.items():
-                p.add_argument(flag, default=default, **_operand(command, flag))
+                p.add_argument(flag, default=default, **_operand(command, kind, flag))
             if command == "generate":  # check and solve draw no random numbers
                 p.add_argument("--count", type=_positive, default=1, help="instances per manifest")
                 p.add_argument("--out")

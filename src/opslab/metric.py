@@ -6,7 +6,7 @@ projectors of S on the Schur form of its certificate.  When one exists,
 its square root P conjugates S to an isometry (``P S P^{-1}`` has
 orthonormal columns); P, ``P^{-1}`` and that isometry come from one SVD
 of a factor G of ``X = G* G``, at cond(P) and not cond(X) = cond(P)^2.
-``P^{-2} S* P^{2}`` is a power-bounded left m-inverse of S for every m.
+``P^{-2} S* P^{2} = S^{-1}`` is a power-bounded left m-inverse of S for every m.
 Around that core this module provides:
 
 * a power-boundedness certificate based on the exact finite-dimensional
@@ -540,7 +540,8 @@ class SimilarityCertificate:
     ``S* P^2 S = P^2``, ``V* V = I`` and ``P S = V P`` hold.  ``s`` is a
     copy of S and ``p_inv`` is ``P^{-1}`` (neither in repr, equality or JSON),
     so the certificate can stand in for S and no consumer inverts P; it
-    also proves S power bounded: ``||S^n|| <= cond(P)``.
+    also proves S and ``S^{-1} = P^{-1} V* P`` power bounded, with
+    ``||S^n||`` and ``||S^{-n}||`` at most cond(P).
     """
 
     p: np.ndarray
@@ -639,26 +640,23 @@ def similarity_certificate(
 
 
 def canonical_left_m_inverse(
-    cert: SimilarityCertificate, m: int, tol: ToleranceConfig = DEFAULT_TOL
+    cert: SimilarityCertificate, tol: ToleranceConfig = DEFAULT_TOL
 ) -> tuple[np.ndarray, float]:
-    """Left m-inverse ``T = P^{-2} S* P^{2}`` induced by an invariant metric.
+    """The canonical left m-inverse ``T = P^{-2} S* P^{2}`` of a certified S.
 
     ``cert`` is a similarity certificate of S, whose checks already hold
-    ``S* P^2 S = P^2``.  That identity makes ``T^j S^j = I`` for every j,
-    so the defect of (S, T) vanishes at every order, and
-    ``T = P^{-1} V* P`` with V unitary gives ``||T^n|| <= cond(P)``: T is
-    power bounded.  T is formed as ``P^{-1} (P^{-1} S* P) P``, whose inner
-    factor is near the unitary V*, not through ``P^{-2}`` and ``P^2``.  T is
-    verified to be a left m-inverse before ``(T, residual)`` is returned,
-    with ``residual`` the Frobenius norm of the order-m defect that was
-    checked.
+    ``S* P^2 S = P^2``.  That identity gives ``(P^{-2} S* P^2) S = I``, so
+    ``P^{-2} S* P^2 = S^{-1}``, and ``T = P^{-1} V* P`` with V unitary
+    gives ``||T^n|| <= cond(P)``: T is power bounded.  ``T S = I`` makes
+    the defect ``sum_j (-1)^(m-j) C(m, j) T^j S^j`` vanish at every order
+    m, so one T serves all of them.  T is formed by one LU inverse of S
+    and verified as ``T S = I`` at the order-1 threshold of
+    ``minv.is_left_m_inverse`` before ``(T, ||T S - I||_F)`` is returned.
     """
-    t = cert.p_inv @ (cert.p_inv @ adjoint(cert.s) @ cert.p) @ cert.p
-    ok, residual = minv.is_left_m_inverse(cert.s, t, m, tol)
+    t = np.linalg.inv(cert.s)
+    ok, residual = minv.is_left_m_inverse(cert.s, t, 1, tol)
     if not ok:
-        raise IdentityCheckError(
-            f"canonical inverse failed the defect check (residual {residual:.3e})"
-        )
+        raise IdentityCheckError(f"canonical inverse fails T S = I (residual {residual:.3e})")
     return t, residual
 
 

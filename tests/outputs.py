@@ -12,9 +12,10 @@ their gate sizes, at suite seeds 0-3.  Last it prints the sha256 of each
 of (n, seed), n = 256 at seeds 0-19 among them, or the error a draw
 raises.  Last it prints the outcome of ``similarity_certificate`` on two
 ill-conditioned families of inputs similar to a unitary, at seeds 0-199:
-certified with its three residuals, refused with its message, or an
-internal check failure.  It reads ``perfbench`` and writes only its
-temporary directory.
+certified with its three residuals and the outcome of
+``canonical_left_m_inverse`` on it (its residual, or the error class and
+message), refused with its message, or an internal check failure.  It
+reads ``perfbench`` and writes only its temporary directory.
 
 Run it in a checkout of each commit and diff the two files.  It imports
 ``opslab`` from the ``src`` next to it, never an installed copy.  It is not
@@ -84,7 +85,17 @@ def certificate_outcome(s: np.ndarray) -> str:
     except opslab.IdentityCheckError as exc:
         return f"internal error: {exc}"
     residuals = (cert.residual_metric, cert.residual_isometry, cert.residual_similarity)
-    return "certified: metric {:.3e}, isometry {:.3e}, similarity {:.3e}".format(*residuals)
+    certified = "certified: metric {:.3e}, isometry {:.3e}, similarity {:.3e}".format(*residuals)
+    return f"{certified}; canonical inverse: {canonical_outcome(cert)}"
+
+
+def canonical_outcome(cert) -> str:
+    """The residual of the canonical inverse of a certificate, or the error it raises."""
+    try:
+        _, residual = opslab.canonical_left_m_inverse(cert)
+    except opslab.OpslabError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return f"residual {residual:.3e}"
 
 
 def main() -> None:

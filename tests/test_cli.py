@@ -23,7 +23,7 @@ from opslab import (
 )
 from opslab.cli import main, parse_complex
 from opslab.conj import entrywise_conjugation
-from opslab.gen import gen_jordan, gen_left_m_pair, gen_similar_isometry
+from opslab.gen import gen_jordan, gen_left_m_pair, gen_similar_isometry, haar_unitary
 from opslab.matcore import dump_json, matrix_from_json_dict
 
 
@@ -544,10 +544,24 @@ def test_solve_canonical_inverse_certifies_once(tmp_path, capsys, monkeypatch):
     )
     assert code == 0
     assert len(calls) == 1  # S; T = P^-1 V* P is power bounded by construction
-    # T is the canonical inverse P^-1 (P^-1 S* P) P of the certificate's P and P^-1.
-    cert = metric.similarity_certificate(s)
-    expected = cert.p_inv @ (cert.p_inv @ s.conj().T @ cert.p) @ cert.p
-    assert np.array_equal(matrix_from_json_dict(json.loads(out)["artifacts"]["T"]), expected)
+    # T is the canonical inverse P^-2 S* P^2, which is S^-1: one LU inverse of S.
+    assert np.array_equal(matrix_from_json_dict(json.loads(out)["artifacts"]["T"]), np.linalg.inv(s))
+
+
+def test_solve_canonical_inverse_gives_one_t_for_every_m(tmp_path, capsys):
+    # A coupled unimodular pair at d = 1e-4, cond(P) ~ 2e4, where T S = I
+    # holds every order's defect at 0: every m gives the same T = S^-1.
+    rng = np.random.default_rng(5)
+    q = haar_unitary(4, rng)
+    block = np.diag(np.exp(2j * np.pi * np.r_[0.0, 0.0, rng.random(2)]))
+    block[:2, :2] = [[1.0, 1.0], [0.0, np.exp(1e-4j)]]
+    s_path = write_matrix(tmp_path / "s.json", q @ block @ q.conj().T)
+    outs = {}
+    for m in ("1", "2", "3"):
+        code, outs[m], _ = run(capsys, "solve", "canonical-inverse", "--s", s_path, "--m", m, "--json")
+        assert code == 0
+    assert outs["1"] == outs["2"] == outs["3"]
+    assert json.loads(outs["2"])["verdicts"]["canonical-inverse"]["residual"] < 1e-14
 
 
 def test_solve_canonical_inverse_rejects_a_singular_p(tmp_path, capsys):

@@ -16,7 +16,6 @@ from opslab import (
     ArgumentError,
     AssumptionError,
     IdentityCheckError,
-    OpslabError,
     adjoint,
     ascent,
     ascent_bound_check,
@@ -522,18 +521,26 @@ def test_extract_isometry_decides_positivity_at_the_threshold(lam_max):
 
 def test_canonical_left_m_inverse():
     u = haar_unitary(3, derive_rng(6))
-    t, _ = canonical_left_m_inverse(extract_isometry(u, np.eye(3, dtype=complex)), 1)
+    t, _ = canonical_left_m_inverse(extract_isometry(u, np.eye(3, dtype=complex)))
     assert_allclose(t, adjoint(u), atol=1e-12)
 
     s, p0, _ = gen_similar_isometry(4, seed=8)
-    t, residual = canonical_left_m_inverse(extract_isometry(s, p0), 2)
-    # The returned residual is the order-2 defect the solver checked.
-    assert residual == pytest.approx(is_left_m_inverse(s, t, 2)[1], rel=1e-12, abs=1e-300)
+    t, residual = canonical_left_m_inverse(extract_isometry(s, p0))
+    # The returned residual is the order-1 defect T S - I the solver checked.
+    assert residual == pytest.approx(is_left_m_inverse(s, t, 1)[1], rel=1e-12, abs=1e-300)
     for m in range(1, 5):
         ok, _ = is_left_m_inverse(s, t, m)
         assert ok
     with pytest.raises(AssumptionError):  # P = I is no invariant metric of J2
-        canonical_left_m_inverse(extract_isometry(J2, np.eye(2, dtype=complex)), 2)
+        canonical_left_m_inverse(extract_isometry(J2, np.eye(2, dtype=complex)))
+
+
+def _assert_canonical_inverse_passes_its_order_1_check(cert):
+    """The canonical inverse of ``cert`` is returned, with ``||T S - I||_F`` within the order-1 threshold."""
+    t, residual = canonical_left_m_inverse(cert)
+    eye = np.eye(len(cert.s))
+    assert residual == pytest.approx(frobenius(t @ cert.s - eye), rel=1e-12, abs=1e-300)
+    assert residual <= DEFAULT_TOL.zero_threshold(DEFAULT_TOL.scale_of(cert.s, t, eye))
 
 
 def test_similarity_certificate_pipeline():
@@ -622,8 +629,11 @@ def test_every_similarity_at_cond_1e4_is_certified():
 def test_every_inverse_pair_of_the_conditioning_corpus_is_similar_to_unitary(c):
     # (S, S^-1) at m = 1: S's certificate conjugates T* = S^-* to its own V.
     # At m = 2 and 3 the order-m defect check refuses some of these pairs.
+    # The canonical inverse is that S^-1, and passes its own T S = I check.
     for s, _ in _conditioning_corpus(c, 200):
-        similar_to_unitary(similarity_certificate(s), np.linalg.inv(s), 1)
+        cert = similarity_certificate(s)
+        similar_to_unitary(cert, np.linalg.inv(s), 1)
+        _assert_canonical_inverse_passes_its_order_1_check(cert)
 
 
 def test_an_inverse_perturbed_off_the_unit_circle_is_refused_at_cond_1e4():
@@ -657,9 +667,11 @@ def _coupled_unimodular_pairs(count):
 def test_a_coupled_unimodular_pair_is_certified_at_cond_p_near_2_over_delta():
     # sup ||S^n|| is about 2 / d, and cond(P) bounds it.  Below d ~ 2e-4,
     # X = P^2 passed cond 1e8 and its eigh refused it as not positive definite.
+    # Their canonical inverse S^-1 passes its T S = I check up to cond(P) ~ 1e6.
     for s, delta in _coupled_unimodular_pairs(200):
         cert = similarity_certificate(s)
         assert 0.99 <= np.linalg.cond(cert.p) * delta / 2 <= 1.01
+        _assert_canonical_inverse_passes_its_order_1_check(cert)
 
 
 # ---------------------------------------------------------------------------
@@ -1250,7 +1262,7 @@ def test_similarity_roundtrip_builds_one_certificate_per_matrix(monkeypatch):
     assert len(calls) == 5
 
 
-def test_similarity_chain_takes_one_eigendecomposition_and_no_solve(monkeypatch):
+def test_similarity_chain_takes_one_eigendecomposition_and_one_lu_of_s(monkeypatch):
     s, t = gen_left_m_pair(5, seed=7)
     owners = {"schur": scipy.linalg, "svd": np.linalg, "eigh": np.linalg, "eigvalsh": np.linalg,
               "cholesky": np.linalg, "inv": np.linalg, "solve": np.linalg}
@@ -1259,22 +1271,21 @@ def test_similarity_chain_takes_one_eigendecomposition_and_no_solve(monkeypatch)
     # The SVDs are ||S|| in the power-bound certificate and the metric's factor.
     expected = {"schur": 1, "svd": 2, "eigh": 0, "eigvalsh": 0, "cholesky": 1, "inv": 0, "solve": 0}
     assert {name: len(c) for name, c in calls.items()} == expected
-    # The rest of the chain adds nothing to S's one Schur form and one Cholesky.
-    canonical_left_m_inverse(cert, 2)
+    # The rest of the chain adds to S's one Schur form and one Cholesky only
+    # the canonical inverse's one LU of S; nothing solves with P.
+    t_canonical, _ = canonical_left_m_inverse(cert)
     similar_to_unitary(cert, t, 2)
-    assert {name: len(c) for name, c in calls.items()} == expected
+    assert {name: len(c) for name, c in calls.items()} == {**expected, "inv": 1}
+    assert np.array_equal(t_canonical, np.linalg.inv(s))
 
 
 def test_a_certified_canonical_inverse_is_never_refused_as_a_pair():
-    # At cond(P0) = 2e3, T = P^-1 (P^-1 S* P) P passes its order-2 check
-    # and must then pass the order-1 check of similar_to_unitary too.
+    # At cond(P0) = 2e3, the canonical inverse T = S^-1 passes its T S = I
+    # check and must then pass the order-1 check of similar_to_unitary too.
     refused = []
     for i, (s, _) in enumerate(_conditioning_corpus(2e3, 200)):
-        try:
-            cert = similarity_certificate(s)
-            t, _ = canonical_left_m_inverse(cert, 2)
-        except OpslabError:  # the order-2 check still refuses some draws at this conditioning
-            continue
+        cert = similarity_certificate(s)
+        t, _ = canonical_left_m_inverse(cert)
         try:
             similar_to_unitary(cert, t, 1)
         except AssumptionError as exc:
