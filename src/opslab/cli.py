@@ -173,7 +173,7 @@ def _cmd_solve(args, tol: ToleranceConfig) -> Report:
     elif args.kind == "similarity":
         s = load_matrix(args.s, "S")
         t = load_matrix(args.t, "T")
-        u1, u2, p, residual = metric.similar_to_unitary(metric.similarity_certificate(s, tol), t, args.m, tol)
+        u1, u2, p, residual = metric.similar_to_unitary(metric.similarity_certificate(s, tol), t, tol)
         report.add_verdict("unitary-models", True, residual)
         report.artifacts["U1"] = matrix_to_json_dict(u1)
         report.artifacts["U2"] = matrix_to_json_dict(u2)
@@ -275,10 +275,10 @@ def _positive(text: str) -> int:
     return value
 
 
-def _operand(command: str, kind: str, flag: str) -> dict:
+def _operand(command: str, flag: str) -> dict:
     """The argparse keywords of one operand of ``KINDS``."""
-    if kind == "canonical-inverse" and flag == "--m":  # T S = I holds every order's defect at 0
-        return {"type": _positive, "help": "any order: every m gives the same T = S^-1"}
+    if command == "solve" and flag == "--m":  # T S = I holds every order's defect at 0
+        return {"type": _positive, "help": "any order: T = S^-1, so every m gives the same output"}
     if flag in ("--m", "--n", "--k"):
         return {"type": _positive}
     if flag == "--horizon":
@@ -307,9 +307,9 @@ def build_parser() -> argparse.ArgumentParser:
         for kind, (required, optional) in kinds.items():
             p = p_kinds.add_parser(kind, allow_abbrev=False)
             for flag in required:
-                p.add_argument(flag, required=True, **_operand(command, kind, flag))
+                p.add_argument(flag, required=True, **_operand(command, flag))
             for flag, default in optional.items():
-                p.add_argument(flag, default=default, **_operand(command, kind, flag))
+                p.add_argument(flag, default=default, **_operand(command, flag))
             if command == "generate":  # check and solve draw no random numbers
                 p.add_argument("--count", type=_positive, default=1, help="instances per manifest")
                 p.add_argument("--out")

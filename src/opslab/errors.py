@@ -11,8 +11,8 @@ of a ``SimilarityCertificate``, once, in ``metric._conjugate``; a supplied
 P that fails the metric identity is an ``AssumptionError``) and
 ``canonical_left_m_inverse`` (``T S = I`` for its ``T = S^{-1}``) check
 each residual they return; the CLI re-judges none.  ``similar_to_unitary``
-checks T* against S's certificate, and a T that is not S^{-1} within
-tolerance refutes its hypothesis: an ``AssumptionError``.
+decides T, whatever the order m, by ``T S = I`` and then T* against S's
+certificate; a T that is not S^{-1} refutes its hypothesis: ``AssumptionError``.
 Seeing one means a bug or a genuinely inconsistent input, never a routine
 user error; the cross-checks between two decisions of one claim live in
 the sweeps of ``suites`` and the tests.

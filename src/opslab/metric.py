@@ -26,9 +26,9 @@ Around that core this module provides:
   ``X -> A X - X V*``, decided on the same eigenspaces by one helper, one
   n x n SVD per distinct phase of V, with no n^2 x n^2 map;
 * the simultaneous similarity of a power-bounded pair (S, T) with
-  vanishing defect to one unitary: such a T is ``S^{-1}``, so S's
-  certificate conjugates T* to the same V through ``P^{-1}``, and the
-  model error ``||P^{-1} T* P - V||_F`` decides the hypothesis on T.
+  vanishing defect to one unitary: at every order m such a T is
+  ``S^{-1}``, so ``T S = I`` and then the model error ``||P^{-1} T* P -
+  V||_F`` against S's certificate decide the hypothesis on T, with no m.
 
 Each call decides its claim once.  The independent cross-checks of the
 paper's implications (the Kronecker reference of the Putnam-Fuglede
@@ -877,29 +877,29 @@ def ascent_bound_check(
 
 
 def similar_to_unitary(
-    cert: SimilarityCertificate, t: np.ndarray, m: int, tol: ToleranceConfig = DEFAULT_TOL
+    cert: SimilarityCertificate, t: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """Simultaneous unitary models for a power-bounded defect pair.
 
     ``cert`` is the ``similarity_certificate`` of S.  For a power-bounded
     left m-inverse T of S, ``Phi(X) = T X S`` is power bounded with
     ``(Phi - I)^m (I) = 0``.  Its eigenvalue 1 is semisimple, so
-    ``ker (Phi - I)^m = ker (Phi - I)``: ``T S = I`` and ``T = S^{-1}``.
-    Then ``P S P^{-1} = V`` gives ``P^{-1} T* P = V``: S's own unitary
-    model is T*'s too.  That model error ``||P^{-1} T* P - V||_F`` is
-    checked against ``zero_threshold(||V||_F)``, a bound that does not grow
-    with cond(P): V* is normal, so every eigenvalue of T lies within the
-    error of V*'s, and a T that is not S^{-1} within it refutes the
-    hypothesis (``AssumptionError``).  Its rounding grows as
-    ``eps cond(P) ||T||``, so exact pairs near cond(P) = 1e4 use up to 0.6
-    of it.  Returns ``(U1, U2, P, residual) = (V, V, I, model error)``.
+    ``ker (Phi - I)^m = ker (Phi - I)``: ``T S = I`` at every m.  So T is
+    decided with no m, by ``minv.is_left_m_inverse`` at order 1 and then,
+    as ``P S P^{-1} = V`` gives ``P^{-1} T* P = V``, by the model error
+    ``||P^{-1} T* P - V||_F`` within ``zero_threshold(||V||_F)``, a bound
+    that does not grow with cond(P) (V* is normal, so each eigenvalue of T
+    lies within the error of V*'s); its rounding, ``eps cond(P) ||T||``,
+    uses up to 0.6 of it on exact pairs near cond(P) = 1e4.  A T that
+    fails either check is not S^{-1} (``AssumptionError``).  Returns
+    ``(U1, U2, P, residual) = (V, V, I, model error)``.
     """
     t = as_matrix(t, square=True, name="T")
-    ok, residual = minv.is_left_m_inverse(cert.s, t, m, tol)
+    ok, residual = minv.is_left_m_inverse(cert.s, t, 1, tol)
     if not ok:
         raise AssumptionError(
-            f"similar_to_unitary requires a left {m}-inverse pair "
-            f"(residual {residual:.3e})"
+            "similar_to_unitary requires power bounded T and a left m-inverse of S, which make T = S^-1; "
+            f"T is not S^-1 within tolerance (||T S - I||_F = {residual:.3e})"
         )
     v = cert.v
     residual = frobenius(cert.p_inv @ adjoint(t) @ cert.p - v)

@@ -210,7 +210,7 @@ def run_similarity_roundtrip(
 
         # ||P^-1 T* P - V||_F, which similar_to_unitary checked against
         # zero_threshold(||V||_F).
-        *_, res_u = metric.similar_to_unitary(cert, t, 1, tol)
+        *_, res_u = metric.similar_to_unitary(cert, t, tol)
         result.record("unitary_model_residual", res_u)
 
     return _sweep(result, seed, count, 1, dim_max, check)

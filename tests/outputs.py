@@ -7,19 +7,24 @@ request seeds 1-3 in process (``workloads.call_cli``) and prints its exit
 code, standard output and standard error, with the temporary directory of
 its input files masked as ``<tmp>``.  Then it prints ``dump_json`` of the
 report of each of the eight acceptance gates of ``workloads.GATES``, at
-their gate sizes, at suite seeds 0-3.  Last it prints the sha256 of each
+their gate sizes, at suite seeds 0-3.  Then it prints the sha256 of each
 ``gen_power_bounded`` and ``gen_similar_isometry`` draw over a fixed grid
 of (n, seed), n = 256 at seeds 0-19 among them, or the error a draw
-raises.  Last it prints the outcome of ``similarity_certificate`` on two
+raises.  Then it prints the outcome of ``similarity_certificate`` on two
 ill-conditioned families of inputs similar to a unitary, at seeds 0-199:
 certified with its three residuals and the outcome of
 ``canonical_left_m_inverse`` on it (its residual, or the error class and
-message), refused with its message, or an internal check failure.  It
-reads ``perfbench`` and writes only its temporary directory.
+message), refused with its message, or an internal check failure.  Last,
+on the same inputs, it runs ``solve similarity --s S --t S^-1 --m k
+--json`` at k = 1, 2 and 3 (``workloads.call_cli``) and prints its exit
+code with the sha256 of its standard output, or its standard error.  It
+reads ``perfbench`` and writes only its temporary directories.
 
-Run it in a checkout of each commit and diff the two files.  It imports
-``opslab`` from the ``src`` next to it, never an installed copy.  It is not
-a test module: pytest does not collect it.
+Run it in a checkout of each commit and diff the two files.  Both runs
+need the same ``OPENBLAS_NUM_THREADS``: the n = 256 generator draws differ
+between one BLAS thread and two.  It imports ``opslab`` from the ``src``
+next to it, never an installed copy.  It is not a test module: pytest does
+not collect it.
 """
 
 from __future__ import annotations
@@ -98,6 +103,16 @@ def canonical_outcome(cert) -> str:
     return f"residual {residual:.3e}"
 
 
+def cli_outcome(argv: list[str]) -> str:
+    """The exit code of one CLI request with the sha256 of its standard output, or its standard error."""
+    out = workloads.call_cli(opslab, argv)
+    if out.crash:
+        return f"exit {out.code} crash {out.crash}"
+    if out.code == 0:
+        return f"exit 0, stdout sha256 {hashlib.sha256(out.stdout.encode()).hexdigest()}"
+    return f"exit {out.code}, stderr {out.stderr.strip()}"
+
+
 def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         for seed in REQUEST_SEEDS:
@@ -131,6 +146,15 @@ def main() -> None:
     for family in (conditioned_similarity, coupled_unimodular_pair):
         for seed in FAMILY_SEEDS:
             print(f"{family.__name__}({seed}): {certificate_outcome(family(seed))}")
+    with tempfile.TemporaryDirectory() as tmp:
+        rs = workloads.RequestSet(Path(tmp))
+        for family in (conditioned_similarity, coupled_unimodular_pair):
+            for seed in FAMILY_SEEDS:
+                s = family(seed)
+                pair = ["--s", rs.save(s), "--t", rs.save(np.linalg.inv(s))]
+                for m in (1, 2, 3):
+                    outcome = cli_outcome(["solve", "similarity", *pair, "--m", str(m), "--json"])
+                    print(f"solve similarity {family.__name__}({seed}) --m {m}: {outcome}")
 
 
 if __name__ == "__main__":

@@ -564,6 +564,31 @@ def test_solve_canonical_inverse_gives_one_t_for_every_m(tmp_path, capsys):
     assert json.loads(outs["2"])["verdicts"]["canonical-inverse"]["residual"] < 1e-14
 
 
+def test_solve_similarity_gives_one_verdict_for_every_m(tmp_path, capsys):
+    # S = P0^-1 V P0 at cond(P0) = 1e4, whose exact pair (S, S^-1) misses
+    # the order-2 defect threshold by rounding: T S = I decides every m
+    # alike, so --m 1, 2 and 3 print the same bytes, and the same refusal
+    # when T is (1 + 1e-6) S^-1.
+    rng = np.random.default_rng(0)
+    v, u = haar_unitary(4, rng), haar_unitary(4, rng)
+    p0 = u @ np.diag(np.geomspace(1, 1e-4, 4)) @ u.conj().T
+    s = np.linalg.solve(p0, v @ p0)
+    assert not minv.is_left_m_inverse(s, np.linalg.inv(s), 2)[0]
+    s_path = write_matrix(tmp_path / "s.json", s)
+    for t, expected in ((np.linalg.inv(s), 0), ((1 + 1e-6) * np.linalg.inv(s), 1)):
+        t_path = write_matrix(tmp_path / "t.json", t)
+        outs = set()
+        for m in ("1", "2", "3"):
+            argv = ["solve", "similarity", "--s", s_path, "--t", t_path, "--m", m, "--json"]
+            code, out, err = run(capsys, *argv)
+            assert code == expected
+            outs.add((out, err))
+        assert len(outs) == 1
+        out, err = outs.pop()
+        assert bool(out) == (expected == 0)
+        assert err.startswith("error: ") if expected else err == ""
+
+
 def test_solve_canonical_inverse_rejects_a_singular_p(tmp_path, capsys):
     s = write_matrix(tmp_path / "s.json", np.eye(3))
     for singular in (np.zeros((3, 3)), np.diag([2.0, 1.0, 0.0])):
@@ -599,7 +624,7 @@ def test_solve_similarity_certifies_each_operator_once(tmp_path, capsys, monkeyp
 
 
 def _near_tolerance_pairs():
-    """(S, T) whose order-2 defect passes only within tolerance and whose T is not S^-1.
+    """(S, T) whose order-2 defect passes only within tolerance and whose T fails T S = I.
 
     T = diag(e^(i d), 1) against S = I, and T = inv(S) with its eigenphases
     rotated by e N(0, 1) against S = gen_similar_isometry(4, 3).
@@ -614,11 +639,12 @@ def _near_tolerance_pairs():
 
 
 def test_a_near_tolerance_pair_is_refused_as_not_an_inverse(tmp_path, capsys):
-    # Each passes the order-2 defect check only within tolerance, and T is not
-    # S^-1 within tolerance: a refusal and not an internal error.
+    # Each passes the order-2 defect check only within tolerance, and fails
+    # T S = I, so T is not S^-1 within tolerance: a refusal and not an
+    # internal error, whatever the order.
     for s, t in _near_tolerance_pairs():
-        with pytest.raises(opslab.AssumptionError, match="not S\\^-1"):
-            metric.similar_to_unitary(metric.similarity_certificate(s), t, 2)
+        with pytest.raises(opslab.AssumptionError, match="not S\\^-1.*T S - I"):
+            metric.similar_to_unitary(metric.similarity_certificate(s), t)
         code, _, err = run(
             capsys, "solve", "similarity", "--s", write_matrix(tmp_path / "s.json", s),
             "--t", write_matrix(tmp_path / "t.json", t), "--m", "2",
