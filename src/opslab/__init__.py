@@ -40,7 +40,6 @@ from .metric import (
     canonical_left_m_inverse,
     certify_power_bounded,
     douglas_factor,
-    extract_isometry,
     invariant_metric,
     pf_property_check,
     similar_to_unitary,

@@ -53,13 +53,13 @@ KINDS = {
     "solve": {
         "invariant-metric": (("--s",), {}),
         "similarity": (("--s", "--t"), {"--m": 1}),
-        "canonical-inverse": (("--s",), {"--p": None, "--m": 1}),
+        "canonical-inverse": (("--s",), {"--m": 1}),
         "douglas": (("--a", "--b"), {}),
     },
     "generate": {
         "jordan": (("--k", "--lambda"), {}),
         "similar-isometry": (("--n",), {}),
-        "left-m-pair": (("--n", "--m"), {}),
+        "left-m-pair": (("--n",), {}),
         "power-bounded": (("--n",), {}),
         "conjugation": (("--n",), {}),
         "one-c-isometry": (("--n",), {"--hyperbolic": False, "--t": 1.0}),
@@ -179,11 +179,7 @@ def _cmd_solve(args, tol: ToleranceConfig) -> Report:
         report.artifacts["U2"] = matrix_to_json_dict(u2)
         report.artifacts["P"] = matrix_to_json_dict(p)
     elif args.kind == "canonical-inverse":
-        s = load_matrix(args.s, "S")
-        if args.p:
-            cert = metric.extract_isometry(s, load_matrix(args.p, "P"), tol)
-        else:
-            cert = metric.similarity_certificate(s, tol)
+        cert = metric.similarity_certificate(load_matrix(args.s, "S"), tol)
         t, residual = metric.canonical_left_m_inverse(cert, tol)
         report.add_verdict("canonical-inverse", True, residual)
         report.artifacts["T"] = matrix_to_json_dict(t)
@@ -206,7 +202,7 @@ def _generate_one(kind: str, params: dict, seed: int) -> dict:
         return {"S": matrix_to_json_dict(s), "P0": matrix_to_json_dict(p0), "U": matrix_to_json_dict(u)}
     if kind == "left-m-pair":  # the pair is a left m-inverse at every m
         s, t = gen.gen_left_m_pair(params["n"], seed)
-        return {"m": params["m"], "S": matrix_to_json_dict(s), "T": matrix_to_json_dict(t)}
+        return {"S": matrix_to_json_dict(s), "T": matrix_to_json_dict(t)}
     if kind == "power-bounded":
         return matrix_to_json_dict(gen.gen_power_bounded(params["n"], seed))
     if kind == "conjugation":

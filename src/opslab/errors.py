@@ -6,10 +6,9 @@ that are well formed but fail a mathematical hypothesis discovered during
 the computation (not power bounded, range inclusion fails, no positive
 definite fixed point).  ``IdentityCheckError`` means a certificate's own
 residual check failed: ``invariant_metric`` (its X),
-``similarity_certificate`` and ``extract_isometry`` (the three residuals
-of a ``SimilarityCertificate``, once, in ``metric._conjugate``; a supplied
-P that fails the metric identity is an ``AssumptionError``) and
-``canonical_left_m_inverse`` (``T S = I`` for its ``T = S^{-1}``) check
+``similarity_certificate`` (the three residuals of a
+``SimilarityCertificate``, once) and ``canonical_left_m_inverse``
+(``T S = I`` for its ``T = S^{-1}``) check
 each residual they return; the CLI re-judges none.  ``similar_to_unitary``
 decides T, whatever the order m, by ``T S = I`` and then T* against S's
 certificate; a T that is not S^{-1} refutes its hypothesis: ``AssumptionError``.

@@ -35,10 +35,9 @@ paper's implications (the Kronecker reference of the Putnam-Fuglede
 inclusion and of the ascent bound, the rigidity of power-bounded
 m-isometries) are the oracles of the sweeps in ``suites``.  A certificate
 checks each residual it returns once, and raises ``IdentityCheckError``
-only when one fails: ``invariant_metric`` checks X, and both similarity
-certificates check their three in ``_conjugate`` (a supplied P that fails
-the metric identity, and a T that S's P and V do not carry to V*, are
-refused with ``AssumptionError``).
+only when one fails: ``invariant_metric`` checks X, and
+``similarity_certificate`` its three (a T that S's P and V do not carry
+to V* is refused with ``AssumptionError``).
 """
 
 from __future__ import annotations
@@ -50,7 +49,7 @@ import numpy as np
 import scipy.linalg
 
 from . import minv
-from .errors import ArgumentError, AssumptionError, IdentityCheckError, OpslabError
+from .errors import ArgumentError, AssumptionError, IdentityCheckError
 from .matcore import (
     DEFAULT_TOL,
     ToleranceConfig,
@@ -67,7 +66,6 @@ __all__ = [
     "PowerBoundReport",
     "certify_power_bounded",
     "invariant_metric",
-    "extract_isometry",
     "canonical_left_m_inverse",
     "SimilarityCertificate",
     "similarity_certificate",
@@ -534,9 +532,9 @@ def _metric_factor(s: np.ndarray, tol: ToleranceConfig) -> tuple[np.ndarray, np.
 class SimilarityCertificate:
     """Witness that S is similar to an isometry through a positive metric.
 
-    ``p`` is Hermitian positive definite, ``v`` is the conjugated isometry
-    ``P S P^{-1}`` (for a computed P, its unitary model from the spectrum
-    of S, ``_metric_factor``), and the residuals record how well
+    ``p`` is Hermitian positive definite, ``v`` is the unitary model of the
+    conjugated isometry ``P S P^{-1}`` from the spectrum of S
+    (``_metric_factor``), and the residuals record how well
     ``S* P^2 S = P^2``, ``V* V = I`` and ``P S = V P`` hold.  ``s`` is a
     copy of S and ``p_inv`` is ``P^{-1}`` (neither in repr, equality or JSON),
     so the certificate can stand in for S and no consumer inverts P; it
@@ -564,49 +562,28 @@ class SimilarityCertificate:
         }
 
 
-def extract_isometry(
-    s: np.ndarray, p: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL
+def similarity_certificate(
+    s: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL
 ) -> SimilarityCertificate:
-    """Conjugate S by a metric square root: ``V = P S P^{-1}``.
+    """Certify S by P with ``P^2 = invariant_metric(S)`` and ``V = P S P^{-1}``.
 
-    Requires P Hermitian positive definite with ``S* P^2 S = P^2`` within
-    tolerance; one ``eigh`` of its Hermitian part decides positivity and
-    gives ``P^{-1}``.  V then satisfies ``V* V = I`` at the same accuracy
-    amplified by the conditioning of P.  Returns the certificate, whose
-    three residuals ``_conjugate`` checked.
-    """
-    s = as_matrix(s, square=True, name="S")
-    p = as_matrix(p, square=True, name="P")
-    require_same_shape(s, p, "S and P")
-    if frobenius(p - adjoint(p)) > tol.zero_threshold(frobenius(p)):
-        raise ArgumentError("P must be Hermitian")
-    w, u = np.linalg.eigh(0.5 * (p + adjoint(p)))
-    if w[0] <= tol.zero_threshold(1.0) * max(1.0, w[-1]):
-        raise ArgumentError("P must be positive definite")
-    p_inv = (u / w) @ adjoint(u)
-    return _conjugate(s, p, p_inv, p @ s @ p_inv, tol, AssumptionError)
-
-
-def _conjugate(
-    s: np.ndarray, p: np.ndarray, p_inv: np.ndarray, v: np.ndarray, tol: ToleranceConfig,
-    metric_error: type[OpslabError],
-) -> SimilarityCertificate:
-    """The certificate of S by P, ``p_inv = P^{-1}`` and ``V``, for validated S and P.
-
-    Checks each residual it returns, once: ``S* P^2 S = P^2`` within
+    P, ``P^{-1}`` and V come from one SVD of the metric's factor
+    (``_metric_factor``), which also decides positivity.  Each residual the
+    certificate returns is checked once: ``S* P^2 S = P^2`` within
     ``zero_threshold(||S||_F^2 ||P^2||_F)``, ``V* V = I`` within
     ``zero_threshold(||V||_F^2)`` and ``P S = V P`` within
-    ``zero_threshold(||P||_F ||S||_F)``; a failed metric check raises
-    ``metric_error``, the others ``IdentityCheckError``.  The V of
-    ``extract_isometry`` is the product ``P S P^{-1}``, and all three
-    residuals test S.  The V of ``similarity_certificate`` is unitary to
-    rounding by construction, so its isometry residual no longer tests S;
-    the metric and similarity residuals do.
+    ``zero_threshold(||P||_F ||S||_F)``; a failure raises
+    ``IdentityCheckError``.  V is the unitary model of ``P S P^{-1}``, not
+    the product, so it is unitary to rounding by construction and its
+    isometry residual no longer tests S; the metric and similarity
+    residuals carry the claim.
     """
+    s = as_matrix(s, square=True, name="S")
+    p, p_inv, v = _metric_factor(s, tol)
     p2 = p @ p
     metric_res = frobenius(adjoint(s) @ p2 @ s - p2)
     if metric_res > tol.zero_threshold(tol.scale_of(s) ** 2 * tol.scale_of(p2)):
-        raise metric_error(f"P^2 is not an invariant metric for S (residual {metric_res:.3e})")
+        raise IdentityCheckError(f"P^2 is not an invariant metric for S (residual {metric_res:.3e})")
     iso_res = frobenius(adjoint(v) @ v - np.eye(s.shape[0]))
     if iso_res > tol.zero_threshold(tol.scale_of(v) ** 2):
         raise IdentityCheckError(f"extracted conjugate is not an isometry (residual {iso_res:.3e})")
@@ -622,21 +599,6 @@ def _conjugate(
         s=s.copy(),
         p_inv=p_inv,
     )
-
-
-def similarity_certificate(
-    s: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL
-) -> SimilarityCertificate:
-    """Certify S by P with ``P^2 = invariant_metric(S)`` and ``V = P S P^{-1}``.
-
-    P, ``P^{-1}`` and V come from one SVD of the metric's factor
-    (``_metric_factor``), which also decides positivity; V is the unitary
-    model of ``P S P^{-1}``, not the product, so the similarity residual
-    ``P S = V P`` carries the claim.  A failed check of ``_conjugate``
-    raises ``IdentityCheckError``.
-    """
-    s = as_matrix(s, square=True, name="S")
-    return _conjugate(s, *_metric_factor(s, tol), tol, IdentityCheckError)
 
 
 def canonical_left_m_inverse(

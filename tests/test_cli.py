@@ -178,6 +178,8 @@ COMMON = {
     "generate": {"--help", "--count", "--out", "--seed", "--json"},
 }
 KIND_ROWS = [(command, kind, *operands) for command, kinds in cli.KINDS.items() for kind, operands in kinds.items()]
+# Operands a command's kinds no longer take: a script that still passes one is refused, not ignored.
+RETIRED = {"solve": {"--p"}, "generate": {"--m"}}
 
 
 def operands(command, flags):
@@ -186,8 +188,8 @@ def operands(command, flags):
 
 
 def foreign(command, required, optional):
-    """The flags other kinds of the command take and this kind does not."""
-    taken = {flag for req, opt in cli.KINDS[command].values() for flag in (*req, *opt)}
+    """The flags other kinds of the command take, or its kinds took, and this kind does not."""
+    taken = {flag for req, opt in cli.KINDS[command].values() for flag in (*req, *opt)} | RETIRED.get(command, set())
     return sorted(taken - set(required) - set(optional))
 
 
@@ -231,13 +233,14 @@ def test_abbreviated_and_misplaced_flags_are_usage_errors(capsys, argv, message)
 
 
 @pytest.mark.parametrize(
-    "kind, flag", [("jordan", "--k"), ("left-m-pair", "--n"), ("left-m-pair", "--m"), ("power-bounded", "--count")]
+    "kind, flag", [("jordan", "--k"), ("left-m-pair", "--n"), ("left-m-inverse", "--m"), ("power-bounded", "--count")]
 )
 @pytest.mark.parametrize("value", ["0", "-1"])
 def test_sizes_below_one_are_usage_errors(capsys, kind, flag, value):
-    sizes = {**dict.fromkeys(cli.KINDS["generate"][kind][0], "2"), flag: value}
+    command = "check" if kind == "left-m-inverse" else "generate"
+    sizes = {**dict.fromkeys(cli.KINDS[command][kind][0], "2"), flag: value}
     argv = [x for item in sizes.items() for x in item]
-    code, out, err = run(capsys, "generate", kind, *argv)
+    code, out, err = run(capsys, command, kind, *argv)
     assert (code, out) == (2, "")
     assert f"argument {flag}: must be >= 1, got {value}" in err
 
@@ -247,7 +250,7 @@ def test_sizes_below_one_are_usage_errors(capsys, kind, flag, value):
     [
         (["check", "power-bounded", "--s", "s.json"], ["--horizon", "8"], 8, 64),
         (["solve", "similarity", "--s", "s.json", "--t", "t.json"], ["--m", "3"], 3, 1),
-        (["solve", "canonical-inverse", "--s", "s.json"], ["--p", "p.json"], "p.json", None),
+        (["solve", "similarity", "--s", "s.json", "--t", "t.json"], ["--m", str(2**63 - 1)], 2**63 - 1, 1),
         (["solve", "canonical-inverse", "--s", "s.json"], ["--m", "3"], 3, 1),
         (["generate", "one-c-isometry", "--n", "2"], ["--hyperbolic"], True, False),
         (["generate", "one-c-isometry", "--n", "2"], ["--t", "2.5"], 2.5, 1.0),
@@ -364,7 +367,7 @@ def test_check_refuses_a_non_finite_literal_as_invalid_json(tmp_path, capsys, li
 @pytest.mark.parametrize(
     "argv",
     [
-        ["generate", "left-m-pair", "--n", "2", "--m", str(2**70)],
+        ["generate", "left-m-pair", "--n", str(2**70)],
         ["generate", "jordan", "--k", "2", "--lambda", "1", "--seed", str(2**63)],
         ["suite", "thm24", "--count", "1", "--seed", str(-(2**63) - 1)],
         ["check", "power-bounded", "--s", "s.json", "--horizon", str(2**64)],
@@ -507,7 +510,7 @@ def test_solve_canonical_inverse(tmp_path, capsys):
 
 def test_solve_similarity(tmp_path, capsys):
     out_file = tmp_path / "pair.json"
-    run(capsys, "generate", "left-m-pair", "--n", "3", "--m", "2", "--seed", "11",
+    run(capsys, "generate", "left-m-pair", "--n", "3", "--seed", "11",
         "--out", str(out_file))
     payload = json.loads(out_file.read_text())
     s_path = tmp_path / "s.json"
@@ -587,15 +590,6 @@ def test_solve_similarity_gives_one_verdict_for_every_m(tmp_path, capsys):
         out, err = outs.pop()
         assert bool(out) == (expected == 0)
         assert err.startswith("error: ") if expected else err == ""
-
-
-def test_solve_canonical_inverse_rejects_a_singular_p(tmp_path, capsys):
-    s = write_matrix(tmp_path / "s.json", np.eye(3))
-    for singular in (np.zeros((3, 3)), np.diag([2.0, 1.0, 0.0])):
-        p = write_matrix(tmp_path / "p.json", singular)
-        code, _, err = run(capsys, "solve", "canonical-inverse", "--s", s, "--p", p)
-        assert code == 2
-        assert err.strip() == "error: P must be positive definite"
 
 
 def test_solve_similarity_reports_the_solver_residual(tmp_path, capsys, monkeypatch):
@@ -732,14 +726,14 @@ def test_generate_corpus_manifest(tmp_path, capsys):
 
 def test_generate_manifest_seeds_instance_i_as_the_sweeps_do(capsys):
     # Instance i of a manifest is the single instance at the first draw of derive_rng(seed, i).
-    argv = ["generate", "left-m-pair", "--n", "3", "--m", "2", "--json"]
+    argv = ["generate", "left-m-pair", "--n", "3", "--json"]
     _, out, _ = run(capsys, *argv, "--seed", "-5", "--count", "3")
     instances = json.loads(out)["artifacts"]["payload"]["instances"]
     for i, instance in enumerate(instances):
         seed = int(gen.derive_rng(-5, i).integers(0, 2**63))
         _, out, _ = run(capsys, *argv, "--seed", str(seed))
         single = json.loads(out)["artifacts"]["payload"]
-        assert {key: single[key] for key in ("m", "S", "T")} == instance
+        assert {key: single[key] for key in ("S", "T")} == instance
 
 
 def test_generate_one_c_isometry_hyperbolic(tmp_path, capsys):
@@ -786,13 +780,13 @@ def test_generate_refuses_parameters_that_overflow(capsys, argv, message):
     assert err.strip() == message
 
 
-def test_generate_left_m_pair_requires_and_writes_m(tmp_path, capsys):
-    code, _, err = run(capsys, "generate", "left-m-pair", "--n", "3")
-    assert code == 2 and "--m" in err
+def test_generate_left_m_pair_writes_s_and_t(tmp_path, capsys):
+    # The pair is a left m-inverse at every m, so the payload names no order.
     out_file = tmp_path / "pair.json"
-    code, _, _ = run(capsys, "generate", "left-m-pair", "--n", "3", "--m", "4", "--seed", "2", "--out", str(out_file))
+    code, _, _ = run(capsys, "generate", "left-m-pair", "--n", "3", "--seed", "2", "--out", str(out_file))
     payload = json.loads(out_file.read_text())
-    assert code == 0 and payload["m"] == 4 and payload["parameters"] == {"n": 3, "m": 4}
+    assert code == 0 and set(payload) == {"generator", "seed", "parameters", "S", "T"}
+    assert payload["parameters"] == {"n": 3}
     s, t = gen_left_m_pair(3, seed=2)
     assert np.array_equal(matrix_from_json_dict(payload["S"]), s)
     assert np.array_equal(matrix_from_json_dict(payload["T"]), t)
