@@ -11,11 +11,12 @@ recursion ``P_k = T P_(k-1) S - P_(k-1)`` over a pair validated once gives
 at every order 1..m; ``is_left_m_inverse`` is the last of those.
 ``z_inverses`` builds the explicit left inverses ``Z_1, ..., Z_N`` of
 the powers of S in one pass.
-``ascent`` and ``kernel_included`` take linear maps on matrix space as
-their n^2 x n^2 matrices (such as ``np.kron(B.T, A) - I`` for
-``X -> A X B - X``) and decide by numerical rank; they are the reference
-that the pf-ascent sweep holds the n x n decisions of ``metric`` against,
-and no library decision calls them.
+``ascent`` and ``kernel_included`` take one linear map L on matrix space
+as its n^2 x n^2 matrix (such as ``np.kron(B.T, A) - I`` for
+``X -> A X B - X``) and decide by numerical rank; ``kernel_included``
+decides ker L within ker L* from one SVD of L, with no adjoint map formed.
+They are the reference that the pf-ascent sweep holds the n x n decisions
+of ``metric`` against, and no library decision calls them.
 """
 
 from __future__ import annotations
@@ -31,9 +32,7 @@ from .matcore import (
     ToleranceConfig,
     as_matrix,
     frobenius,
-    null_space,
     numerical_rank,
-    operator_norm,
     require_same_shape,
 )
 
@@ -189,18 +188,17 @@ def ascent(rep: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> int | None:
     return len(ranks) - 2
 
 
-def kernel_included(
-    inner: np.ndarray, outer: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL
-) -> bool:
-    """Whether ker(inner) is contained in ker(outer), for square matrices of one size.
+def kernel_included(rep: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
+    """Whether ker L is contained in ker L*, for the square matrix ``rep`` of L.
 
-    Each vector of an orthonormal basis of the numerical kernel of
-    ``inner`` must have an image under ``outer`` within
-    ``zero_threshold(||outer||_2)``.
+    One SVD of L gives both sides: its kernel is spanned by the conjugated
+    rows of ``Vh`` past the rank at ``zero_threshold(s_1)``, and since
+    ``||L*||_2 = s_1`` the image of each kernel vector under L* must lie
+    within that same threshold.  Row k of ``Vh[rank:] @ L`` is the
+    conjugate of the image of the k-th kernel vector, so no L* is formed.
     """
-    inner = as_matrix(inner, square=True, name="inner")
-    outer = as_matrix(outer, square=True, name="outer")
-    require_same_shape(inner, outer, "inner and outer")
-    images = outer @ null_space(inner, tol)
-    threshold = tol.zero_threshold(operator_norm(outer))
-    return bool(np.all(np.linalg.norm(images, axis=0) <= threshold))
+    rep = as_matrix(rep, square=True, name="map matrix")
+    _, sv, vh = np.linalg.svd(rep)
+    threshold = tol.zero_threshold(float(sv[0]))
+    images = vh[int(np.sum(sv > threshold)):] @ rep
+    return bool(np.all(np.linalg.norm(images, axis=1) <= threshold))

@@ -10,8 +10,10 @@ or fixed, goes through ``_check_instance``, which counts it and reports
 each message of its check, and an ``OpslabError`` the check raises, as
 its violation.  The independent oracles that library calls do not
 run for themselves live here: the Douglas pencil, the rigidity of power-bounded
-m-isometries, and the n^2 x n^2 Kronecker maps that the Putnam-Fuglede
-verdict and the ascent bound are held against.
+m-isometries, and the n^2 x n^2 Kronecker reference that the Putnam-Fuglede
+verdict and the ascent bound are held against: ``_kronecker_reference``
+pairs the two forward maps of ``_kronecker_maps`` with ``minv``'s
+decisions, and no adjoint map is formed.
 
 ``GATES`` is the table of acceptance gates: one row per sweep, with the
 paper claim it checks, which ``opslab suite`` groups it under.  A gate's
@@ -445,30 +447,32 @@ def run_c_isometry_rigidity(
     return result
 
 
-def _kronecker_maps(a: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The n^2 x n^2 matrices, on column-stacked X, of ``X -> A X V* - X``,
-    ``X -> A* X V - X``, ``X -> A X - X V*`` and ``X -> A* X - X V``.
-
-    The second and fourth maps are the Frobenius adjoints of the first and
-    third, so their matrices are the conjugate transposes.
-    """
+def _kronecker_maps(a: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The n^2 x n^2 matrices, on column-stacked X, of the elementary
+    operator ``X -> A X V* - X`` and the derivation ``X -> A X - X V*``."""
     n = a.shape[0]
     eye = np.eye(n, dtype=complex)
     elementary = np.kron(v.conj(), a) - np.eye(n * n, dtype=complex)
     derivation = np.kron(eye, a) - np.kron(v.conj(), eye)
-    return elementary, adjoint(elementary), derivation, adjoint(derivation)
+    return elementary, derivation
+
+
+def _kronecker_reference(a: np.ndarray, v: np.ndarray) -> tuple[tuple[bool, int | None], ...]:
+    """``(kernel_included, ascent)`` of the elementary operator and the
+    derivation at (A, V), in the shape of ``metric.ascent_bound_check``."""
+    return tuple((minv.kernel_included(rep), minv.ascent(rep)) for rep in _kronecker_maps(a, v))
 
 
 def run_pf_ascent(seed: int = 0, count: int = 50, dim_max: int = 5) -> SuiteResult:
     """Putnam-Fuglede verdicts and the ascent bound against the vectorized maps.
 
-    The oracle is ``minv.kernel_included`` and ``minv.ascent`` on the
-    n^2 x n^2 Kronecker matrices of the elementary operator and the
-    derivation, at the identity, a Haar unitary and ``V = mu I`` at the
-    phase ``mu = lam / |lam|`` of each of A's own ``eigvals`` within 1e-8
-    of the circle.  No phase is merged and none comes from ``metric``'s
-    phase rule, so a phase the library merged too widely is still probed
-    here.  Both
+    The oracle is ``_kronecker_reference``: ``minv.kernel_included`` and
+    ``minv.ascent`` on the n^2 x n^2 Kronecker matrices of the elementary
+    operator and the derivation, one SVD per inclusion, at the identity, a
+    Haar unitary and ``V = mu I`` at the phase ``mu = lam / |lam|`` of
+    each of A's own ``eigvals`` within 1e-8 of the circle.  No phase is
+    merged and none comes from ``metric``'s phase rule, so a phase the
+    library merged too widely is still probed here.  Both
     ``(inclusion, ascent)`` pairs of ``metric.ascent_bound_check`` must
     equal the oracle's, whose inclusion must force ascent at most 1; the
     PF verdict, accepted on the certificate's split, must be true
@@ -501,11 +505,7 @@ def run_pf_ascent(seed: int = 0, count: int = 50, dim_max: int = 5) -> SuiteResu
         probes = [eye, gen.haar_unitary(n, rng), *(mu * eye for mu in phases)]
         all_included = True
         for v in probes:
-            e_fwd, e_bwd, d_fwd, d_bwd = _kronecker_maps(a, v)
-            reference = (
-                (minv.kernel_included(e_fwd, e_bwd), minv.ascent(e_fwd)),
-                (minv.kernel_included(d_fwd, d_bwd), minv.ascent(d_fwd)),
-            )
+            reference = _kronecker_reference(a, v)
             for included, asc in reference:
                 if included and (asc is None or asc > 1):
                     yield f"oracle inclusion holds but ascent {asc} > 1"

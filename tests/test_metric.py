@@ -16,7 +16,6 @@ from opslab import (
     AssumptionError,
     IdentityCheckError,
     adjoint,
-    ascent,
     ascent_bound_check,
     canonical_left_m_inverse,
     certify_power_bounded,
@@ -32,7 +31,7 @@ from opslab import (
     similar_to_unitary,
     similarity_certificate,
 )
-from opslab import suites
+from opslab import minv, suites
 from opslab.conj import hyperbolic_orthogonal_example
 from opslab.gen import (
     derive_rng,
@@ -857,11 +856,8 @@ def test_pf_similar_to_unitary_but_not_normal_fails():
 def _pf_oracle(a):
     """Kernel inclusion of the n^2 x n^2 maps at V = mu I for every unimodular phase mu of A."""
     eigs = np.linalg.eigvals(a)
-    included = []
-    for lam in eigs[np.abs(np.abs(eigs) - 1.0) < 1e-8]:
-        forward, backward, *_ = suites._kronecker_maps(a, lam / abs(lam) * np.eye(a.shape[0]))
-        included.append(kernel_included(forward, backward))
-    return all(included)
+    phases = [lam / abs(lam) for lam in eigs if abs(abs(lam) - 1.0) < 1e-8]
+    return all(kernel_included(suites._kronecker_maps(a, mu * np.eye(a.shape[0]))[0]) for mu in phases)
 
 
 def _assert_pf_matches_oracle(a):
@@ -1079,14 +1075,14 @@ def test_close_unimodular_phases_match_the_kronecker_oracle(delta, clusters, cou
     a = _two_close_phases(delta, coupled)
     assert len(certify_power_bounded(a).clusters) == clusters
     phases = [1.0, np.exp(1j * delta)]
-    oracle = [kernel_included(*suites._kronecker_maps(a, mu * np.eye(3))[:2]) for mu in phases]
+    oracle = [kernel_included(suites._kronecker_maps(a, mu * np.eye(3))[0]) for mu in phases]
     report = pf_property_check(a)
     assert not report.satisfies_pf and not all(oracle)
     v, x = report.counterexample
-    e_fwd, e_bwd, *_ = suites._kronecker_maps(a, v)
+    elementary = suites._kronecker_maps(a, v)[0]
     x_vec = x.reshape(-1, order="F")
-    assert np.linalg.norm(e_fwd @ x_vec) <= 1e-8
-    assert np.linalg.norm(e_bwd @ x_vec) > 1e-6
+    assert np.linalg.norm(elementary @ x_vec) <= 1e-8
+    assert np.linalg.norm(adjoint(elementary) @ x_vec) > 1e-6
     mu = v[0, 0]
     assert_allclose(v, mu * np.eye(3), atol=0.0)
     assert min(abs(mu - p) for p in phases) <= 1e-12
@@ -1094,7 +1090,7 @@ def test_close_unimodular_phases_match_the_kronecker_oracle(delta, clusters, cou
     if clusters == 1:  # V's two eigenvalues merge into one probed phase
         probes.append(np.diag([1.0, np.exp(1j * delta), -1.0]))
     for v in probes:
-        assert ascent_bound_check(a, v) == _ascent_reference(a, v)
+        assert ascent_bound_check(a, v) == suites._kronecker_reference(a, v)
 
 
 @pytest.mark.xfail(
@@ -1106,7 +1102,7 @@ def test_close_unimodular_phases_match_the_kronecker_oracle(delta, clusters, cou
 def test_ascent_of_two_separate_close_phases_of_v_matches_the_kronecker_oracle():
     a = _two_close_phases(1e-4, 0)
     v = np.diag([1.0, np.exp(1e-4j), -1.0])
-    assert ascent_bound_check(a, v) == _ascent_reference(a, v)
+    assert ascent_bound_check(a, v) == suites._kronecker_reference(a, v)
 
 
 def test_ascent_bound_probes_a_phase_whose_modulus_is_outside_the_band():
@@ -1144,15 +1140,6 @@ def test_ascent_bound_zero_operator():
     assert ascent_bound_check(a, np.eye(2, dtype=complex)) == ((True, 0), (True, 0))
 
 
-def _ascent_reference(a, v):
-    """``(kernel_included, ascent)`` of the n^2 x n^2 elementary operator and derivation."""
-    e_fwd, e_bwd, d_fwd, d_bwd = suites._kronecker_maps(a, v)
-    return (
-        (kernel_included(e_fwd, e_bwd), ascent(e_fwd)),
-        (kernel_included(d_fwd, d_bwd), ascent(d_fwd)),
-    )
-
-
 def _ascent_corpus():
     """Jordan blocks on the circle, and non-normal similar-to-unitary matrices at
     one of their phases and its conjugate, where the inclusion of each map fails."""
@@ -1173,12 +1160,28 @@ def test_ascent_bound_matches_the_kronecker_reference():
     failed = [0, 0]
     for a, v in _ascent_corpus():
         pairs = ascent_bound_check(a, v)
-        assert pairs == _ascent_reference(a, v)
+        assert pairs == suites._kronecker_reference(a, v)
         for j, (included, _) in enumerate(pairs):
             failed[j] += not included
     # Inclusion fails for the elementary operator at the phase and for the
     # derivation at its conjugate.
     assert min(failed) > 0
+
+
+def test_kernel_included_matches_its_two_operand_definition_from_one_svd(monkeypatch):
+    # ker L within ker L* as first defined, L* mapping null_space(L) within zero_threshold(||L*||_2),
+    # on the corpus maps and on every map the pf-ascent sweep decides at seeds 0-3.
+    maps = [rep for a, v in _ascent_corpus() for rep in suites._kronecker_maps(a, v)]
+    decide = minv.kernel_included
+    monkeypatch.setattr(minv, "kernel_included", lambda rep: maps.append(rep) or decide(rep))
+    for seed in range(4):
+        assert suites.run_pf_ascent(seed=seed, count=50, dim_max=5).passed
+    svd = _count_calls(monkeypatch, np.linalg, "svd")
+    verdicts = [decide(rep) for rep in maps]
+    assert len(svd) == len(maps) and set(verdicts) == {True, False}
+    for rep, included in zip(maps, verdicts):
+        threshold = DEFAULT_TOL.zero_threshold(operator_norm(adjoint(rep)))
+        assert included == np.all(np.linalg.norm(adjoint(rep) @ null_space(rep), axis=0) <= threshold)
 
 
 @pytest.mark.parametrize("seed", range(1, 4))

@@ -212,12 +212,6 @@ def test_z_norm_bound_values():
         z_norm_bound(1, 0.0)
 
 
-def _apply(rep, x):
-    """``rep`` applied to the column-stacked matrix x."""
-    n = x.shape[0]
-    return (rep @ x.flatten(order="F")).reshape((n, n), order="F")
-
-
 def _elementary(a, b):
     """The n^2 x n^2 matrix of ``X -> A X B - X``."""
     return _kronecker_maps(a, adjoint(b))[0]
@@ -225,20 +219,20 @@ def _elementary(a, b):
 
 def _derivation(a, b):
     """The n^2 x n^2 matrix of ``X -> A X - X B``."""
-    return _kronecker_maps(a, adjoint(b))[2]
+    return _kronecker_maps(a, adjoint(b))[1]
 
 
 def _kernel_dim(rep):
     return null_space(rep).shape[1]
 
 
-def _assert_matches_on_basis(maps, definitions):
-    for i in range(3):
-        for j in range(3):
-            e = np.zeros((3, 3), dtype=complex)
-            e[i, j] = 1.0
-            for rep, definition in zip(maps, definitions):
-                assert_allclose(_apply(rep, e), definition(e), atol=1e-13)
+def _assert_matches_on_basis(rep, definitions):
+    """The map ``rep`` and its adjoint against the two definitions: column k of
+    each is the image of the k-th column-stacked 3 x 3 matrix unit."""
+    for m, definition in zip((rep, adjoint(rep)), definitions):
+        for k, unit in enumerate(np.eye(9, dtype=complex)):
+            image = definition(unit.reshape((3, 3), order="F"))
+            assert_allclose(m[:, k], image.flatten(order="F"), atol=1e-13)
 
 
 def test_elementary_operator_matches_definition_on_basis():
@@ -246,7 +240,7 @@ def test_elementary_operator_matches_definition_on_basis():
     a = random_complex(rng, 3)
     v = random_complex(rng, 3)
     _assert_matches_on_basis(
-        _kronecker_maps(a, v)[:2],
+        _kronecker_maps(a, v)[0],
         (lambda x: a @ x @ adjoint(v) - x, lambda x: adjoint(a) @ x @ v - x),
     )
 
@@ -256,7 +250,7 @@ def test_generalized_derivation_matches_definition_on_basis():
     a = random_complex(rng, 3)
     v = random_complex(rng, 3)
     _assert_matches_on_basis(
-        _kronecker_maps(a, v)[2:],
+        _kronecker_maps(a, v)[1],
         (lambda x: a @ x - x @ adjoint(v), lambda x: adjoint(a) @ x - x @ v),
     )
 
@@ -298,6 +292,8 @@ def test_normal_pair_elementary_ascent_at_most_one():
 
 def test_kernel_included_fails_on_a_coupled_block():
     a = np.array([[1.0, 1.0], [0.0, 0.5]], dtype=complex)
-    forward, backward, *_ = _kronecker_maps(a, np.eye(2, dtype=complex))
-    assert not kernel_included(forward, backward)
-    assert kernel_included(forward, forward)
+    assert not kernel_included(_kronecker_maps(a, np.eye(2, dtype=complex))[0])
+    # A unitary's kernel is included: trivial at V = I, not at V = lam I for its eigenvalue lam.
+    u = haar_unitary(3, derive_rng(9))
+    for v in (np.eye(3), np.linalg.eigvals(u)[0] * np.eye(3)):
+        assert kernel_included(_kronecker_maps(u, v)[0])
