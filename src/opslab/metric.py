@@ -2,8 +2,9 @@
 
 The central objects are invariant metrics: Hermitian positive definite
 solutions X of ``S* X S = X``, built in O(n^3) from the Riesz spectral
-projectors of S on the Schur form of its certificate.  When one exists,
-its square root P conjugates S to an isometry (``P S P^{-1}`` has
+projectors of S on the Schur form T of its certificate, block diagonal
+after one Sylvester solve ``T R - R D = D - T``.  When one exists, its
+square root P conjugates S to an isometry (``P S P^{-1}`` has
 orthonormal columns); P, ``P^{-1}`` and that isometry come from one SVD
 of a factor G of ``X = G* G``, at cond(P) and not cond(X) = cond(P)^2.
 ``P^{-2} S* P^{2} = S^{-1}`` is a power-bounded left m-inverse of S for every m.
@@ -438,9 +439,9 @@ def invariant_metric(
     the report, ``S = Q T Q*`` with each eigenvalue cluster contiguous on
     the diagonal of T.  A cluster whose block is not scalar within
     ``1e-12 * max(1, ||S||)`` is split into its (distinct) eigenvalues, and
-    Sylvester solves against the trailing part of T (``ztrsyl``) give
-    ``W T W^{-1} = D`` with D block diagonal.  Then ``X = G* G`` for the
-    factor ``G = L* W Q*`` of ``_metric_factor``, and X is returned as
+    one Sylvester solve ``T R - R D = D - T`` (``ztrsyl``), D the block
+    diagonal of T, gives ``W T W^{-1} = D`` with ``W = (I + R)^{-1}``.  Then
+    ``X = G* G`` for ``G = L* W Q*`` of ``_metric_factor``, returned as
     ``P^2`` for its square root P, whose positivity that call decided.
 
     Raises ``AssumptionError`` when S is not power bounded, has eigenvalues
@@ -461,7 +462,7 @@ def _metric_factor(s: np.ndarray, tol: ToleranceConfig) -> tuple[np.ndarray, np.
     """``(P, P^{-1}, V)`` of the similarity certificate of a validated S, unchecked.
 
     The invariant metric is ``X = G* G`` with ``G = L* W Q*``: Q of the
-    split, W of the decoupling and L the Cholesky factor of the block Gram
+    split, W of one ``ztrsyl`` and L the Cholesky factor of the block Gram
     matrix ``blockdiag((W^{-*} W^{-1})_ii)``, block diagonal like it.  One
     SVD ``G = U Sigma Y*``, with ``sigma_1`` normalized to 1 so that
     ``||X|| = 1``, gives ``P = Y Sigma Y*`` and ``P^{-1} = Y Sigma^{-1} Y*``.
@@ -489,28 +490,26 @@ def _metric_factor(s: np.ndarray, tol: ToleranceConfig) -> tuple[np.ndarray, np.
             "inside the unit disc); S is not similar to an isometry"
         )
 
-    # The complex ztrsyl fails only on illegal arguments; its info = 1 (equal
-    # eigenvalues in two blocks) ends in the positivity decision or the
-    # certificate's checks.
+    # D is T on its blocks: each cluster whose block of T is scalar, and each
+    # other position.  T R - R D = D - T gives T V = V D for V = I + R =
+    # W^{-1}.  ztrsyl fails only on illegal arguments and works from the
+    # bottom-left corner: R is exactly 0 below the diagonal and in each block
+    # (0 right-hand sides), even at a zero or perturbed divisor (info = 1: on
+    # the diagonal, or an equal eigenvalue).  Equal eigenvalues in two blocks
+    # end in the positivity decision or the certificate's checks.
     t, q, labels = report.split
-    edges = [*np.flatnonzero(np.diff(labels, prepend=-1)), n]
-    bounds = [0]
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        if hi - lo > 1:
-            offset = frobenius(t[lo:hi, lo:hi] - np.mean(np.diag(t[lo:hi, lo:hi])) * np.eye(hi - lo))
-            if offset > _SCALAR_TOL * report.scale:
-                bounds.extend(range(lo + 1, hi))
-        bounds.append(hi)
-
-    # Row block i of W is [0, I, -Y_i], where
-    # T_ii Y_i - Y_i T_rest = -T_i,rest against the trailing part of T.
-    w = np.eye(n, dtype=complex)
-    for lo, hi in zip(bounds[:-2], bounds[1:-1]):
-        y, factor, _ = scipy.linalg.lapack.ztrsyl(t[lo:hi, lo:hi], t[hi:, hi:], -t[lo:hi, hi:], isgn=-1)
-        w[lo:hi, hi:] = -y / factor
-    v, _ = scipy.linalg.lapack.ztrtri(w, unitdiag=1)
-    block = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
-    gram = np.where(block[:, None] == block, adjoint(v) @ v, 0.0)
+    block = np.arange(n)
+    for g in np.flatnonzero(np.bincount(labels) > 1):
+        lo, hi = np.searchsorted(labels, [g, g + 1])
+        tc = t[lo:hi, lo:hi]
+        if frobenius(tc - np.mean(np.diag(tc)) * np.eye(hi - lo)) <= _SCALAR_TOL * report.scale:
+            block[lo:hi] = lo
+    same = block[:, None] == block
+    d = np.where(same, t, 0.0)
+    r, scale, _ = scipy.linalg.lapack.ztrsyl(t, d, d - t, isgn=-1)
+    v = np.eye(n) + r / scale
+    w, _ = scipy.linalg.lapack.ztrtri(v, unitdiag=1)
+    gram = np.where(same, adjoint(v) @ v, 0.0)
     # Each block of gram is I + Z* Z, at least I, but its rounding can
     # break the Cholesky once ||Z||^2 nears 1 / (n eps).
     try:

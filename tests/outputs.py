@@ -14,8 +14,11 @@ raises.  Then it prints the outcome of ``similarity_certificate`` on two
 ill-conditioned families of inputs similar to a unitary, at seeds 0-199:
 certified with its three residuals and the outcome of
 ``canonical_left_m_inverse`` on it (its residual, or the error class and
-message), refused with its message, or an internal check failure.  Last,
-on the same inputs, it runs ``solve similarity --s S --t S^-1 --m k
+message), refused with its message, or an internal check failure.  Then
+it prints the same outcome on the cluster-edge family of
+``tests/test_metric.py`` (n = 6, seeds 0-4), whose first input at each
+seed has a scalar cluster.  Last, on the inputs of the two
+ill-conditioned families, it runs ``solve similarity --s S --t S^-1 --m k
 --json`` at k = 1, 2 and 3 (``workloads.call_cli``) and prints its exit
 code with the sha256 of its standard output, or its standard error.  It
 reads ``perfbench`` and writes only its temporary directories.
@@ -35,6 +38,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import scipy.linalg
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
@@ -51,6 +55,8 @@ SUITE_SEEDS = (0, 1, 2, 3)
 GENERATOR_GRID = [(n, seed) for n in (2, 3, 5, 8, 16, 32, 64) for seed in range(10)]
 GENERATOR_GRID += [(256, seed) for seed in range(20)]
 FAMILY_SEEDS = range(200)
+CLUSTER_EDGE_SEEDS = range(5)
+CLUSTER_EDGE_RATIOS = (0, 1e-3, 0.1, 0.5, 0.9, 1.1, 2, 10)
 
 
 def digest(draw) -> str:
@@ -79,6 +85,18 @@ def coupled_unimodular_pair(seed: int) -> np.ndarray:
     m[:2, :2] = [[1.0, 1.0], [0.0, np.exp(1j * delta)]]
     q = opslab.gen.haar_unitary(n, rng)
     return q @ m @ q.conj().T
+
+
+def cluster_edge(seed: int):
+    """``(ratio, S)``: ``gen_similar_isometry(6, seed)`` with its second eigenvalue
+    moved to ``ratio * cluster_tol`` in phase from its first, as in ``tests/test_metric.py``."""
+    s, p0, u = opslab.gen.gen_similar_isometry(6, seed=seed)
+    t, z = scipy.linalg.schur(u, output="complex")
+    phases = np.diag(t).copy()
+    cluster_tol = opslab.metric._CLUSTER_TOL * max(1.0, opslab.operator_norm(s))
+    for ratio in CLUSTER_EDGE_RATIOS:
+        phases[1] = phases[0] * np.exp(1j * ratio * cluster_tol)
+        yield ratio, np.linalg.solve(p0, z @ np.diag(phases) @ z.conj().T @ p0)
 
 
 def certificate_outcome(s: np.ndarray) -> str:
@@ -146,6 +164,9 @@ def main() -> None:
     for family in (conditioned_similarity, coupled_unimodular_pair):
         for seed in FAMILY_SEEDS:
             print(f"{family.__name__}({seed}): {certificate_outcome(family(seed))}")
+    for seed in CLUSTER_EDGE_SEEDS:
+        for ratio, s in cluster_edge(seed):
+            print(f"cluster_edge({seed}, ratio {ratio}): {certificate_outcome(s)}")
     with tempfile.TemporaryDirectory() as tmp:
         rs = workloads.RequestSet(Path(tmp))
         for family in (conditioned_similarity, coupled_unimodular_pair):
