@@ -195,10 +195,6 @@ def run_similarity_roundtrip(
         result.record("metric_residual", res_metric)
         if res_metric > rel * max(1.0, frobenius(s) ** 2):
             yield f"metric residual {res_metric:.3e}"
-        res_iso = cert.residual_isometry
-        result.record("isometry_residual", res_iso)
-        if res_iso > rel * max(1.0, frobenius(cert.v) ** 2):
-            yield f"isometry residual {res_iso:.3e}"
         res_sim = cert.residual_similarity
         result.record("similarity_residual", res_sim)
         if res_sim > rel * max(1.0, frobenius(cert.p) * frobenius(s)):

@@ -12,12 +12,15 @@ their gate sizes, at suite seeds 0-3.  Then it prints the sha256 of each
 of (n, seed), n = 256 at seeds 0-19 among them, or the error a draw
 raises.  Then it prints the outcome of ``similarity_certificate`` on two
 ill-conditioned families of inputs similar to a unitary, at seeds 0-199:
-certified with its three residuals and the outcome of
+certified with its two residuals and the outcome of
 ``canonical_left_m_inverse`` on it (its residual, or the error class and
 message), refused with its message, or an internal check failure.  Then
 it prints the same outcome on the cluster-edge family of
 ``tests/test_metric.py`` (n = 6, seeds 0-4), whose first input at each
-seed has a scalar cluster.  Last, on the inputs of the two
+seed has a scalar cluster.  Then it prints the ``certify_power_bounded``
+verdict and the same outcome on the Jordan edge ``[[1, a], [0, 1]]`` in
+five bases at a = 1e-9 to 1e-6, and on Haar-rotated Jordan blocks J_k at
+k = 1..4.  Last, on the inputs of the two
 ill-conditioned families, it runs ``solve similarity --s S --t S^-1 --m k
 --json`` at k = 1, 2 and 3 (``workloads.call_cli``) and prints its exit
 code with the sha256 of its standard output, or its standard error.  It
@@ -57,6 +60,7 @@ GENERATOR_GRID += [(256, seed) for seed in range(20)]
 FAMILY_SEEDS = range(200)
 CLUSTER_EDGE_SEEDS = range(5)
 CLUSTER_EDGE_RATIOS = (0, 1e-3, 0.1, 0.5, 0.9, 1.1, 2, 10)
+JORDAN_EDGE = (1e-9, 1e-8, 3e-8, 1e-7, 1e-6)
 
 
 def digest(draw) -> str:
@@ -88,15 +92,41 @@ def coupled_unimodular_pair(seed: int) -> np.ndarray:
 
 
 def cluster_edge(seed: int):
-    """``(ratio, S)``: ``gen_similar_isometry(6, seed)`` with its second eigenvalue
-    moved to ``ratio * cluster_tol`` in phase from its first, as in ``tests/test_metric.py``."""
+    """``(ratio, S)``: ``gen_similar_isometry(6, seed)`` with its second eigenvalue moved
+    to ``ratio * 1e-6 * max(1, ||S||_2)`` in phase from its first, as in ``tests/test_metric.py``."""
     s, p0, u = opslab.gen.gen_similar_isometry(6, seed=seed)
     t, z = scipy.linalg.schur(u, output="complex")
     phases = np.diag(t).copy()
-    cluster_tol = opslab.metric._CLUSTER_TOL * max(1.0, opslab.operator_norm(s))
+    cluster_tol = 1e-6 * max(1.0, opslab.operator_norm(s))
     for ratio in CLUSTER_EDGE_RATIOS:
         phases[1] = phases[0] * np.exp(1j * ratio * cluster_tol)
         yield ratio, np.linalg.solve(p0, z @ np.diag(phases) @ z.conj().T @ p0)
+
+
+def jordan_families():
+    """``(label, S)``: ``[[1, a], [0, 1]]`` at each a of ``JORDAN_EDGE`` in five bases, as in
+    ``tests/test_metric.py``, then ``Q J_k(lam) Q*`` at k = 1..4, the four phases of the
+    jordan-strictness gate and ``Q = haar_unitary(k, derive_rng(b, k))``, b = 0..3."""
+    for a in JORDAN_EDGE:
+        s = np.array([[1.0, a], [0.0, 1.0]], dtype=complex)
+        yield f"jordan_edge(a {a}, basis 0)", s
+        for k in range(4):
+            q = opslab.gen.haar_unitary(2, opslab.gen.derive_rng(k, 0))
+            yield f"jordan_edge(a {a}, basis {k + 1})", q @ s @ q.conj().T
+    for k in range(1, 5):
+        for lam in (1.0, -1.0, 1j, np.exp(0.7j)):
+            for b in range(4):
+                q = opslab.gen.haar_unitary(k, opslab.gen.derive_rng(b, k))
+                yield f"rotated J_{k}({lam:.6g}, basis {b})", q @ opslab.gen.gen_jordan(k, lam) @ q.conj().T
+
+
+def verdict(s: np.ndarray) -> str:
+    """``bounded``, or ``unbounded`` with the witness of ``certify_power_bounded``."""
+    report = opslab.certify_power_bounded(s)
+    if report.bounded:
+        return "bounded"
+    lam, reason = report.witness
+    return f"unbounded ({reason}, eigenvalue {lam:.6g})"
 
 
 def certificate_outcome(s: np.ndarray) -> str:
@@ -107,8 +137,7 @@ def certificate_outcome(s: np.ndarray) -> str:
         return f"refused: {exc}"
     except opslab.IdentityCheckError as exc:
         return f"internal error: {exc}"
-    residuals = (cert.residual_metric, cert.residual_isometry, cert.residual_similarity)
-    certified = "certified: metric {:.3e}, isometry {:.3e}, similarity {:.3e}".format(*residuals)
+    certified = f"certified: metric {cert.residual_metric:.3e}, similarity {cert.residual_similarity:.3e}"
     return f"{certified}; canonical inverse: {canonical_outcome(cert)}"
 
 
@@ -167,6 +196,8 @@ def main() -> None:
     for seed in CLUSTER_EDGE_SEEDS:
         for ratio, s in cluster_edge(seed):
             print(f"cluster_edge({seed}, ratio {ratio}): {certificate_outcome(s)}")
+    for label, s in jordan_families():
+        print(f"{label}: {verdict(s)}; {certificate_outcome(s)}")
     with tempfile.TemporaryDirectory() as tmp:
         rs = workloads.RequestSet(Path(tmp))
         for family in (conditioned_similarity, coupled_unimodular_pair):
