@@ -45,7 +45,6 @@ to V* is refused with ``AssumptionError``).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -132,8 +131,8 @@ class PowerBoundReport:
     schur: tuple[np.ndarray, np.ndarray] = field(repr=False, compare=False)
     clusters: tuple[tuple[int, ...], ...]
     horizon: int
+    decoupling: tuple[np.ndarray, np.ndarray] = field(repr=False, compare=False)
     witness: tuple[complex, str] | None = None
-    decoupling: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False, compare=False)
 
     @cached_property
     def m1_estimate(self) -> float:
@@ -370,13 +369,17 @@ def certify_power_bounded(
     lambda_j| <= C eps ||S||_F (kappa_i + kappa_j)``, ``C = _COALESCE``:
     within that distance a backward error of ``eps ||S||_F`` can make them
     coalesce.  A cluster (a connected set of merges) is unimodular when its
-    mean lies in the band ``|1 - |mu|| <= rel_tol * max(1, rho)``.  In
-    decreasing order of their largest ``|lambda|``, the first cluster whose
-    mean lies past the band names "spectral radius exceeds 1" at that
-    eigenvalue, and the first unimodular one whose block of ``split`` minus
-    its mean has a singular value above ``zero_threshold(||S||_F)`` names
-    its mean "not semisimple"; so does a Jordan block that rounding splits
-    past the band.  The sup of power norms over ``n <= horizon`` is
+    mean lies in the band ``|1 - |mu|| <= rel_tol * max(1, rho)``, or when
+    a member lies in the band and none past ``1 + band``; it is interior
+    when every member lies inside the disc past the band.  In decreasing
+    order of their largest ``|lambda|``, the first other cluster names
+    "spectral radius exceeds 1" at its largest eigenvalue, and the first
+    unimodular one whose block of ``split`` minus its mean has a singular
+    value above ``zero_threshold(||S||_F)`` is "not semisimple", named at
+    its mean, or at its largest member in the band when the mean is off
+    it.  So a Jordan block that rounding splits past the band is one
+    cluster at the circle, and no cluster that reaches the circle is read
+    as interior.  The sup of power norms over ``n <= horizon`` is
     computed only when ``m1_estimate`` is read and never enters the
     decision; a horizon outside ``[1, 32768]`` is an ``ArgumentError``.
     """
@@ -384,7 +387,7 @@ def certify_power_bounded(
     if not 1 <= horizon <= _POWER_BYTES // 8:
         raise ArgumentError(f"horizon must be in [1, {_POWER_BYTES // 8}], got {horizon}")
     n = s.shape[0]
-    t, q = scipy.linalg.schur(s, output="complex")
+    t, q = scipy.linalg.schur(s, output="complex", check_finite=False)  # as_matrix checked
     eigs = np.diag(t)
     moduli = np.abs(eigs)
     rho = float(moduli.max())
@@ -397,19 +400,13 @@ def certify_power_bounded(
     with np.errstate(over="ignore", invalid="ignore"):
         v = np.eye(n) + r / factor
         w, _ = scipy.linalg.lapack.ztrtri(v, unitdiag=1)
-        scale = math.sqrt(np.vdot(s, s).real)  # ||S||_F
-        if scale == math.inf:  # its squares overflow: scaled by a power of two
-            scale = _frobenius(s[None], 1)[0]
-        unit = _COALESCE * _EPS * scale
-        reach = 2 * unit * math.sqrt(np.vdot(v, v).real * np.vdot(w, w).real)  # ||V||_F ||W||_F >= kappa_i
-    gaps = np.abs(eigs[:, None] - eigs)
-    gaps.flat[:: n + 1] = np.inf
-    if gaps.min() > reach:  # a nan reach merges
+        kappa = np.sqrt(np.add.reduce(np.abs(v) ** 2, 0) * np.add.reduce(np.abs(w) ** 2, 1))
+        scale = scipy.linalg.blas.dznrm2(s.ravel())  # ||S||_F, summed scaled: finite unless it overflows
+        reach = _COALESCE * _EPS * scale * kappa
+        near = ~(np.abs(eigs[:, None] - eigs) > reach[:, None] + reach)
+    if np.count_nonzero(near) == n:  # only the diagonal
         groups = [[i] for i in range(n)]
     else:  # connected sets, each labelled by its first position
-        with np.errstate(over="ignore", invalid="ignore"):
-            kappa = np.sqrt(np.einsum("ij,ij->j", v.conj(), v).real * np.einsum("ij,ij->i", w.conj(), w).real)
-            near = ~(gaps > unit * (kappa[:, None] + kappa)) | np.eye(n, dtype=bool)
         label = np.arange(n)
         while not np.array_equal(merged := np.where(near, label, n).min(axis=1), label):
             label = merged
@@ -419,25 +416,28 @@ def certify_power_bounded(
     clusters, tested = [], []
     for c in groups:
         if len(c) == 1:
-            mean, modulus = eig_list[c[0]], mod_list[c[0]]
+            (top,) = c
+            mean, modulus = eig_list[top], mod_list[top]
         else:
+            top = max(c, key=mod_list.__getitem__)
             with np.errstate(over="ignore", invalid="ignore"):  # past the largest double: inf or nan
                 re, im = np.mean(eigs[c].real), np.mean(eigs[c].imag)
                 mean, modulus = complex(re, im), float(np.hypot(re, im))
-        if abs(1.0 - modulus) <= band:
+        centred = abs(1.0 - modulus) <= band  # a nan mean is not
+        if not centred and mod_list[top] > 1.0 + band:
+            tested.append((mod_list[top], -1, None, eig_list[top]))
+        elif centred or (in_band := [i for i in c if abs(1.0 - mod_list[i]) <= band]):
             clusters.append(tuple(c))
-            if len(c) > 1:
-                tested.append((max(mod_list[i] for i in c), len(clusters) - 1, mean))
-        elif not modulus < 1.0:  # past the band, or a mean that overflowed to nan
-            top = max(c, key=mod_list.__getitem__)
-            tested.append((mod_list[top], -1, eig_list[top]))
-    report = PowerBoundReport(True, rho, True, (t, q), tuple(clusters), horizon, decoupling=(v, w))
-    for _, g, lam in sorted(tested, key=lambda x: -x[0]):
+            if len(c) > 1:  # named at its mean, or off the circle at its largest member in the band
+                lam = mean if centred else eig_list[max(in_band, key=mod_list.__getitem__)]
+                tested.append((mod_list[top], len(clusters) - 1, mean, lam))
+    report = PowerBoundReport(True, rho, True, (t, q), tuple(clusters), horizon, (v, w))
+    for _, g, mean, lam in sorted(tested, key=lambda x: -x[0]):
         if g < 0:
             return replace(report, bounded=False, witness=(lam, "spectral radius exceeds 1"))
         t2, _, labels = report.split
         lo, hi = np.searchsorted(labels, [g, g + 1])
-        if numerical_rank(t2[lo:hi, lo:hi] - lam * np.eye(hi - lo), tol, cutoff=tol.zero_threshold(scale)):
+        if numerical_rank(t2[lo:hi, lo:hi] - mean * np.eye(hi - lo), tol, cutoff=tol.zero_threshold(scale)):
             witness = (lam, "unimodular eigenvalue is not semisimple")
             return replace(report, bounded=False, unimodular_semisimple=False, witness=witness)
     return report

@@ -645,10 +645,28 @@ def test_the_cluster_rule_scales_the_norm_it_reads():
     # warning into an error.  [[1, 1e160], [0, e^(0.3i)]] has kappa near
     # 3e160, past the largest double for its norms' squares: its two
     # eigenvalues lie within a backward error of eps ||S||_F of each other,
-    # one cluster whose mean is inside the disc.
+    # one cluster at the circle whose block is far from scalar.
     assert certify_power_bounded(np.diag([1e300, 1.0])).witness == (1e300, "spectral radius exceeds 1")
     report = certify_power_bounded(unimodular_with_huge_coupling(1e160))
-    assert report.bounded and report.clusters == ()
+    assert report.clusters == ((0, 1),)
+    assert report.witness == (1.0, "unimodular eigenvalue is not semisimple")
+
+
+def test_a_cluster_is_interior_only_when_every_member_is():
+    # Gaps of 0.55, 0.3 and 0.5 against kappa near 1e7 / gap: each pair is
+    # one cluster whose mean lies inside the disc, of modulus 0.775, 0.989
+    # and 0.75.  A member past the band still names the radius, and a
+    # member in the band still takes the semisimplicity test.
+    report = certify_power_bounded(np.array([[1.05, 1e7], [0.0, 0.5]]))
+    assert report.witness == (1.05, "spectral radius exceeds 1")
+    for s in (unimodular_with_huge_coupling(1e7), np.array([[1.0, 1e7], [0.0, 0.5]])):
+        report = certify_power_bounded(s)
+        assert report.clusters == ((0, 1),)
+        assert report.witness == (1.0, "unimodular eigenvalue is not semisimple")
+    # ker(A - I) = span e1, and (A* - I) e1 = [0, 1e7]: the property fails,
+    # so the split must not accept it.
+    with pytest.raises(AssumptionError, match="not semisimple"):
+        pf_property_check(unimodular_with_huge_coupling(1e7))
 
 
 def _conditioning_corpus(c, count):
@@ -1197,7 +1215,7 @@ def test_split_puts_the_interior_first_and_each_cluster_contiguous(monkeypatch):
     q = haar_unitary(8, rng)
     report = metric.PowerBoundReport(
         bounded=True, spectral_radius=1.0, unimodular_semisimple=True, schur=(t, q),
-        clusters=((0, 3, 7), (2, 5), (6,)), horizon=64,
+        clusters=((0, 3, 7), (2, 5), (6,)), horizon=64, decoupling=(np.eye(8), np.eye(8)),
     )
     calls = _count_calls(monkeypatch, scipy.linalg.lapack, "ztrsen")
     t2, q2, labels = report.split
