@@ -26,8 +26,9 @@ Around that core this module provides:
   certificate's split and refuted by a witness on the n x n eigenspace of
   ``A - mu I`` at a failing unimodular phase mu;
 * the ``(inclusion, ascent)`` pairs of that map and of the derivation
-  ``X -> A X - X V*``, decided on the same eigenspaces by one helper, one
-  n x n SVD per distinct phase of V, with no n^2 x n^2 map;
+  ``X -> A X - X V*``, from one n x n SVD of ``A - nu I`` per distinct
+  phase of V (its eigenspace, then the kernel staircase ``minv._ascent``),
+  with no power and no n^2 x n^2 map;
 * the simultaneous similarity of a power-bounded pair (S, T) with
   vanishing defect to one unitary: at every order m such a T is
   ``S^{-1}``, so ``T S = I`` and then the model error ``||P^{-1} T* P -
@@ -341,14 +342,14 @@ def _settle(m1: float, block: np.ndarray, fro: np.ndarray, batch: int) -> float:
     return m1
 
 
-def _distinct_phases(eigs: list[complex], positions: list[int]) -> list[complex]:
-    """The phases ``lam / |lam|`` of ``eigs[positions]``, in order, but each within 1e-12 of one kept.
+def _distinct_phases(eigs: list[complex]) -> list[complex]:
+    """The phases ``lam / |lam|`` of ``eigs``, in order, but each within 1e-12 of one kept.
 
     Far below any rank cutoff: two phases a cutoff apart have eigenspaces
     that differ, so a merge as wide as the clusters would miss one.
     """
     phases: list[complex] = []
-    for mu in (eigs[i] / abs(eigs[i]) for i in positions):
+    for mu in (lam / abs(lam) for lam in eigs):
         if all(abs(mu - nu) > 1e-12 for nu in phases):
             phases.append(mu)
     return phases
@@ -697,7 +698,7 @@ class PFReport:
 
 def _eigenspaces(
     a: np.ndarray, phases: list[complex], tol: ToleranceConfig
-) -> tuple[float, list[tuple[np.ndarray, np.ndarray | None]]]:
+) -> tuple[float, list[tuple[np.ndarray, np.ndarray, np.ndarray | None]]]:
     """Decide ``ker(A - nu) <= ker(A* - conj(nu))`` for each unimodular ``nu`` in ``phases``.
 
     For a unitary V with these eigenvalues, ``X -> A X V* - X`` is
@@ -707,7 +708,7 @@ def _eigenspaces(
     Its kernel lies in that of ``X -> A* X V - X`` (blocks ``nu A* - I``,
     with the same singular values) exactly when each numerical null space
     E of ``A - nu I`` has an image under ``nu A* - I`` within the cutoff.
-    Returns the cutoff and, for each phase, the singular values of
+    Returns the cutoff and, for each phase, the SVD ``(sv, vh)`` of
     ``A - nu I`` and ``None``, or the unit vector of E that ``nu A* - I``
     stretches most when that image exceeds the cutoff.
     """
@@ -722,7 +723,7 @@ def _eigenspaces(
             _, image_sv, image_vh = np.linalg.svd((nu * adjoint(a) - eye) @ eigenspace)
             if image_sv[0] > cutoff:
                 x = eigenspace @ image_vh[0].conj()
-        out.append((s, x))
+        out.append((s, v, x))
     return cutoff, out
 
 
@@ -743,11 +744,11 @@ def pf_property_check(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> PFRe
     ``T = [[C0, K], [0, C1]]`` (interior first) when ``||K||_F <=
     zero_threshold(||A||_F)`` and ``||C1* C1 - I||_F <= zero_threshold(||A||_F^2)``.
 
-    Otherwise each distinct phase mu (``_distinct_phases``) of the Schur
-    diagonal at the report's clusters is searched for a witness: the image of
-    the numerical null space E of ``A - mu I`` under ``mu A* - I`` must
-    vanish below ``zero_threshold(||A - mu I||)``, the rank cutoff and
-    threshold of the vectorized maps at ``V = mu I``, whose singular values
+    Otherwise the phase ``mu = mean / |mean|`` of each cluster of the
+    report, in order, is searched for a witness: the image of the numerical
+    null space E of ``A - mu I`` under ``mu A* - I`` must vanish below
+    ``zero_threshold(||A - mu I||)``, the rank cutoff and threshold of
+    the vectorized maps at ``V = mu I``, whose singular values
     are those of ``A - mu I``, each repeated n times.  A failure is
     witnessed by ``(mu I, x x*)``, with x the unit vector of E that
     ``mu A* - I`` stretches most (``x x*`` does not depend on the phase of
@@ -777,27 +778,13 @@ def pf_property_check(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> PFRe
         and frobenius(adjoint(t[k:, k:]) @ t[k:, k:] - np.eye(n - k)) <= tol.zero_threshold(scale**2)
     ):
         return PFReport(satisfies_pf=True)
-    unimodular = sorted(i for cluster in report.clusters for i in cluster)
-    for mu in _distinct_phases(np.diag(report.schur[0]).tolist(), unimodular):
-        _, [(_, x)] = _eigenspaces(a, [mu], tol)
+    for cluster in report.clusters:
+        mean = complex(report.schur[0][cluster, cluster].mean())
+        mu = mean / abs(mean)
+        _, [(*_, x)] = _eigenspaces(a, [mu], tol)
         if x is not None:
             return PFReport(False, (mu * np.eye(n, dtype=complex), np.outer(x, x.conj())))
     return PFReport(satisfies_pf=True)
-
-
-def _index(b: np.ndarray, sv: np.ndarray, cutoff: float) -> int:
-    """Least k with ``rank B^k = rank B^(k+1)`` at ``cutoff``, given the singular values of B.
-
-    In exact arithmetic the ranks of the powers of an n x n matrix settle
-    by the n-th power, so at most n powers past the first are formed.
-    """
-    n = b.shape[0]
-    ranks = [n, int(np.sum(sv > cutoff))]
-    power = b
-    while ranks[-1] != ranks[-2] and len(ranks) <= n + 1:
-        power = power @ b
-        ranks.append(numerical_rank(power, cutoff=cutoff))
-    return len(ranks) - 2
 
 
 def ascent_bound_check(
@@ -812,12 +799,12 @@ def ascent_bound_check(
     operator's ascent is the largest index of ``A - nu I`` over the
     distinct phases nu (``_distinct_phases``) of all of V's eigenvalues,
     in the unimodular band or not (an isometry that passes its check can
-    have moduli outside it), and its inclusion is ``ker(A - nu) <=
-    ker(A* - conj(nu))`` for each; the derivation, with blocks
-    ``A - conj(nu) I``, gives the same at ``conj(nu)``.  Requires V to be
-    an isometry.  The paper's bound, that inclusion forces ascent at most
-    1, is checked by ``suites.run_pf_ascent`` against the Kronecker
-    reference.
+    have moduli outside it), each read by ``minv._ascent`` from the
+    helper's SVD, and its inclusion is ``ker(A - nu) <= ker(A* - conj(nu))``
+    for each; the derivation, with blocks ``A - conj(nu) I``, gives the same
+    at ``conj(nu)``.  Requires V to be an isometry.  The paper's bound, that
+    inclusion forces ascent at most 1, is checked by ``suites.run_pf_ascent``
+    against the Kronecker reference.
     """
     a = as_matrix(a, square=True, name="A")
     v = as_matrix(v, square=True, name="V")
@@ -827,13 +814,13 @@ def ascent_bound_check(
         raise AssumptionError(f"V is not an isometry (residual {iso_res:.3e})")
 
     eigs = np.linalg.eigvals(v).tolist()
-    spectrum = _distinct_phases(eigs, range(len(eigs)))
+    spectrum = _distinct_phases(eigs)
     eye = np.eye(a.shape[0], dtype=complex)
     results = []
     for phases in (spectrum, np.conj(spectrum).tolist()):
         cutoff, blocks = _eigenspaces(a, phases, tol)
-        included = all(x is None for _, x in blocks)
-        asc = max(_index(a - nu * eye, s, cutoff) for nu, (s, _) in zip(phases, blocks))
+        included = all(x is None for *_, x in blocks)
+        asc = max(minv._ascent(a - nu * eye, s, vh, cutoff) for nu, (s, vh, _) in zip(phases, blocks))
         results.append((included, asc))
     return tuple(results)
 

@@ -12,11 +12,11 @@ at every order 1..m; ``is_left_m_inverse`` is the last of those.
 ``z_inverses`` builds the explicit left inverses ``Z_1, ..., Z_N`` of
 the powers of S in one pass.
 ``ascent`` and ``kernel_included`` take one linear map L on matrix space
-as its n^2 x n^2 matrix (such as ``np.kron(B.T, A) - I`` for
-``X -> A X B - X``) and decide by numerical rank; ``kernel_included``
-decides ker L within ker L* from one SVD of L, with no adjoint map formed.
-They are the reference that the pf-ascent sweep holds the n x n decisions
-of ``metric`` against, and no library decision calls them.
+as its n^2 x n^2 matrix (such as ``np.kron(B.T, A) - I`` for ``X -> A X
+B - X``); ``ascent`` runs the kernel staircase ``_ascent`` that ``metric``
+shares, and ``kernel_included`` decides ker L within ker L* from one SVD
+of L.  They are the reference that the pf-ascent sweep holds the n x n
+decisions of ``metric`` against, and no library decision calls them.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .matcore import (
     ToleranceConfig,
     as_matrix,
     frobenius,
-    numerical_rank,
     require_same_shape,
 )
 
@@ -165,27 +164,39 @@ def z_norm_bound(m: int, m1: float) -> float:
     return (2.0 ** m) * float(m1) ** 2
 
 
-def ascent(rep: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> int | None:
+def _ascent(rep: np.ndarray, sv: np.ndarray, vh: np.ndarray, cutoff: float) -> int:
+    """Least k with ker(L^k) = ker(L^(k+1)), from an SVD ``(sv, vh)`` of the square matrix ``rep`` of L.
+
+    Kublanovskaya's staircase (1968; Golub and Wilkinson, SIAM Rev. 1976):
+    with F the conjugated rows of ``vh`` above ``cutoff``, a basis of the
+    complement of ker L, ``dim ker L^(k+1) = dim ker L + dim ker C^k`` for
+    ``C = F* L F``.  So each step reads the kernel of a compression at the
+    one ``cutoff``, by its singular values and then, if it has one, its
+    vectors; no power is formed, and the chain ends within ``size`` steps.
+    """
+    steps = 0
+    while (rank := int(np.count_nonzero(sv > cutoff))) < len(sv):
+        steps += 1
+        rep = vh[:rank] @ rep @ vh[:rank].conj().T
+        sv = np.linalg.svd(rep, compute_uv=False)
+        if np.count_nonzero(sv > cutoff) < rank:
+            _, sv, vh = np.linalg.svd(rep)
+    return steps
+
+
+def ascent(rep: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> int:
     """Least k with ker(L^k) = ker(L^(k+1)) for the square matrix ``rep`` of L.
 
-    Ranks of successive powers all use the singular-value cutoff of the
-    first power, keeping the kernel comparison consistent; the singular
-    values of the first power give both the cutoff and its rank.  The cap
-    ``size + 1`` cannot be exceeded by a matrix whose kernels stabilize;
-    returns None if no stabilization is seen within the cap.
+    Every kernel is read at ``zero_threshold(s_1)`` by ``_ascent``, after a
+    values-only SVD that returns 0 when L has none.
     """
     rep = as_matrix(rep, square=True, name="map matrix")
-    size = rep.shape[0]
     sv = np.linalg.svd(rep, compute_uv=False)
     cutoff = tol.zero_threshold(float(sv[0]))
-    ranks = [size, int(np.sum(sv > cutoff))]  # ranks of L^0 = I and L
-    power = rep
-    while ranks[-1] != ranks[-2]:
-        if len(ranks) > size + 2:
-            return None
-        power = power @ rep
-        ranks.append(numerical_rank(power, cutoff=cutoff))
-    return len(ranks) - 2
+    if sv[-1] > cutoff:
+        return 0
+    _, sv, vh = np.linalg.svd(rep)
+    return _ascent(rep, sv, vh, cutoff)
 
 
 def kernel_included(rep: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> bool:

@@ -20,11 +20,15 @@ it prints the same outcome on the cluster-edge family of
 seed has a scalar cluster.  Then it prints the ``certify_power_bounded``
 verdict and the same outcome on the Jordan edge ``[[1, a], [0, 1]]`` in
 five bases at a = 1e-9 to 1e-6, and on Haar-rotated Jordan blocks J_k at
-k = 1..4.  Last, on the inputs of the two
+k = 1..4.  Then, on the inputs of the two
 ill-conditioned families, it runs ``solve similarity --s S --t S^-1 --m k
 --json`` at k = 1, 2 and 3 (``workloads.call_cli``) and prints its exit
-code with the sha256 of its standard output, or its standard error.  It
-reads ``perfbench`` and writes only its temporary directories.
+code with the sha256 of its standard output, or its standard error.
+Last, it prints ``ascent_bound_check`` and ``suites._kronecker_reference``
+on the close-phase probes of ``tests/test_metric.py``: its
+``_two_close_phases`` at 33 delta log-spaced in [1e-10, 1e-2], both
+couplings, at ``V = I``, ``exp(i delta) I`` and ``diag(1, exp(i delta),
+-1)``.  It reads ``perfbench`` and writes only its temporary directories.
 
 Run it in a checkout of each commit and diff the two files.  Both runs
 need the same ``OPENBLAS_NUM_THREADS``: the n = 256 generator draws differ
@@ -52,6 +56,7 @@ import opslab.gen  # noqa: E402
 import opslab.suites  # noqa: E402
 import workloads  # noqa: E402
 from opslab.matcore import dump_json  # noqa: E402
+from test_metric import _two_close_phases  # noqa: E402
 
 REQUEST_SEEDS = (1, 2, 3)
 SUITE_SEEDS = (0, 1, 2, 3)
@@ -207,6 +212,13 @@ def main() -> None:
                 for m in (1, 2, 3):
                     outcome = cli_outcome(["solve", "similarity", *pair, "--m", str(m), "--json"])
                     print(f"solve similarity {family.__name__}({seed}) --m {m}: {outcome}")
+    for coupled in (0, 1):
+        for delta in np.logspace(-10, -2, 33):
+            a = _two_close_phases(delta, coupled)
+            e = np.exp(1j * delta)
+            for name, v in (("I", np.eye(3)), ("e I", e * np.eye(3)), ("diag(1, e, -1)", np.diag([1.0, e, -1.0]))):
+                pairs, oracle = opslab.ascent_bound_check(a, v), opslab.suites._kronecker_reference(a, v)
+                print(f"ascent _two_close_phases({delta:.6g}, {coupled}), V = {name}: {pairs}, oracle {oracle}")
 
 
 if __name__ == "__main__":

@@ -595,13 +595,19 @@ def test_eigenvalue_condition_numbers_match_the_left_and_right_eigenvectors():
             assert_allclose(kappa, reference, rtol=1e-11, atol=0.0)
 
 
-def _rotated_jordan_blocks():
-    """``(Q J_k(lam) Q*, k)``: k = 1..4 at the four gate phases, ``Q = haar_unitary(k, derive_rng(b, k))``, b = 0..3."""
-    for k in range(1, 5):
+def _rotated_jordan(blocks, lam, b):
+    """``Q (J_k1(lam) (+) J_k2(lam) (+) ...) Q*`` with ``Q = haar_unitary(n, derive_rng(b, n))``."""
+    a = scipy.linalg.block_diag(*(gen_jordan(k, lam) for k in blocks))
+    q = haar_unitary(a.shape[0], derive_rng(b, a.shape[0]))
+    return q @ a @ adjoint(q)
+
+
+def _rotated_jordan_blocks(sizes=range(1, 5), bases=range(4)):
+    """``(Q J_k(lam) Q*, k, lam)`` at the four gate phases, ``Q = haar_unitary(k, derive_rng(b, k))``."""
+    for k in sizes:
         for lam in (1.0, -1.0, 1j, np.exp(0.7j)):
-            for b in range(4):
-                q = haar_unitary(k, derive_rng(b, k))
-                yield q @ gen_jordan(k, lam) @ adjoint(q), k
+            for b in bases:
+                yield _rotated_jordan([k], lam, b), k, lam
 
 
 def _unitary_plus_nilpotent(count):
@@ -633,7 +639,7 @@ def test_every_coalescence_factor_from_10_to_100_gives_the_exact_verdicts(monkey
     assert metric._COALESCE == 10.0
     monkeypatch.setattr(metric, "_COALESCE", factor)
     jordan = list(_rotated_jordan_blocks())
-    assert [certify_power_bounded(s).bounded for s, _ in jordan] == [k == 1 for _, k in jordan]
+    assert [certify_power_bounded(s).bounded for s, *_ in jordan] == [k == 1 for _, k, _ in jordan]
     pairs = list(_unitary_plus_nilpotent(300))
     assert [certify_power_bounded(s).bounded for s, _ in pairs] == [p == 1 for _, p in pairs]
     for a in (1e-9, 1e-8, 3e-8, 1e-7, 1e-6):
@@ -1192,8 +1198,8 @@ def test_only_the_certificate_takes_a_schur_form():
 
 def test_only_the_split_reorders_a_schur_form():
     # One reorder on the report and one phase rule: every ztrsen call in the
-    # package lies in PowerBoundReport.split, and metric._phases is gone (each
-    # phase merge goes through _clusters).
+    # package lies in PowerBoundReport.split, and metric._phases is gone (the
+    # witness search probes one phase per cluster of the report).
     def ztrsen_calls(tree):
         return [n for n in ast.walk(tree) if isinstance(n, ast.Call) and ast.unparse(n.func).endswith("ztrsen")]
 
@@ -1242,7 +1248,7 @@ def test_close_unimodular_phases_match_the_kronecker_oracle(delta, distance_clus
 
     Both are well conditioned (kappa below 3), so the certificate keeps
     them as two clusters at every delta here, and the witness search
-    probes every phase of a cluster, merged only within 1e-12.  A fixed
+    probes the phase of each cluster's mean.  A fixed
     clustering distance of ``1e-6 * max(1, ||A||_2)`` = 1.46e-6 would merge
     them, and probing one phase per cluster, the first on the Schur
     diagonal, disagrees with the oracle on this family when the coupled
@@ -1252,7 +1258,7 @@ def test_close_unimodular_phases_match_the_kronecker_oracle(delta, distance_clus
     inclusion fails.  delta = 1e-7 lies in that band, 1e-9 below it and
     1e-4 above it; ``distance_clusters`` counts the clusters of that fixed
     distance.  A V with both phases is probed where it made one; at 1e-4
-    that probe is the strict xfail below.
+    that probe is the test below.
     """
     a = _two_close_phases(delta, coupled)
     assert len(certify_power_bounded(a).clusters) == 2
@@ -1275,16 +1281,60 @@ def test_close_unimodular_phases_match_the_kronecker_oracle(delta, distance_clus
         assert ascent_bound_check(a, v) == suites._kronecker_reference(a, v)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="derivation ascent 2 against the Kronecker reference's 3: at nu = exp(1e-4 i) the ranks of "
-    "the powers of A - conj(nu) I at the 2.4e-8 cutoff read 3, 3, 2, 1, so its block index stops at 0",
-)
 def test_ascent_of_two_separate_close_phases_of_v_matches_the_kronecker_oracle():
     a = _two_close_phases(1e-4, 0)
     v = np.diag([1.0, np.exp(1e-4j), -1.0])
-    assert ascent_bound_check(a, v) == suites._kronecker_reference(a, v)
+    assert ascent_bound_check(a, v) == suites._kronecker_reference(a, v) == ((False, 1), (False, 1))
+
+
+def _close_phase_probes():
+    """``(A, V)``: ``_two_close_phases(delta, coupled)`` at 33 delta log-spaced in [1e-10, 1e-2],
+    both couplings, at ``V = I``, ``exp(i delta) I`` and ``diag(1, exp(i delta), -1)``."""
+    for coupled in (0, 1):
+        for delta in np.logspace(-10, -2, 33):
+            a = _two_close_phases(delta, coupled)
+            for v in (np.eye(3), np.exp(1j * delta) * np.eye(3), np.diag([1.0, np.exp(1j * delta), -1.0])):
+                yield a, v
+
+
+def test_ascent_of_close_phases_is_at_most_one_and_matches_the_kronecker_reference():
+    # A has three distinct eigenvalues and V is normal, so every map here is
+    # diagonalizable and its exact ascent is at most 1.  Ranks of powers read
+    # at the first power's cutoff read 2 or 3 on 97 of these 198 probes, and
+    # on 45 of them next to a kernel inclusion: a false counterexample to the
+    # bound.  The staircase compresses past each kernel and forms no power.
+    probes = list(_close_phase_probes())
+    assert len(probes) == 198
+    for a, v in probes:
+        pairs = ascent_bound_check(a, v)
+        assert pairs == suites._kronecker_reference(a, v)
+        assert all(asc <= 1 for _, asc in pairs)
+
+
+def test_ascent_of_a_rotated_jordan_structure_is_its_largest_block():
+    # (A, V, elementary pair): rotated J_k(lam), k = 1..6, with V = lam I, then
+    # rotated sums of blocks at 1 with V = I.
+    cases = [(s, lam * np.eye(k), (k == 1, k)) for s, k, lam in _rotated_jordan_blocks(range(1, 7), range(3))]
+    for blocks in ([1, 2], [1, 3], [2, 2], [1, 2, 3], [2, 3]):
+        for b in range(3):
+            cases.append((_rotated_jordan(blocks, 1.0, b), np.eye(sum(blocks)), (False, max(blocks))))
+    assert len(cases) == 87
+    for a, v, elementary in cases:
+        pairs = ascent_bound_check(a, v)
+        assert pairs[0] == elementary
+        if np.array_equal(v, np.eye(len(v))):  # the derivation has the same blocks A - I
+            assert pairs[1] == elementary
+        assert pairs == suites._kronecker_reference(a, v)
+
+
+def test_kronecker_ascent_is_an_int_on_every_map_of_the_sweep(monkeypatch):
+    decided = []
+    decide = minv.ascent
+    monkeypatch.setattr(minv, "ascent", lambda rep: decided.append(decide(rep)) or decided[-1])
+    for seed in range(4):
+        assert suites.run_pf_ascent(seed=seed, count=50, dim_max=5).passed
+    assert decided and all(type(asc) is int for asc in decided)
+    assert set(decided) == {0, 1}
 
 
 def test_ascent_bound_probes_a_phase_whose_modulus_is_outside_the_band():

@@ -287,7 +287,7 @@ def test_normal_pair_elementary_ascent_at_most_one():
         a = haar_unitary(n, derive_rng(trial, 0))
         b = haar_unitary(n, derive_rng(trial, 1))
         asc = ascent(_elementary(a, b))
-        assert asc is not None and asc <= 1
+        assert asc <= 1
 
 
 def test_kernel_included_fails_on_a_coupled_block():
