@@ -106,11 +106,20 @@ def adjoint(m: np.ndarray) -> np.ndarray:
 
 
 def frobenius(m: np.ndarray) -> float:
-    """Frobenius norm of ``m`` (0 for empty blocks)."""
-    m = np.asarray(m)
-    if m.size == 0:
-        return 0.0
-    return float(np.linalg.norm(m))
+    """Frobenius norm of ``m`` (0 for empty blocks).
+
+    On complex128 and float64 input, the two BLAS dots of the real and
+    imaginary views of ``ravel(order="K")`` (one dot for real input) that
+    ``np.linalg.norm(m)`` makes, without its dispatch; the result is
+    bit-equal.  Other dtypes, integers among them, go through ``norm``.
+    """
+    x = np.asarray(m).ravel(order="K")
+    if x.dtype.char == "D":
+        re, im = x.real, x.imag
+        return math.sqrt(re.dot(re) + im.dot(im))
+    if x.dtype.char == "d":
+        return math.sqrt(x.dot(x))
+    return float(np.linalg.norm(x))
 
 
 def operator_norm(m: np.ndarray) -> float:

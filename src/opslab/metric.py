@@ -388,17 +388,25 @@ def certify_power_bounded(
     if not 1 <= horizon <= _POWER_BYTES // 8:
         raise ArgumentError(f"horizon must be in [1, {_POWER_BYTES // 8}], got {horizon}")
     n = s.shape[0]
-    t, q = scipy.linalg.schur(s, output="complex", check_finite=False)  # as_matrix checked
+    # scipy.linalg.schur(s, output="complex") without its revalidation and
+    # batch wrapper, bit for bit: its workspace query, then its zgees call.
+    lwork = scipy.linalg.lapack.zgees(lambda x: None, s, lwork=-1)[-2][0].real.astype(np.int_)
+    t, _, _, q, _, info = scipy.linalg.lapack.zgees(lambda x: None, s, lwork=lwork)
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal gees")
+    if info > 0:
+        raise np.linalg.LinAlgError("Schur form not found. Possibly ill-conditioned.")
     eigs = np.diag(t)
     moduli = np.abs(eigs)
     rho = float(moduli.max())
     band = tol.rel_tol * max(1.0, rho)
 
     # ztrsyl fails only on illegal arguments; an equal pair of eigenvalues
-    # (info = 1) or an overflowing V reads as a huge or non-finite kappa.
+    # (info = 1) or an overflowing V, whose scale factor can underflow to 0
+    # (J_n(lam) from n = 38), reads as a huge or non-finite kappa.
     d = np.diag(eigs)
     r, factor, _ = scipy.linalg.lapack.ztrsyl(t, d, d - t, isgn=-1)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         v = np.eye(n) + r / factor
         w, _ = scipy.linalg.lapack.ztrtri(v, unitdiag=1)
         kappa = np.sqrt(np.add.reduce(np.abs(v) ** 2, 0) * np.add.reduce(np.abs(w) ** 2, 1))

@@ -14,9 +14,11 @@ the powers of S in one pass.
 ``ascent`` and ``kernel_included`` take one linear map L on matrix space
 as its n^2 x n^2 matrix (such as ``np.kron(B.T, A) - I`` for ``X -> A X
 B - X``); ``ascent`` runs the kernel staircase ``_ascent`` that ``metric``
-shares, and ``kernel_included`` decides ker L within ker L* from one SVD
-of L.  They are the reference that the pf-ascent sweep holds the n x n
-decisions of ``metric`` against, and no library decision calls them.
+shares, and ``kernel_included`` decides ker L within ker L* by
+``_included`` from one SVD of L.  The pf-ascent sweep's Kronecker
+reference, which it holds the n x n decisions of ``metric`` against,
+reads both ``_included`` and ``_ascent`` from one SVD per map; no library
+decision calls them.
 """
 
 from __future__ import annotations
@@ -210,6 +212,11 @@ def kernel_included(rep: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> bool
     """
     rep = as_matrix(rep, square=True, name="map matrix")
     _, sv, vh = np.linalg.svd(rep)
-    threshold = tol.zero_threshold(float(sv[0]))
+    return _included(rep, sv, vh, tol.zero_threshold(float(sv[0])))
+
+
+def _included(rep: np.ndarray, sv: np.ndarray, vh: np.ndarray, threshold: float) -> bool:
+    """Whether ker L lies within ker L*, from an SVD ``(sv, vh)`` of the square matrix ``rep`` of L:
+    the image under L* of each kernel vector at ``threshold`` must lie within it."""
     images = vh[int(np.sum(sv > threshold)):] @ rep
     return bool(np.all(np.linalg.norm(images, axis=1) <= threshold))

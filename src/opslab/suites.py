@@ -39,7 +39,6 @@ from .matcore import (
     ToleranceConfig,
     adjoint,
     frobenius,
-    null_space,
     numerical_rank,
     operator_norm,
 )
@@ -265,14 +264,13 @@ def run_z_inverse_contract(
     return result
 
 
-def _pencil_top(a: np.ndarray, b: np.ndarray, tol: ToleranceConfig) -> float:
-    """Largest eigenvalue of the pencil ``(A A*, B B*)`` restricted to ran(B).
+def _pencil_top(a: np.ndarray, b: np.ndarray, q: np.ndarray) -> float:
+    """Largest eigenvalue of the pencil ``(A A*, B B*)`` restricted to ran(B),
+    whose orthonormal basis is the columns of ``q``.
 
     For ``ran(A) <= ran(B)`` it is the least ``lam`` with
     ``A A* <= lam B B*``, computed without the factor C.
     """
-    u, sv, _ = np.linalg.svd(b)
-    q = u[:, : int(np.sum(sv > tol.zero_threshold(sv[0])))]
     if q.shape[1] == 0:
         return 0.0
     aa = adjoint(q) @ (a @ adjoint(a)) @ q
@@ -303,7 +301,8 @@ def run_douglas(seed: int = 0, count: int = 200, dim_max: int = 8) -> SuiteResul
     at most that of the C0 the instance was built from, and reach the
     optimality value: ``mu2`` within ``mu_gap_rel`` relative of the
     pencil's top eigenvalue on ran(B).  ``ker C = ker A`` is checked by
-    ranks, and C must be orthogonal to ``ker B``.
+    ranks, and C must be orthogonal to ``ker B``.  One more SVD of B, cut at
+    ``zero_threshold(s_1)``, gives the oracle both ran(B) and ker B.
     """
     result = SuiteResult("douglas")
     tol = DEFAULT_TOL
@@ -317,7 +316,9 @@ def run_douglas(seed: int = 0, count: int = 200, dim_max: int = 8) -> SuiteResul
         result.record("factor_residual", res)
         if res > rel * max(1.0, frobenius(a), frobenius(b)):
             yield f"factor residual {res:.3e}"
-        gap = abs(mu2 - _pencil_top(a, b, tol))
+        u, sv, vh = np.linalg.svd(b)
+        rank = int(np.sum(sv > tol.zero_threshold(sv[0])))
+        gap = abs(mu2 - _pencil_top(a, b, u[:, :rank]))
         result.record("mu_gap", gap)
         if gap > mu_rel * max(1.0, mu2):
             yield f"|mu2 - pencil| = {gap:.3e}"
@@ -327,7 +328,7 @@ def run_douglas(seed: int = 0, count: int = 200, dim_max: int = 8) -> SuiteResul
         rank_a = numerical_rank(a, tol)
         if not rank_a == numerical_rank(c, tol) == numerical_rank(np.vstack([a, c]), tol):
             yield "kernel of C does not match kernel of A"
-        ortho = frobenius(adjoint(null_space(b, tol)) @ c)
+        ortho = frobenius(vh[rank:] @ c)  # the adjoint of ker B's basis
         if ortho > tol.zero_threshold(tol.scale_of(a, b, c)):
             yield f"C is not orthogonal to ker B (residual {ortho:.3e})"
 
@@ -386,8 +387,9 @@ def _mc_defect_antilinear(s: np.ndarray, c: conj_mod.Conjugation, m: int) -> np.
     out = np.zeros((n, n), dtype=complex)
     sa = adjoint(s)
     basis = sj = saj = np.eye(n, dtype=complex)
+    c_basis = c.apply(basis)  # the same at every order
     for j in range(m + 1):
-        term = saj @ c.apply(sj @ c.apply(basis))
+        term = saj @ c.apply(sj @ c_basis)
         out += ((-1) ** (m - j)) * comb(m, j) * term
         sj, saj = sj @ s, saj @ sa
     return out
@@ -454,9 +456,15 @@ def _kronecker_maps(a: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 
 def _kronecker_reference(a: np.ndarray, v: np.ndarray) -> tuple[tuple[bool, int], ...]:
-    """``(kernel_included, ascent)`` of the elementary operator and the
-    derivation at (A, V), in the shape of ``metric.ascent_bound_check``."""
-    return tuple((minv.kernel_included(rep), minv.ascent(rep)) for rep in _kronecker_maps(a, v))
+    """``(minv.kernel_included, minv.ascent)`` of the elementary operator and the
+    derivation at (A, V), in the shape of ``metric.ascent_bound_check``: both
+    read from one SVD of each map, cut at ``zero_threshold(s_1)``."""
+    out = []
+    for rep in _kronecker_maps(a, v):
+        _, sv, vh = np.linalg.svd(rep)
+        cutoff = DEFAULT_TOL.zero_threshold(float(sv[0]))
+        out.append((minv._included(rep, sv, vh, cutoff), minv._ascent(rep, sv, vh, cutoff)))
+    return tuple(out)
 
 
 def run_pf_ascent(seed: int = 0, count: int = 50, dim_max: int = 5) -> SuiteResult:
@@ -464,7 +472,7 @@ def run_pf_ascent(seed: int = 0, count: int = 50, dim_max: int = 5) -> SuiteResu
 
     The oracle is ``_kronecker_reference``: ``minv.kernel_included`` and
     ``minv.ascent`` on the n^2 x n^2 Kronecker matrices of the elementary
-    operator and the derivation, one SVD per inclusion, at the identity, a
+    operator and the derivation, one SVD per map, at the identity, a
     Haar unitary and ``V = mu I`` at the phase ``mu = lam / |lam|`` of
     each of A's own ``eigvals`` within 1e-8 of the circle.  No phase is
     merged and none comes from ``metric``'s phase rule, so a phase the

@@ -24,11 +24,14 @@ k = 1..4.  Then, on the inputs of the two
 ill-conditioned families, it runs ``solve similarity --s S --t S^-1 --m k
 --json`` at k = 1, 2 and 3 (``workloads.call_cli``) and prints its exit
 code with the sha256 of its standard output, or its standard error.
-Last, it prints ``ascent_bound_check`` and ``suites._kronecker_reference``
+Then it prints ``ascent_bound_check`` and ``suites._kronecker_reference``
 on the close-phase probes of ``tests/test_metric.py``: its
 ``_two_close_phases`` at 33 delta log-spaced in [1e-10, 1e-2], both
 couplings, at ``V = I``, ``exp(i delta) I`` and ``diag(1, exp(i delta),
--1)``.  It reads ``perfbench`` and writes only its temporary directories.
+-1)``.  Last, it prints the report of the pf-ascent gate at suite seeds
+4-11, 15007 and 18007, and ``suites._kronecker_reference`` on each pair
+of ``_ascent_corpus`` in ``tests/test_metric.py``.  It reads
+``perfbench`` and writes only its temporary directories.
 
 Run it in a checkout of each commit and diff the two files.  Both runs
 need the same ``OPENBLAS_NUM_THREADS``: the n = 256 generator draws differ
@@ -56,10 +59,11 @@ import opslab.gen  # noqa: E402
 import opslab.suites  # noqa: E402
 import workloads  # noqa: E402
 from opslab.matcore import dump_json  # noqa: E402
-from test_metric import _two_close_phases  # noqa: E402
+from test_metric import _ascent_corpus, _two_close_phases  # noqa: E402
 
 REQUEST_SEEDS = (1, 2, 3)
 SUITE_SEEDS = (0, 1, 2, 3)
+PF_ASCENT_SEEDS = (*range(4, 12), 15007, 18007)
 GENERATOR_GRID = [(n, seed) for n in (2, 3, 5, 8, 16, 32, 64) for seed in range(10)]
 GENERATOR_GRID += [(256, seed) for seed in range(20)]
 FAMILY_SEEDS = range(200)
@@ -219,6 +223,11 @@ def main() -> None:
             for name, v in (("I", np.eye(3)), ("e I", e * np.eye(3)), ("diag(1, e, -1)", np.diag([1.0, e, -1.0]))):
                 pairs, oracle = opslab.ascent_bound_check(a, v), opslab.suites._kronecker_reference(a, v)
                 print(f"ascent _two_close_phases({delta:.6g}, {coupled}), V = {name}: {pairs}, oracle {oracle}")
+    for seed in PF_ASCENT_SEEDS:
+        print(f"== gate run_pf_ascent seed {seed}")
+        print(dump_json(opslab.suites.run_pf_ascent(seed=seed).to_json_dict()))
+    for i, (a, v) in enumerate(_ascent_corpus()):
+        print(f"kronecker reference _ascent_corpus[{i}]: {opslab.suites._kronecker_reference(a, v)}")
 
 
 if __name__ == "__main__":

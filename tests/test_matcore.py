@@ -15,6 +15,7 @@ from opslab import (
     ToleranceConfig,
     adjoint,
     certify_power_bounded,
+    frobenius,
     load_matrix,
     matrix_to_json_dict,
     operator_norm,
@@ -71,6 +72,25 @@ def test_operator_norm_is_bit_equal_to_the_numpy_2_norm():
     for m in matrices:
         assert operator_norm(m) == np.linalg.norm(m.astype(complex), 2)
     assert operator_norm(np.zeros((0, 3))) == 0.0
+
+
+def test_frobenius_is_bit_equal_to_the_numpy_norm():
+    rng = np.random.default_rng(44)
+    z, x = random_complex(rng, 6, 6), rng.standard_normal((6, 6))
+    matrices = [z, x, z.T, x.T, z[::2, 1::3], x[1::2, ::-1], np.asfortranarray(z), z.real, z.imag]
+    matrices += [np.arange(12).reshape(3, 4), np.array([[-3, 4]]), [[1, 2], [3, 4]], [[1j, 2.0]]]
+    matrices += [np.zeros((0, 3)), np.zeros((3, 0), dtype=complex), np.zeros((0, 0), dtype=int)]
+    for bad in (np.nan, np.inf, -np.inf, complex(np.nan, 1.0), complex(0.0, -np.inf)):
+        for m in (z.copy(), x.copy()):
+            m[2, 3] = bad if m.dtype.kind == "c" else np.real(bad)
+            matrices.append(m)
+    for big in (1e154, 1.5e154, 1e200):  # squares that overflow, alone or in a sum
+        matrices += [np.full((3, 3), big * (1 + 1j)), np.full((2, 2), big), z * big, x * big]
+    matrices += [z * 1e-160, x * 1e-170]  # squares that underflow
+    for m in matrices:
+        with np.errstate(over="ignore"):  # both warn of an overflowing dot
+            got, want = frobenius(m), float(np.linalg.norm(m))
+        assert type(got) is float and np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 def _calls_the_numpy_2_norm(node):

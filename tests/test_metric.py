@@ -915,7 +915,9 @@ def test_douglas_mu_matches_factor_norm():
         c, mu2, _ = douglas_factor(a, b)
         assert_allclose(c, np.linalg.pinv(b) @ a, atol=1e-10 * max(1.0, np.linalg.norm(c)))
         assert operator_norm(c) ** 2 == pytest.approx(mu2, rel=1e-10)
-        assert suites._pencil_top(a, b, DEFAULT_TOL) == pytest.approx(mu2, rel=1e-6, abs=1e-8)
+        u, sv, _ = np.linalg.svd(b)
+        ran_b = u[:, : int(np.sum(sv > DEFAULT_TOL.zero_threshold(sv[0])))]
+        assert suites._pencil_top(a, b, ran_b) == pytest.approx(mu2, rel=1e-6, abs=1e-8)
         assert operator_norm(c) <= operator_norm(c0) + 1e-8
 
 
@@ -1179,21 +1181,22 @@ def test_pf_accepts_a_unitary_on_its_certificate(monkeypatch):
     # One Schur form and no SVD (the certificate clusters by one Sylvester
     # solve); the per-phase search would take an SVD at each of the 64 phases.
     u = haar_unitary(64, derive_rng(0))
-    schur = _count_calls(monkeypatch, scipy.linalg, "schur")
+    schur = _count_schur_forms(monkeypatch)
     svd = _count_calls(monkeypatch, np.linalg, "svd")
     assert pf_property_check(u).satisfies_pf
     assert (len(schur), len(svd)) == (1, 0)
 
 
 def test_only_the_certificate_takes_a_schur_form():
+    # Every Schur form of the package is LAPACK zgees, named only in the certificate.
     callers = set()
     for path in Path(metric.__file__).parent.glob("*.py"):
         for func in ast.walk(ast.parse(path.read_text())):
             if isinstance(func, ast.FunctionDef):
                 for node in ast.walk(func):
-                    if isinstance(node, ast.Call) and ast.unparse(node.func) == "scipy.linalg.schur":
-                        callers.add(func.name)
-    assert callers == {"certify_power_bounded"}
+                    if isinstance(node, ast.Call) and ast.unparse(node.func).endswith(("schur", "gees")):
+                        callers.add((func.name, ast.unparse(node.func)))
+    assert callers == {("certify_power_bounded", "scipy.linalg.lapack.zgees")}
 
 
 def test_only_the_split_reorders_a_schur_form():
@@ -1327,13 +1330,31 @@ def test_ascent_of_a_rotated_jordan_structure_is_its_largest_block():
         assert pairs == suites._kronecker_reference(a, v)
 
 
-def test_kronecker_ascent_is_an_int_on_every_map_of_the_sweep(monkeypatch):
-    decided = []
-    decide = minv.ascent
-    monkeypatch.setattr(minv, "ascent", lambda rep: decided.append(decide(rep)) or decided[-1])
+def _sweep_oracle(monkeypatch):
+    """``(rep, (included, ascent))`` for every map the pf-ascent sweep decides at seeds 0-3,
+    as its oracle ``suites._kronecker_reference`` decided it."""
+    maps, decided = [], []
+    build, reference = suites._kronecker_maps, suites._kronecker_reference
+
+    def record_maps(a, v):
+        maps.extend(out := build(a, v))
+        return out
+
+    def record_decisions(a, v):
+        decided.extend(out := reference(a, v))
+        return out
+
+    monkeypatch.setattr(suites, "_kronecker_maps", record_maps)
+    monkeypatch.setattr(suites, "_kronecker_reference", record_decisions)
     for seed in range(4):
         assert suites.run_pf_ascent(seed=seed, count=50, dim_max=5).passed
-    assert decided and all(type(asc) is int for asc in decided)
+    assert maps and len(maps) == len(decided)
+    return list(zip(maps, decided))
+
+
+def test_kronecker_ascent_is_an_int_on_every_map_of_the_sweep(monkeypatch):
+    decided = [asc for _, (_, asc) in _sweep_oracle(monkeypatch)]
+    assert all(type(asc) is int for asc in decided)
     assert set(decided) == {0, 1}
 
 
@@ -1402,18 +1423,32 @@ def test_ascent_bound_matches_the_kronecker_reference():
 
 def test_kernel_included_matches_its_two_operand_definition_from_one_svd(monkeypatch):
     # ker L within ker L* as first defined, L* mapping null_space(L) within zero_threshold(||L*||_2),
-    # on the corpus maps and on every map the pf-ascent sweep decides at seeds 0-3.
+    # on the corpus maps and on every map the pf-ascent sweep decides at seeds 0-3, where
+    # the sweep's oracle read the same inclusion.
+    swept = _sweep_oracle(monkeypatch)
     maps = [rep for a, v in _ascent_corpus() for rep in suites._kronecker_maps(a, v)]
-    decide = minv.kernel_included
-    monkeypatch.setattr(minv, "kernel_included", lambda rep: maps.append(rep) or decide(rep))
-    for seed in range(4):
-        assert suites.run_pf_ascent(seed=seed, count=50, dim_max=5).passed
+    maps += [rep for rep, _ in swept]
     svd = _count_calls(monkeypatch, np.linalg, "svd")
-    verdicts = [decide(rep) for rep in maps]
+    verdicts = [minv.kernel_included(rep) for rep in maps]
     assert len(svd) == len(maps) and set(verdicts) == {True, False}
+    assert verdicts[-len(swept):] == [included for _, (included, _) in swept]
     for rep, included in zip(maps, verdicts):
         threshold = DEFAULT_TOL.zero_threshold(operator_norm(adjoint(rep)))
         assert included == np.all(np.linalg.norm(adjoint(rep) @ null_space(rep), axis=0) <= threshold)
+
+
+def test_kronecker_reference_reads_both_decisions_from_one_svd_per_map(monkeypatch):
+    # The public pair on each map, one full SVD of it, then inside the staircase a
+    # values-only SVD per step and a full one per step that continues: 2k SVDs at ascent k >= 1.
+    probes = [*_ascent_corpus(), *_close_phase_probes()]
+    assert len(probes) == 53 + 198
+    svd = _count_calls(monkeypatch, np.linalg, "svd")
+    for a, v in probes:
+        maps = suites._kronecker_maps(a, v)
+        svd.clear()
+        reference = suites._kronecker_reference(a, v)
+        assert len(svd) == sum(2 * asc or 1 for _, asc in reference)
+        assert reference == tuple((kernel_included(rep), minv.ascent(rep)) for rep in maps)
 
 
 @pytest.mark.parametrize("seed", range(1, 4))
@@ -1504,9 +1539,10 @@ def test_similarity_roundtrip_builds_one_certificate_per_matrix(monkeypatch):
 
 def test_similarity_chain_takes_one_eigendecomposition_and_one_lu_of_s(monkeypatch):
     s, t = gen_left_m_pair(5, seed=7)
-    owners = {"schur": scipy.linalg, "svd": np.linalg, "eigh": np.linalg, "eigvalsh": np.linalg,
+    owners = {"svd": np.linalg, "eigh": np.linalg, "eigvalsh": np.linalg,
               "cholesky": np.linalg, "inv": np.linalg, "solve": np.linalg}
     calls = {name: _count_calls(monkeypatch, owner, name) for name, owner in owners.items()}
+    calls["schur"] = _count_schur_forms(monkeypatch)
     cert = similarity_certificate(s)
     # The one SVD is the metric's factor's.
     expected = {"schur": 1, "svd": 1, "eigh": 0, "eigvalsh": 0, "cholesky": 1, "inv": 0, "solve": 0}
@@ -1543,11 +1579,43 @@ def _count_calls(monkeypatch, owner, name):
     return calls
 
 
+@pytest.mark.parametrize("n", range(1, 65))
+def test_the_certificate_schur_form_is_scipys_bit_for_bit(n):
+    # Random complex input, a Jordan block on the circle, a diagonal and a
+    # real-valued complex matrix: the Schur pair of the report is array-equal
+    # to scipy.linalg.schur's.
+    rng = derive_rng(44, n)
+    cases = [
+        rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)),
+        gen_jordan(n, np.exp(0.7j)),
+        np.diag(np.exp(2j * np.pi * rng.random(n))),
+        rng.standard_normal((n, n)).astype(complex),
+    ]
+    for s in cases:
+        t, q = scipy.linalg.schur(s, output="complex")
+        report = certify_power_bounded(s)
+        assert np.array_equal(report.schur[0], t) and np.array_equal(report.schur[1], q)
+
+
+def _count_schur_forms(monkeypatch):
+    """The Schur forms taken: LAPACK ``zgees`` calls other than workspace queries (``lwork=-1``)."""
+    calls = []
+    original = scipy.linalg.lapack.zgees
+
+    def gees(*a, **k):
+        if k.get("lwork") != -1:
+            calls.append(1)
+        return original(*a, **k)
+
+    monkeypatch.setattr(scipy.linalg.lapack, "zgees", gees)
+    return calls
+
+
 def test_one_schur_form_per_operator(monkeypatch):
     s, _, _ = gen_similar_isometry(5, seed=12)
     rng = derive_rng(17)
     a = np.block([[haar_unitary(2, rng), np.zeros((2, 2))], [np.ones((2, 2)), 0.5 * np.eye(2)]])
-    schur = _count_calls(monkeypatch, scipy.linalg, "schur")
+    schur = _count_schur_forms(monkeypatch)
     eigvals = _count_calls(monkeypatch, np.linalg, "eigvals")
     similarity_certificate(s)
     assert (len(schur), len(eigvals)) == (1, 0)
