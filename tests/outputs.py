@@ -10,28 +10,30 @@ report of each of the eight acceptance gates of ``workloads.GATES``, at
 their gate sizes, at suite seeds 0-3.  Then it prints the sha256 of each
 ``gen_power_bounded`` and ``gen_similar_isometry`` draw over a fixed grid
 of (n, seed), n = 256 at seeds 0-19 among them, or the error a draw
-raises.  Then it prints the outcome of ``similarity_certificate`` on two
-ill-conditioned families of inputs similar to a unitary, at seeds 0-199:
-certified with its two residuals and the outcome of
-``canonical_left_m_inverse`` on it (its residual, or the error class and
-message), refused with its message, or an internal check failure.  Then
-it prints the same outcome on the cluster-edge family of
-``tests/test_metric.py`` (n = 6, seeds 0-4), whose first input at each
-seed has a scalar cluster.  Then it prints the ``certify_power_bounded``
-verdict and the same outcome on the Jordan edge ``[[1, a], [0, 1]]`` in
-five bases at a = 1e-9 to 1e-6, and on Haar-rotated Jordan blocks J_k at
-k = 1..4.  Then, on the inputs of the two
-ill-conditioned families, it runs ``solve similarity --s S --t S^-1 --m k
---json`` at k = 1, 2 and 3 (``workloads.call_cli``) and prints its exit
-code with the sha256 of its standard output, or its standard error.
-Then it prints ``ascent_bound_check`` and ``suites._kronecker_reference``
-on the close-phase probes of ``tests/test_metric.py``: its
-``_two_close_phases`` at 33 delta log-spaced in [1e-10, 1e-2], both
-couplings, at ``V = I``, ``exp(i delta) I`` and ``diag(1, exp(i delta),
--1)``.  Last, it prints the report of the pf-ascent gate at suite seeds
-4-11, 15007 and 18007, and ``suites._kronecker_reference`` on each pair
-of ``_ascent_corpus`` in ``tests/test_metric.py``.  It reads
-``perfbench`` and writes only its temporary directories.
+raises.  Every other input it reads is a family of ``opslab.gen``, the
+one home of each.  It prints the outcome of ``similarity_certificate``
+on two ill-conditioned families similar to a unitary,
+``gen_conditioned_similarity`` at cond 1e4 and ``gen_coupled_unimodular``,
+each drawn from ``derive_rng(seed)`` at seeds 0-199: certified with its
+two residuals and the outcome of ``canonical_left_m_inverse`` on it (its
+residual, or the error class and message), refused with its message, or
+an internal check failure.  Then it prints the same outcome on
+``gen_cluster_edge`` (n = 6, seeds 0-4), whose first input at each seed
+has a scalar cluster.  Then it prints the ``certify_power_bounded``
+verdict and the same outcome on ``gen_jordan_edge`` at a = 1e-9 to 1e-6,
+and on ``gen_rotated_jordan_blocks`` at k = 1..4.  Then, on the inputs
+of the two ill-conditioned families, it runs ``solve similarity --s S --t
+S^-1 --m k --json`` at k = 1, 2 and 3 (``workloads.call_cli``) and
+prints its exit code with the sha256 of its standard output, or its
+standard error.  Then it prints ``ascent_bound_check`` and
+``suites._kronecker_reference`` on the probes of
+``gen_close_phase_probes``: ``gen_two_close_phases`` at 33 delta
+log-spaced in [1e-10, 1e-2], both couplings, at ``V = I``, ``exp(i
+delta) I`` and ``diag(1, exp(i delta), -1)``.  Last, it prints the report
+of the pf-ascent gate at suite seeds 4-11, 15007 and 18007, and
+``suites._kronecker_reference`` on each pair of ``gen_ascent_corpus``.
+It imports no test module, reads ``perfbench`` and writes only its
+temporary directories.
 
 Run it in a checkout of each commit and diff the two files.  Both runs
 need the same ``OPENBLAS_NUM_THREADS``: the n = 256 generator draws differ
@@ -43,12 +45,12 @@ not collect it.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
-import scipy.linalg
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
@@ -59,7 +61,6 @@ import opslab.gen  # noqa: E402
 import opslab.suites  # noqa: E402
 import workloads  # noqa: E402
 from opslab.matcore import dump_json  # noqa: E402
-from test_metric import _ascent_corpus, _two_close_phases  # noqa: E402
 
 REQUEST_SEEDS = (1, 2, 3)
 SUITE_SEEDS = (0, 1, 2, 3)
@@ -67,8 +68,12 @@ PF_ASCENT_SEEDS = (*range(4, 12), 15007, 18007)
 GENERATOR_GRID = [(n, seed) for n in (2, 3, 5, 8, 16, 32, 64) for seed in range(10)]
 GENERATOR_GRID += [(256, seed) for seed in range(20)]
 FAMILY_SEEDS = range(200)
+# The two ill-conditioned families: (label, builder, parameters).
+FAMILIES = (
+    ("conditioned_similarity", opslab.gen.gen_conditioned_similarity, (1e4,)),
+    ("coupled_unimodular_pair", opslab.gen.gen_coupled_unimodular, ()),
+)
 CLUSTER_EDGE_SEEDS = range(5)
-CLUSTER_EDGE_RATIOS = (0, 1e-3, 0.1, 0.5, 0.9, 1.1, 2, 10)
 JORDAN_EDGE = (1e-9, 1e-8, 3e-8, 1e-7, 1e-6)
 
 
@@ -78,55 +83,6 @@ def digest(draw) -> str:
     for m in draw if isinstance(draw, tuple) else (draw,):
         h.update(m.tobytes())
     return h.hexdigest()
-
-
-def conditioned_similarity(seed: int) -> np.ndarray:
-    """``P0^-1 V P0``: n = 2..8, V and U Haar, ``P0 = U diag(geomspace(1, 1e-4, n)) U*``."""
-    rng = opslab.gen.derive_rng(seed)
-    n = int(rng.integers(2, 9))
-    v, u = opslab.gen.haar_unitary(n, rng), opslab.gen.haar_unitary(n, rng)
-    p0 = u @ np.diag(np.geomspace(1.0, 1e-4, n)) @ u.conj().T
-    return np.linalg.solve(p0, v @ p0)
-
-
-def coupled_unimodular_pair(seed: int) -> np.ndarray:
-    """``Q ([[1, 1], [0, e^(i d)]] (+) U) Q*``: d log-uniform in [2e-6, 0.1], n = 2..8, U diagonal, Q Haar."""
-    rng = opslab.gen.derive_rng(seed)
-    n = int(rng.integers(2, 9))
-    delta = float(np.exp(rng.uniform(np.log(2e-6), np.log(0.1))))
-    m = np.diag(np.exp(2j * np.pi * rng.random(n))).astype(complex)
-    m[:2, :2] = [[1.0, 1.0], [0.0, np.exp(1j * delta)]]
-    q = opslab.gen.haar_unitary(n, rng)
-    return q @ m @ q.conj().T
-
-
-def cluster_edge(seed: int):
-    """``(ratio, S)``: ``gen_similar_isometry(6, seed)`` with its second eigenvalue moved
-    to ``ratio * 1e-6 * max(1, ||S||_2)`` in phase from its first, as in ``tests/test_metric.py``."""
-    s, p0, u = opslab.gen.gen_similar_isometry(6, seed=seed)
-    t, z = scipy.linalg.schur(u, output="complex")
-    phases = np.diag(t).copy()
-    cluster_tol = 1e-6 * max(1.0, opslab.operator_norm(s))
-    for ratio in CLUSTER_EDGE_RATIOS:
-        phases[1] = phases[0] * np.exp(1j * ratio * cluster_tol)
-        yield ratio, np.linalg.solve(p0, z @ np.diag(phases) @ z.conj().T @ p0)
-
-
-def jordan_families():
-    """``(label, S)``: ``[[1, a], [0, 1]]`` at each a of ``JORDAN_EDGE`` in five bases, as in
-    ``tests/test_metric.py``, then ``Q J_k(lam) Q*`` at k = 1..4, the four phases of the
-    jordan-strictness gate and ``Q = haar_unitary(k, derive_rng(b, k))``, b = 0..3."""
-    for a in JORDAN_EDGE:
-        s = np.array([[1.0, a], [0.0, 1.0]], dtype=complex)
-        yield f"jordan_edge(a {a}, basis 0)", s
-        for k in range(4):
-            q = opslab.gen.haar_unitary(2, opslab.gen.derive_rng(k, 0))
-            yield f"jordan_edge(a {a}, basis {k + 1})", q @ s @ q.conj().T
-    for k in range(1, 5):
-        for lam in (1.0, -1.0, 1j, np.exp(0.7j)):
-            for b in range(4):
-                q = opslab.gen.haar_unitary(k, opslab.gen.derive_rng(b, k))
-                yield f"rotated J_{k}({lam:.6g}, basis {b})", q @ opslab.gen.gen_jordan(k, lam) @ q.conj().T
 
 
 def verdict(s: np.ndarray) -> str:
@@ -199,34 +155,40 @@ def main() -> None:
             except Exception as exc:
                 line = f"raises {type(exc).__name__}: {exc}"
             print(f"{name}({n}, {seed}): {line}")
-    for family in (conditioned_similarity, coupled_unimodular_pair):
-        for seed in FAMILY_SEEDS:
-            print(f"{family.__name__}({seed}): {certificate_outcome(family(seed))}")
+    # Each family's S at derive_rng(seed), its n drawn first.
+    family_inputs = [
+        (f"{label}({seed})", next(opslab.gen.gen_corpus(family, opslab.gen.derive_rng(seed), 1, *params))[0])
+        for label, family, params in FAMILIES
+        for seed in FAMILY_SEEDS
+    ]
+    for label, s in family_inputs:
+        print(f"{label}: {certificate_outcome(s)}")
     for seed in CLUSTER_EDGE_SEEDS:
-        for ratio, s in cluster_edge(seed):
+        for ratio, s in opslab.gen.gen_cluster_edge(seed):
             print(f"cluster_edge({seed}, ratio {ratio}): {certificate_outcome(s)}")
-    for label, s in jordan_families():
+    edge = [(a, b, s) for a in JORDAN_EDGE for b, s in enumerate(opslab.gen.gen_jordan_edge(a))]
+    jordan = [(f"jordan_edge(a {a}, basis {b})", s) for a, b, s in edge]
+    rotated = opslab.gen.gen_rotated_jordan_blocks()
+    jordan += [(f"rotated J_{k}({lam:.6g}, basis {b})", s) for s, k, lam, b in rotated]
+    for label, s in jordan:
         print(f"{label}: {verdict(s)}; {certificate_outcome(s)}")
     with tempfile.TemporaryDirectory() as tmp:
         rs = workloads.RequestSet(Path(tmp))
-        for family in (conditioned_similarity, coupled_unimodular_pair):
-            for seed in FAMILY_SEEDS:
-                s = family(seed)
-                pair = ["--s", rs.save(s), "--t", rs.save(np.linalg.inv(s))]
-                for m in (1, 2, 3):
-                    outcome = cli_outcome(["solve", "similarity", *pair, "--m", str(m), "--json"])
-                    print(f"solve similarity {family.__name__}({seed}) --m {m}: {outcome}")
-    for coupled in (0, 1):
-        for delta in np.logspace(-10, -2, 33):
-            a = _two_close_phases(delta, coupled)
-            e = np.exp(1j * delta)
-            for name, v in (("I", np.eye(3)), ("e I", e * np.eye(3)), ("diag(1, e, -1)", np.diag([1.0, e, -1.0]))):
-                pairs, oracle = opslab.ascent_bound_check(a, v), opslab.suites._kronecker_reference(a, v)
-                print(f"ascent _two_close_phases({delta:.6g}, {coupled}), V = {name}: {pairs}, oracle {oracle}")
+        for label, s in family_inputs:
+            pair = ["--s", rs.save(s), "--t", rs.save(np.linalg.inv(s))]
+            for m in (1, 2, 3):
+                outcome = cli_outcome(["solve", "similarity", *pair, "--m", str(m), "--json"])
+                print(f"solve similarity {label} --m {m}: {outcome}")
+    # These labels, and the _ascent_corpus ones below, keep the names of the
+    # test helpers the families once were, so that outputs of older commits diff clean.
+    labels = itertools.product((0, 1), np.logspace(-10, -2, 33), ("I", "e I", "diag(1, e, -1)"))
+    for (coupled, delta, name), (a, v) in zip(labels, opslab.gen.gen_close_phase_probes(), strict=True):
+        pairs, oracle = opslab.ascent_bound_check(a, v), opslab.suites._kronecker_reference(a, v)
+        print(f"ascent _two_close_phases({delta:.6g}, {coupled}), V = {name}: {pairs}, oracle {oracle}")
     for seed in PF_ASCENT_SEEDS:
         print(f"== gate run_pf_ascent seed {seed}")
         print(dump_json(opslab.suites.run_pf_ascent(seed=seed).to_json_dict()))
-    for i, (a, v) in enumerate(_ascent_corpus()):
+    for i, (a, v) in enumerate(opslab.gen.gen_ascent_corpus()):
         print(f"kronecker reference _ascent_corpus[{i}]: {opslab.suites._kronecker_reference(a, v)}")
 
 

@@ -1,4 +1,6 @@
+import ast
 import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,12 +15,15 @@ from opslab import (
     is_left_m_inverse,
     similarity_certificate,
 )
+from opslab import gen
 from opslab.conj import make_conjugation
 from opslab.gen import (
     _PHASE_GAP,
     _separated_phases,
     derive_rng,
     gen_1c_isometry,
+    gen_c_twisted_block,
+    gen_close_phase_pair,
     gen_conjugation,
     gen_jordan,
     gen_left_m_pair,
@@ -150,3 +155,30 @@ def test_gen_1c_isometry():
     assert is_mc_isometric(s, c, 1)[0]
     assert not certify_power_bounded(s).bounded
 
+
+@pytest.mark.parametrize("delta", [1e-2, 1e-3, 1e-4])
+def test_the_close_phase_pair_and_the_c_twisted_block_hold_their_truth(delta):
+    # What their docstrings state; the misreads of both are pinned where they are decided.
+    for basis in (None, 0):
+        s, t = gen_close_phase_pair(delta, basis)
+        assert certify_power_bounded(s).bounded and certify_power_bounded(t).bounded
+        assert np.linalg.norm(t @ s - np.eye(2)) == pytest.approx(1.0, rel=1e-12)
+    s, c = gen_c_twisted_block(delta)
+    assert certify_power_bounded(s).bounded
+    assert not is_mc_isometric(s, c, 1)[0]
+
+
+def test_every_family_is_defined_once_in_gen():
+    # A family defined in gen is not defined again under tests/, and
+    # tests/outputs.py reads its families from gen, never from a test module.
+    def defined(path):
+        return {node.name for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.FunctionDef)}
+
+    tests = Path(__file__).parent
+    names = defined(Path(gen.__file__))
+    for path in tests.rglob("*.py"):
+        assert not defined(path) & names, f"{path.name} defines {sorted(defined(path) & names)} again"
+    outputs = ast.parse((tests / "outputs.py").read_text())
+    imported = [alias.name for node in ast.walk(outputs) if isinstance(node, ast.Import) for alias in node.names]
+    imported += [node.module or "" for node in ast.walk(outputs) if isinstance(node, ast.ImportFrom)]
+    assert not [name for name in imported if name.split(".")[0].startswith("test_")]

@@ -1,7 +1,7 @@
 import ast
+import importlib.util
 import json
 import tracemalloc
-import zlib
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +31,7 @@ from opslab import (
     similar_to_unitary,
     similarity_certificate,
 )
-from opslab import minv, suites
+from opslab import gen, minv, suites
 from opslab.conj import hyperbolic_orthogonal_example
 from opslab.gen import (
     derive_rng,
@@ -41,11 +41,15 @@ from opslab.gen import (
     gen_power_bounded,
     gen_similar_isometry,
     haar_unitary,
-    random_positive_definite,
 )
 
 J2 = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
 COUPLED = np.array([[1.0, 1.0], [0.0, 0.5]], dtype=complex)
+
+# The benchmark's input builders, loaded read-only by path: perfbench is not a package.
+_spec = importlib.util.spec_from_file_location("inputs", Path(__file__).parents[1] / "perfbench/inputs.py")
+BENCHMARK_INPUTS = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(BENCHMARK_INPUTS)
 
 
 # ---------------------------------------------------------------------------
@@ -265,26 +269,9 @@ def test_m1_estimate_svds_few_powers_of_power_bounded_operators(monkeypatch, n):
 
 
 def ladder_power_bounded(n, seed):
-    """The ``check power-bounded`` input of the benchmark's ladder at ``seed`` (first repeat).
-
-    ``W (D1 + D0) W^-1``: D1 holds n // 2 unimodular phases with gaps of at
-    least pi / (n // 2), D0 is a Gaussian block scaled to spectral radius
-    0.8, and W is a unitary times a Hermitian positive definite factor of
-    condition 10.  The draws follow ``perfbench/inputs.power_bounded``.
-    """
-    key = [seed] + [zlib.crc32(part.encode()) for part in ("ladder", "power-bounded")] + [n, 0]
-    rng = np.random.default_rng(np.random.SeedSequence(key))
-    k = n // 2
-    d = np.zeros((n, n), dtype=complex)
-    theta = 2.0 * np.pi * (np.arange(k) + rng.uniform(0.0, 0.5, k)) / k
-    d[:k, :k] = np.diag(np.exp(1j * theta))
-    g = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
-    d[k:, k:] = g * (0.8 / np.abs(np.linalg.eigvals(g)).max())
-    sv = np.exp(rng.uniform(0.0, np.log(10.0), n))
-    sv[0], sv[-1] = 1.0, 10.0
-    q = haar_unitary(n, rng)
-    w = haar_unitary(n, rng) @ ((q * sv) @ q.conj().T)
-    return w @ np.linalg.solve(w.T, d.T).T
+    """The ``check power-bounded`` input of the benchmark's ladder at ``seed`` (first repeat)."""
+    rng = BENCHMARK_INPUTS.rng_for(seed, "ladder", "power-bounded", n, 0)
+    return BENCHMARK_INPUTS.power_bounded(n, rng, orthogonal=False)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -410,39 +397,17 @@ def _assert_in_fixed_point_space(s, x, dimension):
     assert np.linalg.norm(vec - basis @ (adjoint(basis) @ vec)) <= 1e-10 * np.linalg.norm(vec)
 
 
-def _similar_to_diagonal(phases, seed):
-    """``P0^{-1} U diag(phases) U* P0`` with Haar U and a random positive P0."""
-    rng = derive_rng(seed)
-    n = len(phases)
-    p0 = random_positive_definite(n, rng)
-    u = haar_unitary(n, rng)
-    return np.linalg.solve(p0, u @ np.diag(phases) @ adjoint(u) @ p0)
-
-
 def test_invariant_metric_lies_in_kronecker_fixed_point_space():
     for n in range(1, 9):  # simple eigenvalues
         s, _, _ = gen_similar_isometry(n, seed=40 + n)
         _assert_in_fixed_point_space(s, invariant_metric(s), n)
-    s = _similar_to_diagonal(np.repeat(np.exp([0.3j, 2.0j]), 6), seed=9)
+    s = gen.gen_similar_to_diagonal(np.repeat(np.exp([0.3j, 2.0j]), 6), seed=9)
     _assert_in_fixed_point_space(s, invariant_metric(s), 6**2 + 6**2)
-
-
-def _cluster_edge(seed):
-    """``gen_similar_isometry(6, seed)`` with one eigenvalue pulled to delta
-    from another, from equal (a scalar cluster) through ``1e-6 * max(1,
-    ||S||_2)``, once the certificate's fixed clustering distance, and past it."""
-    s, p0, u = gen_similar_isometry(6, seed=seed)
-    t, z = scipy.linalg.schur(u, output="complex")
-    phases = np.diag(t).copy()
-    cluster_tol = 1e-6 * max(1.0, operator_norm(s))
-    for ratio in (0, 1e-3, 0.1, 0.5, 0.9, 1.1, 2, 10):
-        phases[1] = phases[0] * np.exp(1j * ratio * cluster_tol)
-        yield np.linalg.solve(p0, z @ np.diag(phases) @ adjoint(z) @ p0)
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_similarity_certificate_across_the_cluster_edge(seed):
-    for s_delta in _cluster_edge(seed):
+    for _, s_delta in gen.gen_cluster_edge(seed):
         cert = similarity_certificate(s_delta)
         assert cert.residual_metric <= 1e-8 * max(1.0, np.linalg.norm(s_delta) ** 2)
 
@@ -451,8 +416,9 @@ def test_the_metric_factor_is_unitary_by_construction():
     # V = O diag(lambda / |lambda|) O*, so V* V = I holds to rounding on the
     # conditioning corpus and across the cluster edge; the certificate
     # carries no isometry residual.
-    inputs = [s for s, _ in _conditioning_corpus(1e4, 200)]
-    inputs += [s for seed in range(5) for s in _cluster_edge(seed)]
+    corpus = gen.gen_corpus(gen.gen_conditioned_similarity, np.random.default_rng(11), 200, 1e4)
+    inputs = [s for s, _ in corpus]
+    inputs += [s for seed in range(5) for _, s in gen.gen_cluster_edge(seed)]
     for s in inputs:
         _, _, v = metric._metric_factor(s, DEFAULT_TOL)
         assert frobenius(adjoint(v) @ v - np.eye(len(s))) <= DEFAULT_TOL.zero_threshold(frobenius(v) ** 2)
@@ -518,8 +484,9 @@ def test_the_one_sylvester_solve_matches_the_row_block_decoupling(monkeypatch):
     # of R below the diagonal and inside a block are exact zeros.  The
     # certificate's own solve takes every position as a block, and the
     # metric reuses it unless a cluster holds several positions.
-    inputs = [s for s, _ in _conditioning_corpus(1e4, 200)]
-    inputs += [s for seed in range(5) for s in _cluster_edge(seed)]
+    corpus = gen.gen_corpus(gen.gen_conditioned_similarity, np.random.default_rng(11), 200, 1e4)
+    inputs = [s for s, _ in corpus]
+    inputs += [s for seed in range(5) for _, s in gen.gen_cluster_edge(seed)]
     for s in inputs:
         w_ref, v_ref, block = _row_block_decoupling(s)
         sylvester, triangular = _decoupling_calls(monkeypatch, s)
@@ -544,12 +511,6 @@ def test_near_defective_blocks_are_certified_or_refused():
             _certified(s)
 
 
-def _jordan_edge_in_five_bases(a):
-    """``S = [[1, a], [0, 1]]``, then ``Q S Q*`` for ``Q = haar_unitary(2, derive_rng(k, 0))``, k = 0..3."""
-    s = np.array([[1.0, a], [0.0, 1.0]], dtype=complex)
-    return [s, *(q @ s @ adjoint(q) for q in (haar_unitary(2, derive_rng(k, 0)) for k in range(4)))]
-
-
 def _certified(s):
     """Whether ``similarity_certificate`` certifies S rather than refuse it."""
     try:
@@ -564,10 +525,10 @@ def test_the_jordan_edge_is_power_bounded_in_every_basis_and_certified_below_it(
     # mean has the singular value a, against zero_threshold(||S||_F) = 1.4e-8.
     # In exact arithmetic the block is not power bounded for any a > 0.
     for a in (1e-9, 1e-8):
-        assert all(certify_power_bounded(s).bounded for s in _jordan_edge_in_five_bases(a))
-        assert all(map(_certified, _jordan_edge_in_five_bases(a)))
+        assert all(certify_power_bounded(s).bounded for s in gen.gen_jordan_edge(a))
+        assert all(map(_certified, gen.gen_jordan_edge(a)))
     for a in (3e-8, 1e-7, 1e-6):
-        for s in _jordan_edge_in_five_bases(a):
+        for s in gen.gen_jordan_edge(a):
             report = certify_power_bounded(s)
             assert not report.bounded and report.witness[1] == "unimodular eigenvalue is not semisimple"
             assert not _certified(s)
@@ -575,7 +536,7 @@ def test_the_jordan_edge_is_power_bounded_in_every_basis_and_certified_below_it(
 
 @pytest.mark.parametrize("a", [3e-8, 1e-7, 1e-6])
 def test_the_jordan_edge_gets_one_positivity_verdict_in_every_basis(a):
-    assert len({_certified(s) for s in _jordan_edge_in_five_bases(a)}) == 1
+    assert len({_certified(s) for s in gen.gen_jordan_edge(a)}) == 1
 
 
 def test_eigenvalue_condition_numbers_match_the_left_and_right_eigenvectors():
@@ -595,41 +556,6 @@ def test_eigenvalue_condition_numbers_match_the_left_and_right_eigenvectors():
             assert_allclose(kappa, reference, rtol=1e-11, atol=0.0)
 
 
-def _rotated_jordan(blocks, lam, b):
-    """``Q (J_k1(lam) (+) J_k2(lam) (+) ...) Q*`` with ``Q = haar_unitary(n, derive_rng(b, n))``."""
-    a = scipy.linalg.block_diag(*(gen_jordan(k, lam) for k in blocks))
-    q = haar_unitary(a.shape[0], derive_rng(b, a.shape[0]))
-    return q @ a @ adjoint(q)
-
-
-def _rotated_jordan_blocks(sizes=range(1, 5), bases=range(4)):
-    """``(Q J_k(lam) Q*, k, lam)`` at the four gate phases, ``Q = haar_unitary(k, derive_rng(b, k))``."""
-    for k in sizes:
-        for lam in (1.0, -1.0, 1j, np.exp(0.7j)):
-            for b in bases:
-                yield _rotated_jordan([k], lam, b), k, lam
-
-
-def _unitary_plus_nilpotent(count):
-    """``(Q (U + N) Q*, p)``: n = 2..8, Q Haar, and per Jordan-like block of size k <= p
-    ``lam I + N_k`` with lam unimodular and N_k strictly upper Gaussian, so N, of
-    order p <= 4 (the largest block, drawn first), commutes with U."""
-    rng = np.random.default_rng(13)
-    for _ in range(count):
-        n = int(rng.integers(2, 9))
-        p = int(rng.integers(1, min(4, n) + 1))
-        sizes = [p]
-        while sum(sizes) < n:
-            sizes.append(int(rng.integers(1, min(p, n - sum(sizes)) + 1)))
-        blocks = [
-            np.exp(2j * np.pi * rng.random()) * np.eye(k)
-            + np.triu(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)), 1)
-            for k in sizes
-        ]
-        q = haar_unitary(n, rng)
-        yield q @ scipy.linalg.block_diag(*blocks) @ adjoint(q), p
-
-
 @pytest.mark.parametrize("factor", [10.0, 100.0])
 def test_every_coalescence_factor_from_10_to_100_gives_the_exact_verdicts(monkeypatch, factor):
     # Rounding splits a rotated k-block by about eps^(1/k) (1e-4 at k = 4),
@@ -638,12 +564,12 @@ def test_every_coalescence_factor_from_10_to_100_gives_the_exact_verdicts(monkey
     # 1000, one of the 300 U + N inputs is misread.
     assert metric._COALESCE == 10.0
     monkeypatch.setattr(metric, "_COALESCE", factor)
-    jordan = list(_rotated_jordan_blocks())
-    assert [certify_power_bounded(s).bounded for s, *_ in jordan] == [k == 1 for _, k, _ in jordan]
-    pairs = list(_unitary_plus_nilpotent(300))
+    jordan = list(gen.gen_rotated_jordan_blocks())
+    assert [certify_power_bounded(s).bounded for s, *_ in jordan] == [k == 1 for _, k, *_ in jordan]
+    pairs = list(gen.gen_corpus(gen.gen_unitary_plus_nilpotent, np.random.default_rng(13), 300))
     assert [certify_power_bounded(s).bounded for s, _ in pairs] == [p == 1 for _, p in pairs]
     for a in (1e-9, 1e-8, 3e-8, 1e-7, 1e-6):
-        assert [certify_power_bounded(s).bounded for s in _jordan_edge_in_five_bases(a)] == [a <= 1e-8] * 5
+        assert [certify_power_bounded(s).bounded for s in gen.gen_jordan_edge(a)] == [a <= 1e-8] * 5
 
 
 def test_the_cluster_rule_scales_the_norm_it_reads():
@@ -673,17 +599,6 @@ def test_a_cluster_is_interior_only_when_every_member_is():
     # so the split must not accept it.
     with pytest.raises(AssumptionError, match="not semisimple"):
         pf_property_check(unimodular_with_huge_coupling(1e7))
-
-
-def _conditioning_corpus(c, count):
-    """``S = P0^-1 V P0`` with V Haar, n = 2..8 and ``P0 = U diag(geomspace(1, 1/c, n)) U*``."""
-    rng = np.random.default_rng(11)
-    for _ in range(count):
-        n = int(rng.integers(2, 9))
-        v = haar_unitary(n, rng)
-        u = haar_unitary(n, rng)
-        p0 = u @ np.diag(np.geomspace(1, 1 / c, n)) @ adjoint(u)
-        yield np.linalg.solve(p0, v @ p0), p0
 
 
 def test_canonical_left_m_inverse():
@@ -786,7 +701,7 @@ def test_an_ill_conditioned_power_bounded_input_is_certified_or_refused():
 def test_every_similarity_at_cond_1e4_is_certified():
     # X = P^2 sits at cond 1e8, where its eigh refused 47 of these 200;
     # the SVD of the metric's factor works at cond(P).
-    for s, _ in _conditioning_corpus(1e4, 200):
+    for s, _ in gen.gen_corpus(gen.gen_conditioned_similarity, np.random.default_rng(11), 200, 1e4):
         similarity_certificate(s)
 
 
@@ -796,7 +711,7 @@ def test_every_inverse_pair_of_the_conditioning_corpus_is_similar_to_unitary(c):
     # its own V.  The order-m defect check this replaced refused 0/3/192 of
     # these pairs at m = 2 and 0/8/197 at m = 3 (c = 1e2/1e3/1e4).
     # The canonical inverse is that S^-1, and passes its own T S = I check.
-    for s, _ in _conditioning_corpus(c, 200):
+    for s, _ in gen.gen_corpus(gen.gen_conditioned_similarity, np.random.default_rng(11), 200, c):
         cert = similarity_certificate(s)
         similar_to_unitary(cert, np.linalg.inv(s))
         _assert_canonical_inverse_passes_its_order_1_check(cert)
@@ -806,7 +721,7 @@ def test_an_inverse_perturbed_off_the_unit_circle_is_refused_at_cond_1e4():
     # T = (I + e y1 yn*) S^-1, with y1 and yn the extreme singular vectors of
     # S's P, passes the order-1 defect check, yet P T P^-1 is off V* by about
     # e cond(P), which moves T's spectrum off the unit circle.
-    for s, _ in _conditioning_corpus(1e4, 200):
+    for s, _ in gen.gen_corpus(gen.gen_conditioned_similarity, np.random.default_rng(11), 200, 1e4):
         cert = similarity_certificate(s)
         y = np.linalg.svd(cert.p)[0]
         s_inv = np.linalg.inv(s)
@@ -826,7 +741,7 @@ def test_an_inverse_perturbed_along_the_extreme_singular_vectors_is_refused(c):
     # 2e / cond(P): the order-m defect check let 6/4/3 of these through at
     # m = 2 and 7/7/0 at m = 3 (c = 1e2/1e3/1e4).  T = (I + (e/2) y1 yn*) S^-1
     # passes T S = I and is refused by its model error, about e cond(P) / 2.
-    for s, _ in _conditioning_corpus(c, 200):
+    for s, _ in gen.gen_corpus(gen.gen_conditioned_similarity, np.random.default_rng(11), 200, c):
         cert = similarity_certificate(s)
         y = np.linalg.svd(cert.p)[0]
         s_inv = np.linalg.inv(s)
@@ -837,23 +752,11 @@ def test_an_inverse_perturbed_along_the_extreme_singular_vectors_is_refused(c):
                 similar_to_unitary(cert, t)
 
 
-def _coupled_unimodular_pairs(count):
-    """``(Q ([[1, 1], [0, e^(i d)]] (+) U) Q*, d)``: d log-uniform in [2e-6, 0.1], n = 2..8, U diagonal, Q Haar."""
-    rng = np.random.default_rng(12)
-    for _ in range(count):
-        n = int(rng.integers(2, 9))
-        delta = float(np.exp(rng.uniform(np.log(2e-6), np.log(0.1))))
-        u = np.diag(np.exp(2j * np.pi * rng.random(n - 2)))
-        m = scipy.linalg.block_diag([[1.0, 1.0], [0.0, np.exp(1j * delta)]], u)
-        q = haar_unitary(n, rng)
-        yield q @ m @ adjoint(q), delta
-
-
 def test_a_coupled_unimodular_pair_is_certified_at_cond_p_near_2_over_delta():
     # sup ||S^n|| is about 2 / d, and cond(P) bounds it.  Below d ~ 2e-4,
     # X = P^2 passed cond 1e8 and its eigh refused it as not positive definite.
     # Their canonical inverse S^-1 passes its T S = I check up to cond(P) ~ 1e6.
-    for s, delta in _coupled_unimodular_pairs(200):
+    for s, delta in gen.gen_corpus(gen.gen_coupled_unimodular, np.random.default_rng(12), 200):
         cert = similarity_certificate(s)
         assert 0.99 <= np.linalg.cond(cert.p) * delta / 2 <= 1.01
         _assert_canonical_inverse_passes_its_order_1_check(cert)
@@ -1078,24 +981,12 @@ def test_pf_builds_no_kronecker_map(monkeypatch):
     assert kron == []
 
 
-def _coupled_power_bounded(n, rng):
-    """Unimodular diagonal (+) contraction, conjugated by a W of condition 10:
-    power bounded, but the Putnam-Fuglede property fails."""
-    k = n // 2
-    phases = np.exp(2j * np.pi * (np.arange(k) + rng.uniform(0.0, 0.5, k)) / k)
-    g = rng.standard_normal((n - k, n - k)) + 1j * rng.standard_normal((n - k, n - k))
-    d = scipy.linalg.block_diag(np.diag(phases), g * (0.8 / np.abs(np.linalg.eigvals(g)).max()))
-    w = haar_unitary(n, rng) @ np.diag(np.geomspace(1.0, 10.0, n)) @ haar_unitary(n, rng)
-    return w @ d @ np.linalg.inv(w)
-
-
 def test_pf_witness_is_the_most_stretched_eigenvector():
     # ker(A - I) = span(e1, e2) in the rotated basis; A* fixes e1 but maps
     # e2 to e2 + e3, so the witness is X = e2 e2*, whatever basis of the
     # eigenspace the SVD returns.
-    q = haar_unitary(3, derive_rng(32))
-    a = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 0.0, 0.5]], dtype=complex)
-    v, x = pf_property_check(q @ a @ adjoint(q)).counterexample
+    q = haar_unitary(3, derive_rng(32))  # gen_pf_edge's basis
+    v, x = pf_property_check(gen.gen_pf_edge([1.0, 1.0, 0.5], 1.0)).counterexample
     assert_allclose(v, np.eye(3), atol=1e-12)
     assert_allclose(x, np.outer(q[:, 1], q[:, 1].conj()), atol=1e-12)
 
@@ -1107,7 +998,7 @@ def test_pf_witness_is_stable_under_rounding():
         for n in (8, 16, 24):
             for rep in range(2):
                 rng = np.random.default_rng((seed, n, rep))
-                a = _coupled_power_bounded(n, rng)
+                a = gen.gen_coupled_power_bounded(n, rng)
                 e = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
                 x1 = pf_property_check(a).counterexample[1]
                 x2 = pf_property_check(a + 1e-15 * e / operator_norm(e)).counterexample[1]
@@ -1135,7 +1026,7 @@ def test_pf_structural_oracle_agrees_beyond_the_gate_sizes():
             g = rng.standard_normal((n - k, n - k)) + 1j * rng.standard_normal((n - k, n - k))
             d = scipy.linalg.block_diag(haar_unitary(k, rng), g * (0.8 / np.abs(np.linalg.eigvals(g)).max()))
             q = haar_unitary(n, rng)
-            for a in (q @ d @ adjoint(q), _coupled_power_bounded(n, rng)):
+            for a in (q @ d @ adjoint(q), gen.gen_coupled_power_bounded(n, rng)):
                 eigs = np.linalg.eigvals(a)
                 unimodular = eigs[np.abs(np.abs(eigs) - 1.0) < 1e-8]
                 oracle = all(ascent_bound_check(a, lam / abs(lam) * np.eye(n))[0][0] for lam in unimodular)
@@ -1145,31 +1036,23 @@ def test_pf_structural_oracle_agrees_beyond_the_gate_sizes():
         assert True in verdicts and False in verdicts
 
 
-def _pf_edge(diagonal, eps):
-    """``Q D Q*`` for ``D = diagonal`` with ``D[1, 2] = eps`` and a fixed Haar Q."""
-    q = haar_unitary(3, derive_rng(32))
-    d = np.diag(diagonal).astype(complex)
-    d[1, 2] = eps
-    return q @ d @ adjoint(q)
-
-
 def test_pf_split_accepts_the_band_below_its_threshold():
     # On Q [[1, 0, 0], [0, 1, eps], [0, 0, 0.5]] Q* the per-phase search
     # finds a witness from eps ~ 5.10e-9; the split accepts up to ~ 1.51e-8.
-    a = _pf_edge([1.0, 1.0, 0.5], 1e-8)
+    a = gen.gen_pf_edge([1.0, 1.0, 0.5], 1e-8)
     assert pf_property_check(a).satisfies_pf
     assert not ascent_bound_check(a, np.eye(3))[0][0]  # the search alone would witness a failure
-    report = pf_property_check(_pf_edge([1.0, 1.0, 0.5], 3e-8))
+    report = pf_property_check(gen.gen_pf_edge([1.0, 1.0, 0.5], 3e-8))
     assert not report.satisfies_pf and report.counterexample is not None
 
 
 def test_pf_split_rejection_is_refuted_only_by_a_witness():
     # On Q [[1, 0, 0], [0, -1, eps], [0, 0, 0]] Q* the split rejects from
     # eps ~ 1.42e-8, but no phase has a witness before eps ~ 2.01e-8.
-    b = _pf_edge([1.0, -1.0, 0.0], 1.7e-8)
+    b = gen.gen_pf_edge([1.0, -1.0, 0.0], 1.7e-8)
     assert pf_property_check(b).satisfies_pf
     assert all(ascent_bound_check(b, mu * np.eye(3))[0][0] for mu in (1.0, -1.0))
-    b = _pf_edge([1.0, -1.0, 0.0], 3e-8)
+    b = gen.gen_pf_edge([1.0, -1.0, 0.0], 3e-8)
     report = pf_property_check(b)
     assert not report.satisfies_pf
     v, x = report.counterexample
@@ -1188,7 +1071,8 @@ def test_pf_accepts_a_unitary_on_its_certificate(monkeypatch):
 
 
 def test_only_the_certificate_takes_a_schur_form():
-    # Every Schur form of the package is LAPACK zgees, named only in the certificate.
+    # Every Schur form of a library decision is LAPACK zgees, named only in the
+    # certificate; the one other is the cluster-edge family's, of its Haar U.
     callers = set()
     for path in Path(metric.__file__).parent.glob("*.py"):
         for func in ast.walk(ast.parse(path.read_text())):
@@ -1196,7 +1080,7 @@ def test_only_the_certificate_takes_a_schur_form():
                 for node in ast.walk(func):
                     if isinstance(node, ast.Call) and ast.unparse(node.func).endswith(("schur", "gees")):
                         callers.add((func.name, ast.unparse(node.func)))
-    assert callers == {("certify_power_bounded", "scipy.linalg.lapack.zgees")}
+    assert callers == {("certify_power_bounded", "scipy.linalg.lapack.zgees"), ("gen_cluster_edge", "scipy.linalg.schur")}
 
 
 def test_only_the_split_reorders_a_schur_form():
@@ -1236,14 +1120,6 @@ def test_split_puts_the_interior_first_and_each_cluster_contiguous(monkeypatch):
     assert report.split is report.split
 
 
-def _two_close_phases(delta, coupled):
-    """``Q D Q*`` for ``D = diag(1, exp(i delta), 0.5)`` with ``D[coupled, 2] = 1``, a fixed Haar Q."""
-    d = np.diag([1.0, np.exp(1j * delta), 0.5]).astype(complex)
-    d[coupled, 2] = 1.0
-    q = haar_unitary(3, derive_rng(41))
-    return q @ d @ adjoint(q)
-
-
 @pytest.mark.parametrize("coupled", [0, 1])
 @pytest.mark.parametrize("delta, distance_clusters", [(1e-9, 1), (1e-7, 1), (1e-4, 2)])
 def test_close_unimodular_phases_match_the_kronecker_oracle(delta, distance_clusters, coupled):
@@ -1263,7 +1139,7 @@ def test_close_unimodular_phases_match_the_kronecker_oracle(delta, distance_clus
     distance.  A V with both phases is probed where it made one; at 1e-4
     that probe is the test below.
     """
-    a = _two_close_phases(delta, coupled)
+    a = gen.gen_two_close_phases(delta, coupled)
     assert len(certify_power_bounded(a).clusters) == 2
     phases = [1.0, np.exp(1j * delta)]
     oracle = [kernel_included(suites._kronecker_maps(a, mu * np.eye(3))[0]) for mu in phases]
@@ -1285,19 +1161,9 @@ def test_close_unimodular_phases_match_the_kronecker_oracle(delta, distance_clus
 
 
 def test_ascent_of_two_separate_close_phases_of_v_matches_the_kronecker_oracle():
-    a = _two_close_phases(1e-4, 0)
+    a = gen.gen_two_close_phases(1e-4, 0)
     v = np.diag([1.0, np.exp(1e-4j), -1.0])
     assert ascent_bound_check(a, v) == suites._kronecker_reference(a, v) == ((False, 1), (False, 1))
-
-
-def _close_phase_probes():
-    """``(A, V)``: ``_two_close_phases(delta, coupled)`` at 33 delta log-spaced in [1e-10, 1e-2],
-    both couplings, at ``V = I``, ``exp(i delta) I`` and ``diag(1, exp(i delta), -1)``."""
-    for coupled in (0, 1):
-        for delta in np.logspace(-10, -2, 33):
-            a = _two_close_phases(delta, coupled)
-            for v in (np.eye(3), np.exp(1j * delta) * np.eye(3), np.diag([1.0, np.exp(1j * delta), -1.0])):
-                yield a, v
 
 
 def test_ascent_of_close_phases_is_at_most_one_and_matches_the_kronecker_reference():
@@ -1306,7 +1172,7 @@ def test_ascent_of_close_phases_is_at_most_one_and_matches_the_kronecker_referen
     # at the first power's cutoff read 2 or 3 on 97 of these 198 probes, and
     # on 45 of them next to a kernel inclusion: a false counterexample to the
     # bound.  The staircase compresses past each kernel and forms no power.
-    probes = list(_close_phase_probes())
+    probes = list(gen.gen_close_phase_probes())
     assert len(probes) == 198
     for a, v in probes:
         pairs = ascent_bound_check(a, v)
@@ -1317,10 +1183,11 @@ def test_ascent_of_close_phases_is_at_most_one_and_matches_the_kronecker_referen
 def test_ascent_of_a_rotated_jordan_structure_is_its_largest_block():
     # (A, V, elementary pair): rotated J_k(lam), k = 1..6, with V = lam I, then
     # rotated sums of blocks at 1 with V = I.
-    cases = [(s, lam * np.eye(k), (k == 1, k)) for s, k, lam in _rotated_jordan_blocks(range(1, 7), range(3))]
+    rotated = gen.gen_rotated_jordan_blocks(range(1, 7), range(3))
+    cases = [(s, lam * np.eye(k), (k == 1, k)) for s, k, lam, _ in rotated]
     for blocks in ([1, 2], [1, 3], [2, 2], [1, 2, 3], [2, 3]):
         for b in range(3):
-            cases.append((_rotated_jordan(blocks, 1.0, b), np.eye(sum(blocks)), (False, max(blocks))))
+            cases.append((gen.gen_rotated_jordan(blocks, 1.0, b), np.eye(sum(blocks)), (False, max(blocks))))
     assert len(cases) == 87
     for a, v, elementary in cases:
         pairs = ascent_bound_check(a, v)
@@ -1393,25 +1260,9 @@ def test_ascent_bound_zero_operator():
     assert ascent_bound_check(a, np.eye(2, dtype=complex)) == ((True, 0), (True, 0))
 
 
-def _ascent_corpus():
-    """Jordan blocks on the circle, and non-normal similar-to-unitary matrices at
-    one of their phases and its conjugate, where the inclusion of each map fails."""
-    for k in range(1, 5):
-        yield gen_jordan(k, 1.0), np.eye(k, dtype=complex)
-    for k in range(1, 4):
-        for mu in (1.0, 1j, -1j):
-            yield gen_jordan(k, 1j), mu * np.eye(k, dtype=complex)
-    for seed in range(20):
-        n = 2 + seed % 4
-        s = gen_similar_isometry(n, seed=900 + seed)[0]
-        lam = np.linalg.eigvals(s)[0]
-        yield s, lam / abs(lam) * np.eye(n)
-        yield s, np.conj(lam) / abs(lam) * np.eye(n)
-
-
 def test_ascent_bound_matches_the_kronecker_reference():
     failed = [0, 0]
-    for a, v in _ascent_corpus():
+    for a, v in gen.gen_ascent_corpus():
         pairs = ascent_bound_check(a, v)
         assert pairs == suites._kronecker_reference(a, v)
         for j, (included, _) in enumerate(pairs):
@@ -1426,7 +1277,7 @@ def test_kernel_included_matches_its_two_operand_definition_from_one_svd(monkeyp
     # on the corpus maps and on every map the pf-ascent sweep decides at seeds 0-3, where
     # the sweep's oracle read the same inclusion.
     swept = _sweep_oracle(monkeypatch)
-    maps = [rep for a, v in _ascent_corpus() for rep in suites._kronecker_maps(a, v)]
+    maps = [rep for a, v in gen.gen_ascent_corpus() for rep in suites._kronecker_maps(a, v)]
     maps += [rep for rep, _ in swept]
     svd = _count_calls(monkeypatch, np.linalg, "svd")
     verdicts = [minv.kernel_included(rep) for rep in maps]
@@ -1440,7 +1291,7 @@ def test_kernel_included_matches_its_two_operand_definition_from_one_svd(monkeyp
 def test_kronecker_reference_reads_both_decisions_from_one_svd_per_map(monkeypatch):
     # The public pair on each map, one full SVD of it, then inside the staircase a
     # values-only SVD per step and a full one per step that continues: 2k SVDs at ascent k >= 1.
-    probes = [*_ascent_corpus(), *_close_phase_probes()]
+    probes = [*gen.gen_ascent_corpus(), *gen.gen_close_phase_probes()]
     assert len(probes) == 53 + 198
     svd = _count_calls(monkeypatch, np.linalg, "svd")
     for a, v in probes:
@@ -1559,7 +1410,7 @@ def test_a_certified_canonical_inverse_is_never_refused_as_a_pair():
     # At cond(P0) = 2e3, the canonical inverse T = S^-1 passes its T S = I
     # check, so similar_to_unitary, which decides T by that same check and
     # then by S's certificate, accepts it.
-    for s, _ in _conditioning_corpus(2e3, 200):
+    for s, _ in gen.gen_corpus(gen.gen_conditioned_similarity, np.random.default_rng(11), 200, 2e3):
         cert = similarity_certificate(s)
         t, _ = canonical_left_m_inverse(cert)
         similar_to_unitary(cert, t)

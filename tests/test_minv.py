@@ -20,7 +20,7 @@ from opslab import (
     z_inverses,
     z_norm_bound,
 )
-from opslab import minv
+from opslab import gen, minv
 from opslab.gen import derive_rng, gen_left_m_pair, haar_unitary
 from opslab.suites import _kronecker_maps
 
@@ -297,3 +297,18 @@ def test_kernel_included_fails_on_a_coupled_block():
     u = haar_unitary(3, derive_rng(9))
     for v in (np.eye(3), np.linalg.eigvals(u)[0] * np.eye(3)):
         assert kernel_included(_kronecker_maps(u, v)[0])
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 21: ||T S - I||_F = 1, yet defect_profile first passes at order 5, 4 and 3 at "
+    "delta = 1e-2, 1e-3 and 1e-4, as built and rotated, until the least order is decided structurally",
+)
+def test_a_close_phase_pair_is_a_left_m_inverse_at_no_order():
+    # The order-k defect is (e^(i delta) - 1)^(k-1) lam e^(i delta) E12, which
+    # shrinks like delta^(k-1) under the one threshold of every order.
+    for delta in (1e-2, 1e-3, 1e-4):
+        for basis in (None, 0):
+            s, t = gen.gen_close_phase_pair(delta, basis)
+            assert [m for m, (ok, _) in enumerate(defect_profile(s, t, 6), start=1) if ok] == []
