@@ -27,7 +27,6 @@ from .matcore import (
     adjoint,
     frobenius,
     load_matrix,
-    matrix_to_json_dict,
     null_space,
     numerical_rank,
     operator_norm,

@@ -7,9 +7,11 @@
 
 Matrices travel as JSON files in the library-wide schema
 ``{"rows": r, "cols": c, "data": [[re, im], ...]}`` (row-major);
-conjugations as ``{"J": <matrix>}``.  Exit code 0 means every verdict
-passed, 1 means a check failed or a solver hypothesis was violated, and 2
-means malformed input or usage.  Only ``generate`` and ``suite`` draw random
+conjugations as ``{"J": <matrix>}``.  Reports hold matrices as arrays for
+``matcore.dump_json``, which refuses a non-finite one before anything is
+printed or written (exit 2).  Exit code 0 means every verdict passed, 1
+means a check failed or a solver hypothesis was violated, and 2 means
+malformed input or usage.  Only ``generate`` and ``suite`` draw random
 numbers, all behind ``--seed``; ``check`` and ``solve`` are deterministic.
 Each kind takes the operands ``KINDS`` lists for it, after the kind: a
 missing, foreign or abbreviated flag is a usage error (exit 2), and
@@ -26,6 +28,7 @@ import argparse
 import functools
 import sys
 from dataclasses import asdict, dataclass, field
+from pathlib import Path
 
 from . import gen, metric, minv, suites
 from .conj import Conjugation, conjugate_operator
@@ -37,7 +40,6 @@ from .matcore import (
     dump_json,
     load_json,
     load_matrix,
-    matrix_to_json_dict,
 )
 
 # The operands of each kind of each command: the flags it requires, and the
@@ -89,19 +91,9 @@ class Report:
         if not passed:
             self.exit_code = 1
 
-    def to_json_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "tolerances": self.tolerances,
-            "seed": self.seed,
-            "verdicts": self.verdicts,
-            "artifacts": self.artifacts,
-            "exit_code": self.exit_code,
-        }
-
     def print(self, as_json: bool) -> None:
         if as_json:
-            print(dump_json(self.to_json_dict()))
+            print(dump_json(vars(self)))  # its fields, matrices among the artifacts
             return
         print(f"command: {self.command}")
         if self.tolerances is not None:
@@ -175,40 +167,37 @@ def _cmd_solve(args, tol: ToleranceConfig) -> Report:
         t = load_matrix(args.t, "T")
         u1, u2, p, residual = metric.similar_to_unitary(metric.similarity_certificate(s, tol), t, tol)
         report.add_verdict("unitary-models", True, residual)
-        report.artifacts["U1"] = matrix_to_json_dict(u1)
-        report.artifacts["U2"] = matrix_to_json_dict(u2)
-        report.artifacts["P"] = matrix_to_json_dict(p)
+        report.artifacts.update(U1=u1, U2=u2, P=p)
     elif args.kind == "canonical-inverse":
         cert = metric.similarity_certificate(load_matrix(args.s, "S"), tol)
         t, residual = metric.canonical_left_m_inverse(cert, tol)
         report.add_verdict("canonical-inverse", True, residual)
-        report.artifacts["T"] = matrix_to_json_dict(t)
+        report.artifacts["T"] = t
     elif args.kind == "douglas":
         a = load_matrix(args.a, "A")
         b = load_matrix(args.b, "B")
         c, mu2, residual = metric.douglas_factor(a, b, tol)  # refuses unless ran(A) <= ran(B)
         report.add_verdict("douglas", True, residual)
-        report.artifacts["C"] = matrix_to_json_dict(c)
-        report.artifacts["mu2"] = mu2
+        report.artifacts.update(C=c, mu2=mu2)
     return report
 
 
-def _generate_one(kind: str, params: dict, seed: int) -> dict:
-    """The payload of one instance of ``kind`` at ``params``, the metadata's parameters."""
+def _generate_one(kind: str, params: dict, seed: int):
+    """The payload of one instance of ``kind`` at ``params``, the metadata's parameters: a matrix or a dict."""
     if kind == "jordan":
-        return matrix_to_json_dict(gen.gen_jordan(params["k"], complex(*params["lambda"])))
+        return gen.gen_jordan(params["k"], complex(*params["lambda"]))
     if kind == "similar-isometry":
         s, p0, u = gen.gen_similar_isometry(params["n"], seed)
-        return {"S": matrix_to_json_dict(s), "P0": matrix_to_json_dict(p0), "U": matrix_to_json_dict(u)}
+        return {"S": s, "P0": p0, "U": u}
     if kind == "left-m-pair":  # the pair is a left m-inverse at every m
         s, t = gen.gen_left_m_pair(params["n"], seed)
-        return {"S": matrix_to_json_dict(s), "T": matrix_to_json_dict(t)}
+        return {"S": s, "T": t}
     if kind == "power-bounded":
-        return matrix_to_json_dict(gen.gen_power_bounded(params["n"], seed))
+        return gen.gen_power_bounded(params["n"], seed)
     if kind == "conjugation":
         return gen.gen_conjugation(params["n"], seed).to_json_dict()
     s, c = gen.gen_1c_isometry(params["n"], seed, hyperbolic=params["hyperbolic"], t=params["t"])
-    return {"hyperbolic": params["hyperbolic"], "S": matrix_to_json_dict(s), "J": matrix_to_json_dict(c.j)}
+    return {"hyperbolic": params["hyperbolic"], "S": s, "J": c.j}
 
 
 def _cmd_generate(args) -> Report:
@@ -221,7 +210,7 @@ def _cmd_generate(args) -> Report:
     meta = {"generator": args.kind, "seed": args.seed, "parameters": params}
     if args.count == 1:
         single = _generate_one(args.kind, params, args.seed)
-        payload = single if "rows" in single else {**meta, **single}
+        payload = {**meta, **single} if isinstance(single, dict) else single
     else:  # corpus manifest: metadata plus an array of instances
         meta["count"] = args.count
         # instance i derives from derive_rng(seed, i), as in the sweeps
@@ -230,8 +219,7 @@ def _cmd_generate(args) -> Report:
     report.add_verdict("generated", True)
     report.artifacts["metadata"] = meta
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(dump_json(payload))
+        Path(args.out).write_text(dump_json(payload), encoding="utf-8")  # opened once dump_json returns
         report.artifacts["out"] = str(args.out)
     else:
         report.artifacts["payload"] = payload
@@ -340,6 +328,7 @@ def main(argv=None) -> int:
         else:
             tol = ToleranceConfig(abs_tol=args.abs_tol, rel_tol=args.rel_tol)
             report = (_cmd_check if args.command == "check" else _cmd_solve)(args, tol)
+        report.print(args.json)  # dump_json refuses a non-finite matrix before it prints
     except (ArgumentError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -349,7 +338,6 @@ def main(argv=None) -> int:
     except OpslabError as exc:
         print(f"internal check failed: {exc}", file=sys.stderr)
         return 1
-    report.print(args.json)
     return report.exit_code
 
 

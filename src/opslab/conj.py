@@ -32,7 +32,6 @@ from .matcore import (
     as_matrix,
     frobenius,
     matrix_from_json_dict,
-    matrix_to_json_dict,
 )
 
 __all__ = [
@@ -62,7 +61,8 @@ class Conjugation:
         return self.j @ np.conj(np.asarray(x, dtype=complex))
 
     def to_json_dict(self) -> dict:
-        return {"J": matrix_to_json_dict(self.j)}
+        """A dict for ``matcore.dump_json``; J stays an array."""
+        return {"J": self.j}
 
     @staticmethod
     def from_json_dict(d: dict, tol: ToleranceConfig = DEFAULT_TOL) -> "Conjugation":

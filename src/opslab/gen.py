@@ -46,6 +46,8 @@ COND_CLIP = 100.0
 # eigenvalues, keeping them unambiguous for the semisimplicity test.
 _PHASE_GAP = 1e-3
 
+JORDAN_PHASES = (1.0, -1.0, 1j, np.exp(0.7j))  # the eigenvalues of the jordan-strictness gate's blocks
+
 
 def derive_rng(seed: int, index: int = 0) -> np.random.Generator:
     """Per-instance generator derived from a master seed."""
@@ -310,7 +312,7 @@ def gen_rotated_jordan_blocks(sizes=range(1, 5), bases=range(4)):
     """``(gen_rotated_jordan([k], lam, basis), k, lam, basis)`` at the four phases of the jordan-strictness
     gate.  Truth: power bounded exactly when k = 1, and a strict (2k - 1)-isometry."""
     for k in sizes:
-        for lam in (1.0, -1.0, 1j, np.exp(0.7j)):
+        for lam in JORDAN_PHASES:
             for b in bases:
                 yield gen_rotated_jordan([k], lam, b), k, lam, b
 

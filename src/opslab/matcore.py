@@ -5,7 +5,8 @@ stored as a ``numpy.ndarray`` with dtype ``complex128``.  This module
 supplies the numerical primitives the rest of the package is built on:
 adjoints, the spectral norm, numerical ranks and null spaces, the JSON
 matrix schema, the package's one JSON codec (``load_json`` and
-``dump_json``, both ``orjson``), and the tolerance model governing every
+``dump_json``, both ``orjson``; reports hand every matrix to ``dump_json``
+as a complex128 array), and the tolerance model governing every
 approximate comparison.
 
 Tolerance model
@@ -38,7 +39,6 @@ __all__ = [
     "operator_norm",
     "numerical_rank",
     "null_space",
-    "matrix_to_json_dict",
     "matrix_from_json_dict",
     "load_json",
     "dump_json",
@@ -158,14 +158,6 @@ def null_space(m: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
 # JSON matrix schema: {"rows": r, "cols": c, "data": [[re, im], ...]} row-major
 # ---------------------------------------------------------------------------
 
-def matrix_to_json_dict(m: np.ndarray) -> dict:
-    """Serialize a matrix to the library-wide JSON schema."""
-    m = as_matrix(m, name="matrix")
-    rows, cols = m.shape
-    data = np.ascontiguousarray(m).view(np.float64).reshape(-1, 2).tolist()
-    return {"rows": int(rows), "cols": int(cols), "data": data}
-
-
 def matrix_from_json_dict(d: dict, name: str = "matrix") -> np.ndarray:
     """Parse the JSON schema, rejecting shape mismatches and non-finite entries.
 
@@ -239,11 +231,30 @@ def load_json(path, name: str):
 def dump_json(obj) -> str:
     """``obj`` as one compact line of strict JSON with sorted keys.
 
-    Floats take their shortest round-trip form and non-finite floats
-    become ``null``; numpy scalars serialize as the Python numbers they
-    hold.  Integers must lie in ``[-2**63, 2**64)``.
+    Each complex128 2-d array in ``obj`` is written in the matrix schema,
+    the bytes of its entries listed as Python floats; a non-finite entry
+    raises ``ArgumentError``.  A float64 array would be written as bare
+    nested lists, so every matrix must be complex128, as ``as_matrix``
+    makes it.  Other floats take their shortest round-trip form and
+    non-finite ones become ``null``; numpy scalars serialize as the
+    Python numbers they hold.  Integers must lie in ``[-2**63, 2**64)``.
     """
-    return orjson.dumps(obj, option=orjson.OPT_SORT_KEYS | orjson.OPT_SERIALIZE_NUMPY).decode()
+    refused = []
+
+    def matrix(m):  # orjson's hook for a type it does not write itself
+        if isinstance(m, np.ndarray) and m.ndim == 2 and m.dtype == np.complex128:
+            if np.isfinite(m).all():
+                data = np.ascontiguousarray(m).view(np.float64).reshape(-1, 2)
+                return {"cols": m.shape[1], "data": data, "rows": m.shape[0]}
+            refused.append(m)
+        raise TypeError  # orjson drops the hook's exception, hence ``refused``
+
+    try:
+        return orjson.dumps(obj, default=matrix, option=orjson.OPT_SORT_KEYS | orjson.OPT_SERIALIZE_NUMPY).decode()
+    except orjson.JSONEncodeError:
+        if refused:
+            raise ArgumentError("matrix contains non-finite entries") from None
+        raise
 
 
 def load_matrix(path, name: str = "matrix") -> np.ndarray:

@@ -60,7 +60,6 @@ from .matcore import (
     adjoint,
     as_matrix,
     frobenius,
-    matrix_to_json_dict,
     numerical_rank,
     operator_norm,
     require_same_shape,
@@ -566,9 +565,10 @@ class SimilarityCertificate:
     p_inv: np.ndarray = field(repr=False, compare=False)
 
     def to_json_dict(self) -> dict:
+        """A dict for ``matcore.dump_json``; P and V stay arrays."""
         return {
-            "P": matrix_to_json_dict(self.p),
-            "V": matrix_to_json_dict(self.v),
+            "P": self.p,
+            "V": self.v,
             "residuals": {
                 "metric": self.residual_metric,
                 "similarity": self.residual_similarity,
@@ -694,13 +694,11 @@ class PFReport:
     counterexample: tuple[np.ndarray, np.ndarray] | None = None
 
     def to_json_dict(self) -> dict:
+        """A dict for ``matcore.dump_json``; the counterexample's V and X stay arrays."""
         out = {"satisfies_pf": self.satisfies_pf}
         if self.counterexample is not None:
             v, x = self.counterexample
-            out["counterexample"] = {
-                "V": matrix_to_json_dict(v),
-                "X": matrix_to_json_dict(x),
-            }
+            out["counterexample"] = {"V": v, "X": x}
         return out
 
 

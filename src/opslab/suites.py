@@ -174,7 +174,7 @@ def run_jordan_strictness(k_max: int = 4) -> SuiteResult:
             yield f"power bounded verdict {bounded}"
 
     for k in range(1, k_max + 1):
-        for lam in (1.0, -1.0, 1j, np.exp(0.7j)):
+        for lam in gen.JORDAN_PHASES:
             _check_instance(result, f"J_{k}({lam})", check, k, lam)
     return result
 

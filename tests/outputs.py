@@ -5,7 +5,11 @@
 It runs each ladder and refuse request of ``perfbench/workloads.py`` at
 request seeds 1-3 in process (``workloads.call_cli``) and prints its exit
 code, standard output and standard error, with the temporary directory of
-its input files masked as ``<tmp>``.  Then it prints ``dump_json`` of the
+its input files masked as ``<tmp>``.  Then it runs ``generate`` of each
+kind (``one-c-isometry`` also with ``--hyperbolic``) at seeds 0-2 with
+``--count 1`` and ``--count 3``, once with ``--json`` and once with
+``--out``, and prints the same three streams and the bytes of the
+``--out`` file.  Then it prints ``dump_json`` of the
 report of each of the eight acceptance gates of ``workloads.GATES``, at
 their gate sizes, at suite seeds 0-3.  Then it prints the sha256 of each
 ``gen_power_bounded`` and ``gen_similar_isometry`` draw over a fixed grid
@@ -73,6 +77,17 @@ FAMILIES = (
     ("conditioned_similarity", opslab.gen.gen_conditioned_similarity, (1e4,)),
     ("coupled_unimodular_pair", opslab.gen.gen_coupled_unimodular, ()),
 )
+# Each generator kind with its operands, the unbounded one-c-isometry family too.
+GENERATE = (
+    ("jordan", ("--k", "3", "--lambda", "0.6+0.8i")),
+    ("similar-isometry", ("--n", "4")),
+    ("left-m-pair", ("--n", "4")),
+    ("power-bounded", ("--n", "4")),
+    ("conjugation", ("--n", "4")),
+    ("one-c-isometry", ("--n", "4")),
+    ("one-c-isometry", ("--n", "4", "--hyperbolic", "--t", "0.5")),
+)
+GENERATE_SEEDS = (0, 1, 2)
 CLUSTER_EDGE_SEEDS = range(5)
 JORDAN_EDGE = (1e-9, 1e-8, 3e-8, 1e-7, 1e-6)
 
@@ -125,6 +140,16 @@ def cli_outcome(argv: list[str]) -> str:
     return f"exit {out.code}, stderr {out.stderr.strip()}"
 
 
+def print_request(label: str, argv: list[str], tmp: str) -> None:
+    """One in-process CLI request's exit code, standard output and standard error, ``tmp`` masked."""
+    out = workloads.call_cli(opslab, argv)
+    print(f"== {label}")
+    print(f"exit {out.code}" + (f" crash {out.crash}" if out.crash else ""))
+    for stream, text in (("stdout", out.stdout), ("stderr", out.stderr)):
+        print(f"{stream}:")
+        print(text.replace(tmp, "<tmp>"), end="")
+
+
 def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         for seed in REQUEST_SEEDS:
@@ -132,12 +157,15 @@ def main() -> None:
                 workdir = Path(tmp) / f"{name}-{seed}"
                 workdir.mkdir()
                 for req in make(seed, workdir).requests:
-                    out = workloads.call_cli(opslab, req.argv)
-                    print(f"== {name} seed {seed}: {req.cell}")
-                    print(f"exit {out.code}" + (f" crash {out.crash}" if out.crash else ""))
-                    for stream, text in (("stdout", out.stdout), ("stderr", out.stderr)):
-                        print(f"{stream}:")
-                        print(text.replace(tmp, "<tmp>"), end="")
+                    print_request(f"{name} seed {seed}: {req.cell}", req.argv, tmp)
+        for (kind, operands), seed, count in itertools.product(GENERATE, GENERATE_SEEDS, (1, 3)):
+            argv = ["generate", kind, *operands, "--seed", str(seed), "--count", str(count)]
+            print_request(" ".join(argv), [*argv, "--json"], tmp)
+            out_file = Path(tmp) / "generated.json"
+            print_request(f"{' '.join(argv)} --out", [*argv, "--out", str(out_file)], tmp)
+            print("out file:")
+            print(out_file.read_bytes().decode() if out_file.exists() else "<none>")
+            out_file.unlink(missing_ok=True)
     for seed in SUITE_SEEDS:
         for fname, kwargs, seeded in workloads.GATES:
             runner = getattr(opslab.suites, fname)

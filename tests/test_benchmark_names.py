@@ -40,6 +40,25 @@ def test_cli_imports_only_public_matcore_names():
     assert set(imported) <= set(matcore.__all__)
 
 
+def test_dump_json_is_the_one_matrix_writer():
+    # The matrix schema has one writer, matcore.dump_json: the library
+    # modules hand it their arrays, and only the CLI calls it.
+    readers = {"load_json", "load_matrix", "matrix_from_json_dict"}
+    writers = {name for name in matcore.__all__ if "json" in name} - readers | {"orjson"}
+
+    def imported(module):
+        tree = ast.parse(Path(importlib.import_module(f"opslab.{module}").__file__).read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                yield from (alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                yield from (alias.name if node.module == "matcore" else node.module for alias in node.names)
+
+    for module in ("metric", "conj", "gen", "suites"):
+        assert not set(imported(module)) & writers, module
+    assert set(imported("cli")) & (readers | writers) == {"dump_json", "load_json", "load_matrix"}
+
+
 def test_benchmark_gates_match_the_gate_table():
     # perfbench/workloads.py keeps its own copy of the gates, read here without
     # importing it: a gate resized in suites must be resized there as well.

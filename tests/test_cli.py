@@ -15,7 +15,6 @@ from opslab import (
     cli,
     gen,
     is_mc_isometric,
-    matrix_to_json_dict,
     metric,
     minv,
     operator_norm,
@@ -37,7 +36,7 @@ def run(capsys, *argv):
 
 
 def write_matrix(path, m):
-    Path(path).write_text(json.dumps(matrix_to_json_dict(np.asarray(m, dtype=complex))))
+    Path(path).write_text(dump_json(np.asarray(m, dtype=complex)))
     return str(path)
 
 
@@ -288,7 +287,7 @@ def test_each_kinds_help_lists_exactly_its_operands(capsys, command, kind, requi
 def test_check_mc_isometry(tmp_path, capsys):
     rot = write_matrix(tmp_path / "rot.json", [[0.0, -1.0], [1.0, 0.0]])
     conj_path = tmp_path / "conj.json"
-    conj_path.write_text(json.dumps({"J": matrix_to_json_dict(np.eye(2, dtype=complex))}))
+    conj_path.write_text(dump_json({"J": np.eye(2, dtype=complex)}))
     code, out, _ = run(
         capsys, "check", "mc-isometry", "--s", rot, "--conj", str(conj_path), "--m", "1"
     )
@@ -299,7 +298,7 @@ def test_check_mc_isometry_takes_one_recursion_pass(tmp_path, capsys, monkeypatc
     s = np.eye(3, dtype=complex)
     s_path = write_matrix(tmp_path / "s.json", s)
     conj_path = tmp_path / "conj.json"
-    conj_path.write_text(json.dumps({"J": matrix_to_json_dict(np.eye(3, dtype=complex))}))
+    conj_path.write_text(dump_json({"J": np.eye(3, dtype=complex)}))
     calls = []
     defects = minv._defects  # the one pass of the defect recursion
     monkeypatch.setattr(minv, "_defects", lambda *a: calls.append(1) or defects(*a))
@@ -328,9 +327,9 @@ def test_check_mc_isometry_takes_one_recursion_pass(tmp_path, capsys, monkeypatc
     [
         ("[]", "1", 'error: conjugation JSON must be an object with a "J" field'),
         ('{"K": 1}', "1", 'error: conjugation JSON must be an object with a "J" field'),
-        (dump_json({"J": matrix_to_json_dict(np.eye(2, dtype=complex))}), "1",
+        (dump_json({"J": np.eye(2, dtype=complex)}), "1",
          "error: S must match the conjugation dimension 2, got (3, 3)"),
-        (dump_json({"J": matrix_to_json_dict(np.eye(3, dtype=complex))}), "two",
+        (dump_json({"J": np.eye(3, dtype=complex)}), "two",
          "argument --m: invalid int value: 'two'"),
     ],
 )
@@ -353,7 +352,7 @@ def test_check_reports_an_unreadable_input_file(tmp_path, capsys, operand, unrea
         bad.write_bytes(b"\xff\xfe")
     good = write_matrix(tmp_path / "eye.json", np.eye(2))
     conj_path = tmp_path / "conj.json"
-    conj_path.write_text(json.dumps({"J": matrix_to_json_dict(np.eye(2, dtype=complex))}))
+    conj_path.write_text(dump_json({"J": np.eye(2, dtype=complex)}))
     kind, operands = {
         "--s": ("power-bounded", {"--s": good}),
         "--t": ("left-m-inverse", {"--s": good, "--t": good, "--m": "1"}),
@@ -843,12 +842,83 @@ def test_entry_point_generate_out_writes_the_compact_payload(tmp_path):
         "generator": "similar-isometry",
         "seed": 7,
         "parameters": {"n": 3},
-        "S": matrix_to_json_dict(s),
-        "P0": matrix_to_json_dict(p0),
-        "U": matrix_to_json_dict(u),
+        "S": s,
+        "P0": p0,
+        "U": u,
     }
     assert (tmp_path / "inst.json").read_bytes() == dump_json(payload).encode()
     assert (tmp_path / "inst.json").read_bytes().startswith(b'{"P0":{"cols":3,"data":[[')
+
+
+def listed(obj, path, found):
+    """``obj`` with each matrix in the schema's per-entry list form, the writer's
+    oracle; ``found`` collects the path of each matrix."""
+    if isinstance(obj, np.ndarray):
+        assert obj.dtype == np.complex128 and obj.ndim == 2  # the writer's rule
+        found.append(path)
+        data = [[float(z.real), float(z.imag)] for z in obj.ravel()]
+        return {"rows": obj.shape[0], "cols": obj.shape[1], "data": data}
+    if isinstance(obj, dict):
+        return {key: listed(value, f"{path}/{key}", found) for key, value in obj.items()}
+    if isinstance(obj, list):
+        return [listed(value, f"{path}/{i}", found) for i, value in enumerate(obj)]
+    return obj
+
+
+# Each generator's operands and the paths of the matrices in its payload.
+GENERATED = {
+    "jordan": (["--k", "3", "--lambda", "0.6+0.8i"], [""]),
+    "similar-isometry": (["--n", "3"], ["/P0", "/S", "/U"]),
+    "left-m-pair": (["--n", "3"], ["/S", "/T"]),
+    "power-bounded": (["--n", "3"], [""]),
+    "conjugation": (["--n", "3"], ["/J"]),
+    "one-c-isometry": (["--n", "3", "--hyperbolic"], ["/J", "/S"]),
+}
+# Each writer's request, its operands named by the inputs below, and the paths of its matrices.
+WRITERS = [
+    (["solve", "invariant-metric", "--s", "S"], ["/artifacts/certificate/P", "/artifacts/certificate/V"]),
+    (["check", "pf-property", "--s", "PF"], [f"/artifacts/report/counterexample/{key}" for key in "VX"]),
+    (["solve", "similarity", "--s", "S", "--t", "S_INV"], ["/artifacts/P", "/artifacts/U1", "/artifacts/U2"]),
+    (["solve", "canonical-inverse", "--s", "S"], ["/artifacts/T"]),
+    (["solve", "douglas", "--a", "I", "--b", "S"], ["/artifacts/C"]),
+    *(
+        (["generate", kind, *ops, "--json"], [f"/artifacts/payload{path}" for path in paths])
+        for kind, (ops, paths) in GENERATED.items()
+    ),
+    *((["generate", kind, *ops, "--out", "OUT"], paths) for kind, (ops, paths) in GENERATED.items()),
+    (
+        ["generate", "similar-isometry", "--n", "3", "--count", "2", "--out", "OUT"],
+        [f"/instances/{i}/{key}" for i in range(2) for key in ("P0", "S", "U")],
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, paths", WRITERS, ids=[" ".join(arg for arg in argv if not arg.isupper()) for argv, _ in WRITERS]
+)
+def test_each_report_writer_writes_its_matrices_like_the_per_entry_loop(tmp_path, capsys, monkeypatch, argv, paths):
+    s, _, _ = gen_similar_isometry(3, 7)
+    inputs = {"S": s, "S_INV": np.linalg.inv(s), "I": np.eye(3), "PF": gen.gen_pf_edge([0.5, 1.0, 0.5], 0.1)}
+    files = {name: write_matrix(tmp_path / f"{name}.json", m) for name, m in inputs.items()}
+    files["OUT"] = str(tmp_path / "out.json")
+    argv = [files.get(arg, arg) for arg in argv]
+    handed = []  # every object the CLI hands to the writer
+    monkeypatch.setattr(cli, "dump_json", lambda obj: handed.append(obj) or dump_json(obj))
+    code, out, err = run(capsys, *argv, *([] if "--out" in argv else ["--json"]))
+    assert code == (1 if "pf-property" in argv else 0) and err == ""
+    written = Path(files["OUT"]).read_text() if "--out" in argv else out.removesuffix("\n")
+    found = []
+    assert written in [dump_json(listed(obj, "", found)) for obj in handed]
+    assert sorted(found) == sorted(paths)
+
+
+@pytest.mark.parametrize("argv", [["--json"], ["--out", "out.json"], ["--out", "out.json", "--json"]])
+def test_a_non_finite_matrix_is_refused_before_anything_is_written(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(gen, "gen_power_bounded", lambda n, seed: np.diag([np.inf, 1.0]).astype(complex))
+    code, out, err = run(capsys, "generate", "power-bounded", "--n", "2", *argv)
+    assert (code, out, err) == (2, "", "error: matrix contains non-finite entries\n")
+    assert not (tmp_path / "out.json").exists()
 
 
 def test_suite_small_smoke(capsys):

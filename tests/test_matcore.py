@@ -17,7 +17,6 @@ from opslab import (
     certify_power_bounded,
     frobenius,
     load_matrix,
-    matrix_to_json_dict,
     operator_norm,
 )
 from opslab.matcore import as_matrix, dump_json, load_json, matrix_from_json_dict
@@ -141,9 +140,7 @@ def test_norm_properties(n, seed):
 def test_matrix_json_roundtrip():
     rng = np.random.default_rng(23)
     m = random_complex(rng, 3, 5)
-    d = matrix_to_json_dict(m)
-    txt = json.dumps(d)
-    back = matrix_from_json_dict(json.loads(txt))
+    back = matrix_from_json_dict(json.loads(dump_json(m)))
     assert np.array_equal(back, m)  # bit-identical round trip
 
 
@@ -191,16 +188,27 @@ def test_matrix_json_decode_matches_the_loop_on_any_scalars(data):
     assert_same_bits(matrix_from_json_dict(d), per_entry_matrix(d))
 
 
+def per_entry_json(m):
+    """The schema of ``m`` with its entries listed as Python floats: the writer's oracle."""
+    data = [[float(z.real), float(z.imag)] for z in m.ravel(order="C")]
+    return dump_json({"rows": m.shape[0], "cols": m.shape[1], "data": data})
+
+
+# Shortest round-trip forms at the edges: signed zeros, the least subnormal,
+# the least normal, the switches to exponent form, and the largest float.
+_EDGES = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e16, 1e21, 1e22, 1e-7, 1.7976931348623157e308]
+
+
 def test_matrix_json_encodes_like_the_per_entry_loop():
     rng = np.random.default_rng(5)
     base = random_complex(rng, 6, 7)
     base[0, 0] = complex(-0.0, -0.0)
-    for m in (base, base[::2, ::-3], base.T, base[1:4].real):
-        expected = [[float(z.real), float(z.imag)] for z in np.asarray(m, dtype=complex).ravel(order="C")]
-        d = matrix_to_json_dict(m)
-        assert json.dumps(d["data"]) == json.dumps(expected)
-        assert all(type(x) is float for pair in d["data"] for x in pair)
-        assert (d["rows"], d["cols"]) == np.shape(m)
+    edges = np.array([x for e in _EDGES for x in (e, -e)])
+    spread = rng.standard_normal(20_000) * 10.0 ** rng.integers(-323, 308, 20_000)  # all finite
+    edged, spread = edges.view(complex).reshape(3, 3).T, spread.view(complex).reshape(100, 100)
+    inputs = [base, base[::2, ::-3], base.T, base[1:4].real, edged, spread]
+    for m in map(as_matrix, inputs):  # complex128, as the writer requires
+        assert dump_json(m) == per_entry_json(m)
 
 
 @pytest.mark.parametrize(
@@ -258,7 +266,7 @@ _EXTREMES = [[-0.0, 0.0], [5e-324, -2.2250738585072014e-308], [1e300, -1e-300], 
 def test_codec_round_trips_any_finite_matrix_bit_for_bit(tmp_path_factory, data):
     m = np.array(data).view(np.complex128).reshape(1, len(data))
     path = tmp_path_factory.getbasetemp() / "codec.json"
-    path.write_text(dump_json(matrix_to_json_dict(m)))
+    path.write_text(dump_json(m))
     assert_same_bits(load_matrix(path), m)
 
 

@@ -58,7 +58,7 @@ def test_a_raising_instance_is_that_instance_violation(monkeypatch, sweep, dim_m
 @pytest.mark.parametrize(
     "sweep, kwargs, tags",
     [
-        (suites.run_jordan_strictness, {}, [f"J_2({lam})" for lam in (1.0, -1.0, 1j, np.exp(0.7j))]),
+        (suites.run_jordan_strictness, {}, [f"J_2({lam})" for lam in gen.JORDAN_PHASES]),
         (suites.run_c_isometry_rigidity, {"count": 2, "dim_max": 3}, [f"hyperbolic t={t}" for t in (0.5, 1.0, 2.0)]),
     ],
     ids=["jordan-strictness", "c-isometry-rigidity"],
